@@ -58,9 +58,7 @@ def cmd_count(args) -> int:
     tokens = corpus.tokenize(text, lowercase=not args.keep_case)
     if args.slice is not None:
         tokens = corpus.slice_tokens(tokens, args.slice)
-    cfg = corpus.CooccurrenceConfig(
-        window=args.window, min_count=args.min_count, lowercase=not args.keep_case
-    )
+    cfg = corpus.CooccurrenceConfig(window=args.window, min_count=args.min_count)
     table = corpus.count_cooccurrences(tokens, cfg)
     _err(
         f"counted {int(table.n)} pairs over {len(table.row_labels)} words "

@@ -12,6 +12,7 @@ import logging
 import string
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,7 +28,6 @@ class CooccurrenceConfig:
     window: int = 2
     min_count: int = 0
     max_vocab: int | None = None
-    lowercase: bool = True
 
     def __post_init__(self):
         if self.window < 1:
@@ -50,6 +50,17 @@ def count_cooccurrences(tokens, cfg: CooccurrenceConfig) -> ContingencyTable:
     range, the (word_i, word_{i+d}) cell is incremented, provided both
     tokens survive the vocabulary filter.  Rows and columns share the
     sorted vocabulary.
+
+    Tokens are mapped to vocabulary ids once, with -1 for filtered words.
+    For each forward offset d the pairs (ids[i], ids[i+d]) are encoded as
+    flat cell indices ``ids[i] * V + ids[i+d]``, pairs with a filtered side
+    are dropped, and ``np.bincount`` adds them into one V*V int64
+    accumulator.  Adding the transpose once at the end counts the backward
+    offsets and doubles the diagonal, exactly as incrementing both (a, b)
+    and (b, a) per pair does.  Offsets are accumulated one at a time, so
+    memory beyond the token ids is the accumulator plus one offset's codes
+    and bincount (O(len(tokens) + V^2)), not the codes of every offset at
+    once.
     """
     tokens = list(tokens)
     if not tokens:
@@ -63,21 +74,24 @@ def count_cooccurrences(tokens, cfg: CooccurrenceConfig) -> ContingencyTable:
         raise ValueError("vocabulary is empty after filtering")
     labels = sorted(vocab)
     index = {w: i for i, w in enumerate(labels)}
-    ids = [index.get(tok, -1) for tok in tokens]
-    counts = np.zeros((len(labels), len(labels)))
-    L = len(ids)
-    for i, wi in enumerate(ids):
-        if wi < 0:
-            continue
-        for j in range(i + 1, min(i + cfg.window + 1, L)):
-            wj = ids[j]
-            if wj < 0:
-                continue
-            counts[wi, wj] += 1.0
-            counts[wj, wi] += 1.0
+    ids = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
+    counts = _window_counts(ids, len(labels), cfg.window, masked=len(vocab) < len(freq))
     if counts.sum() == 0:
         raise ValueError("no co-occurrence pairs within the window")
     return ContingencyTable.from_counts(counts, labels, labels)
+
+
+def _window_counts(ids: np.ndarray, V: int, window: int, masked: bool) -> np.ndarray:
+    """Symmetric V x V float counts of id pairs at offsets 1..window (see above)."""
+    acc = np.zeros(V * V, dtype=np.int64)
+    for d in range(1, min(window, len(ids) - 1) + 1):
+        left, right = ids[:-d], ids[d:]
+        code = left * V + right
+        if masked:
+            code = code[(left >= 0) & (right >= 0)]
+        acc += np.bincount(code, minlength=V * V)
+    acc = acc.reshape(V, V)
+    return np.add(acc, acc.T, dtype=float)
 
 
 def slice_tokens(tokens, percent: float) -> list[str]:

@@ -159,30 +159,70 @@ def _format_count(x: float) -> str:
     return repr(x)
 
 
+def _reject_duplicates(path, axis: str, labels) -> None:
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValueError(f"{path}: duplicate {axis} label {label!r}")
+        seen.add(label)
+
+
 def write_tsv(t: ContingencyTable, path) -> None:
-    """Write the TSV table format: header of column labels, one labeled row per line."""
+    """Write the TSV table format: header of column labels, one labeled row per line.
+
+    Cells holding integers below 2**53 are written as integers, all others
+    via ``repr``, so :func:`read_tsv` reads back the exact counts.  Labels
+    that :func:`read_tsv` would split or reject (tab, newline or carriage
+    return, or a duplicate) raise ``ValueError`` before the file is opened.
+    """
+    for label in t.row_labels + t.col_labels:
+        if any(ch in label for ch in "\t\n\r"):
+            raise ValueError(f"{path}: label {label!r} contains a tab or line break")
+    _reject_duplicates(path, "row", t.row_labels)
+    _reject_duplicates(path, "column", t.col_labels)
+    counts = t.counts
+    if np.all((counts == np.trunc(counts)) & (np.abs(counts) < 2**53)):
+        rows = counts.astype(np.int64).tolist()
+    else:
+        rows = [map(_format_count, row) for row in counts.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t" + "\t".join(t.col_labels) + "\n")
-        for label, row in zip(t.row_labels, t.counts):
-            fh.write(label + "\t" + "\t".join(_format_count(x) for x in row) + "\n")
+        for label, row in zip(t.row_labels, rows):
+            fh.write(label + "\t" + "\t".join(map(str, row)) + "\n")
 
 
 def read_tsv(path) -> ContingencyTable:
-    """Read the TSV table format written by :func:`write_tsv`."""
+    """Read the TSV table format written by :func:`write_tsv`.
+
+    Blank lines are skipped.  A ragged row, a cell that is not a number or a
+    duplicate row or column label raises ``ValueError`` naming the file (and
+    the line, for cell errors).
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ValueError(f"empty table file: {path}")
-    header = lines[0].split("\t")
-    col_labels = header[1:]
+    col_labels = lines[0][1].split("\t")[1:]
     row_labels = []
     rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(col_labels) + 1:
             raise ValueError(
                 f"{path}:{lineno}: expected {len(col_labels) + 1} cells, got {len(cells)}"
             )
         row_labels.append(cells[0])
-        rows.append([float(x) for x in cells[1:]])
-    return ContingencyTable.from_counts(np.array(rows), row_labels, col_labels)
+        rows.append(cells[1:])
+    _reject_duplicates(path, "row", row_labels)
+    _reject_duplicates(path, "column", col_labels)
+    try:
+        counts = np.array(rows, dtype=float)
+    except ValueError:
+        # find the offending line with the same conversion, one row at a time
+        for (lineno, _), row in zip(lines[1:], rows):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        raise
+    return ContingencyTable.from_counts(counts, row_labels, col_labels)

@@ -1,5 +1,7 @@
 """Tokenization and windowed co-occurrence counting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from cakit.corpus import (
     tokenize,
 )
 from cakit.datasets import bundled_stopwords_path
+from cakit.tables import ContingencyTable
 
 
 class TestTokenize:
@@ -35,6 +38,74 @@ def pair_total(L, w):
     return sum(
         1 for i in range(L) for d in range(-w, w + 1) if d != 0 and 0 <= i + d < L
     )
+
+
+def loop_count_cooccurrences(tokens, cfg):
+    """Per-position reference counter: increments both (a, b) and (b, a) per pair."""
+    freq = Counter(tokens)
+    vocab = {w for w, count in freq.items() if count >= cfg.min_count}
+    if cfg.max_vocab is not None and len(vocab) > cfg.max_vocab:
+        vocab = set(sorted(vocab, key=lambda w: (-freq[w], w))[: cfg.max_vocab])
+    labels = sorted(vocab)
+    index = {w: i for i, w in enumerate(labels)}
+    ids = [index.get(tok, -1) for tok in tokens]
+    counts = np.zeros((len(labels), len(labels)))
+    for i, wi in enumerate(ids):
+        if wi < 0:
+            continue
+        for j in range(i + 1, min(i + cfg.window + 1, len(ids))):
+            wj = ids[j]
+            if wj < 0:
+                continue
+            counts[wi, wj] += 1.0
+            counts[wj, wi] += 1.0
+    return ContingencyTable.from_counts(counts, labels, labels)
+
+
+class TestMatchesLoopReference:
+    """The vectorised counter equals the per-position loop exactly."""
+
+    def assert_same(self, tokens, cfg):
+        got = count_cooccurrences(tokens, cfg)
+        want = loop_count_cooccurrences(tokens, cfg)
+        assert got.row_labels == want.row_labels
+        assert got.col_labels == want.col_labels
+        np.testing.assert_array_equal(got.counts, want.counts)
+
+    def test_zipf_streams_across_windows(self):
+        rng = np.random.default_rng(211)
+        for w in (1, 2, 3, 5):
+            tokens = [f"w{r}" for r in rng.zipf(1.3, size=600) % 40]
+            self.assert_same(tokens, CooccurrenceConfig(window=w))
+
+    def test_min_count_masking(self):
+        rng = np.random.default_rng(223)
+        tokens = [f"w{r}" for r in rng.zipf(1.2, size=800) % 60]
+        for mc in (2, 5, 20):
+            self.assert_same(tokens, CooccurrenceConfig(window=3, min_count=mc))
+
+    def test_max_vocab(self):
+        rng = np.random.default_rng(227)
+        tokens = [f"w{r}" for r in rng.integers(0, 30, size=500)]
+        for mv in (1, 4, 17):
+            self.assert_same(tokens, CooccurrenceConfig(window=2, max_vocab=mv))
+        self.assert_same(tokens, CooccurrenceConfig(window=2, min_count=15, max_vocab=10))
+
+    def test_window_at_least_stream_length(self):
+        rng = np.random.default_rng(229)
+        for L in (2, 3, 7):
+            tokens = [f"w{r}" for r in rng.integers(0, 3, size=L)]
+            for w in (L - 1, L, L + 4):
+                self.assert_same(tokens, CooccurrenceConfig(window=w))
+
+    def test_repeated_adjacent_tokens_fill_the_diagonal(self):
+        rng = np.random.default_rng(233)
+        runs = np.repeat(rng.integers(0, 5, size=60), rng.integers(1, 6, size=60))
+        tokens = [f"w{r}" for r in runs]
+        for w in (1, 2, 4):
+            self.assert_same(tokens, CooccurrenceConfig(window=w))
+        t = count_cooccurrences(["a", "a", "a"], CooccurrenceConfig(window=2))
+        np.testing.assert_array_equal(t.counts, [[6]])
 
 
 class TestCountCooccurrences:

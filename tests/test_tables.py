@@ -175,8 +175,85 @@ class TestTsvRoundTrip:
         with pytest.raises(ValueError, match="bad.tsv:2"):
             read_tsv(path)
 
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("\tx\ty\nv\t1\t2\n\nw\t1\tabc\n")
+        with pytest.raises(ValueError, match=r"bad\.tsv:4: .*'abc'"):
+            read_tsv(path)
+
+    def test_duplicate_row_label_rejected(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("\tx\ty\nw\t1\t2\nv\t1\t1\nw\t3\t4\n")
+        with pytest.raises(ValueError, match=r"dup\.tsv: duplicate row label 'w'"):
+            read_tsv(path)
+
+    def test_duplicate_column_label_rejected(self, tmp_path):
+        path = tmp_path / "dup.tsv"
+        path.write_text("\tx\tx\nw\t1\t2\n")
+        with pytest.raises(ValueError, match=r"dup\.tsv: duplicate column label 'x'"):
+            read_tsv(path)
+
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    def test_separator_in_label_rejected_before_writing(self, tmp_path, bad):
+        path = tmp_path / "t.tsv"
+        for t in (
+            ContingencyTable.from_counts([[1.0, 2.0]], [bad], ["x", "y"]),
+            ContingencyTable.from_counts([[1.0, 2.0]], ["w"], ["x", bad]),
+        ):
+            with pytest.raises(ValueError, match="label"):
+                write_tsv(t, path)
+        assert not path.exists()
+
+    def test_duplicate_label_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        t = ContingencyTable.from_counts([[1.0, 2.0], [3.0, 4.0]], ["w", "w"], ["x", "y"])
+        with pytest.raises(ValueError, match="duplicate row label 'w'"):
+            write_tsv(t, path)
+        assert not path.exists()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_tsv(path)
+
+
+def cell_by_cell_tsv(t):
+    """The per-cell reference formatter: integers below 2**53 as ints, else repr."""
+
+    def cell(x):
+        x = float(x)
+        if x == int(x) and abs(x) < 2**53:
+            return str(int(x))
+        return repr(x)
+
+    lines = ["\t" + "\t".join(t.col_labels)]
+    for label, row in zip(t.row_labels, t.counts):
+        lines.append(label + "\t" + "\t".join(cell(x) for x in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestTsvGoldenBytes:
+    @pytest.mark.parametrize("big", [2.0**53 - 1, 2.0**53])
+    def test_integer_table(self, tmp_path, big):
+        rng = np.random.default_rng(43)
+        counts = rng.integers(0, 10**6, size=(30, 20)).astype(float)
+        counts[3, 4] = big
+        labels = [f"r{i}" for i in range(30)], [f"c{j}" for j in range(20)]
+        t = ContingencyTable.from_counts(counts, *labels)
+        path = tmp_path / "int.tsv"
+        write_tsv(t, path)
+        assert path.read_bytes() == cell_by_cell_tsv(t)
+
+    def test_mixed_integer_and_fractional_table(self, tmp_path):
+        rng = np.random.default_rng(47)
+        counts = rng.integers(0, 50, size=(12, 9)).astype(float)
+        counts[::3] += rng.uniform(0, 1, size=(4, 9))
+        counts[5, 5] = 1e-300
+        counts[6, 6] = 2.0**60
+        counts[7, 7] = 0.1
+        t = ContingencyTable.from_counts(counts, [f"r{i}" for i in range(12)], list("abcdefghi"))
+        path = tmp_path / "mixed.tsv"
+        write_tsv(t, path)
+        assert path.read_bytes() == cell_by_cell_tsv(t)
+        np.testing.assert_array_equal(read_tsv(path).counts, t.counts)
