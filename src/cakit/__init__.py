@@ -13,10 +13,9 @@ from .kca import (
     build_gamma,
     fit_kca,
     fit_ws_kca,
-    materialize_kernel,
     method_from_name,
 )
-from .linalg import Decomposition, NotPositiveDefiniteError, metric_gsvd, nuclear_norm, spd_sqrt, svd
+from .linalg import Decomposition, NotPositiveDefiniteError, nuclear_norm, spd_sqrt, svd
 from .tables import ContingencyTable, contingency_from_observations, one_hot, read_tsv, residual_matrix, write_tsv
 
 __version__ = "0.1.0"
@@ -48,9 +47,7 @@ __all__ = [
     "gini_variance",
     "load_stopwords",
     "load_wordsim",
-    "materialize_kernel",
     "method_from_name",
-    "metric_gsvd",
     "nuclear_norm",
     "one_hot",
     "read_embeddings",

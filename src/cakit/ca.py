@@ -1,7 +1,9 @@
 """Linear correspondence analysis and the embedding container/formats.
 
-Fits the metric GSVD of the centered frequency matrix under the diagonal
-marginal metrics and exposes the principal row/column coordinates
+Linear CA is the kernel-CA fit (:func:`cakit.kca.fit_kca`) of the centered
+frequency matrix under inverse-marginal kernels: the generalized SVD
+``U S V^T`` of that matrix with ``U^T D(r)^{-1} U = I`` and
+``V^T D(c)^{-1} V = I``, and the principal row/column coordinates
 F = D(r)^{-1} U S and G = D(c)^{-1} V S used both for plotting category
 maps and as word vectors.
 """
@@ -12,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Decomposition, metric_gsvd
-from .tables import ContingencyTable, residual_matrix
+from .linalg import Decomposition
+from .tables import ContingencyTable
 
 
 @dataclass(frozen=True)
@@ -22,7 +24,8 @@ class EmbeddingSet:
 
     ``singular_values`` is the truncated, descending spectrum of the fitted
     matrix; ``decomposition``, when present, is the full (untruncated)
-    decomposition the coordinates were derived from.
+    generalized SVD of the association under the kernel metrics that the
+    coordinates were derived from.
     """
 
     F: np.ndarray
@@ -67,28 +70,12 @@ def default_dimension(t: ContingencyTable) -> int:
 def fit_linear_ca(t: ContingencyTable, k: int | None = None) -> EmbeddingSet:
     """Correspondence analysis of a table, keeping the top ``k`` dimensions.
 
-    The GSVD of the centered matrix runs under the raw-marginal metrics
-    D(r), D(c), i.e. the factors satisfy U.T @ D(r)^{-1} @ U = I.  ``k``
-    defaults to min(shape) - 1.
+    The kernel-CA fit of the linear method; ``k`` defaults to
+    min(shape) - 1.
     """
-    if k is None:
-        k = default_dimension(t)
-    if not 1 <= k <= min(t.shape):
-        raise ValueError(f"dimension k={k} out of range 1..{min(t.shape)}")
-    centered = residual_matrix(t)
-    dec = metric_gsvd(centered, np.diag(t.r), np.diag(t.c))
-    S = dec.S[:k]
-    F = (dec.U[:, :k] / t.r[:, None]) * S
-    G = (dec.V[:, :k] / t.c[:, None]) * S
-    return EmbeddingSet(
-        F=F,
-        G=G,
-        row_labels=t.row_labels,
-        col_labels=t.col_labels,
-        singular_values=S.copy(),
-        method_tag="linear_ca",
-        decomposition=dec,
-    )
+    from .kca import fit_kca, method_from_name  # kca imports this module
+
+    return fit_kca(t, method_from_name("linear"), k)
 
 
 def export_coordinates(e: EmbeddingSet, path) -> None:
@@ -100,17 +87,6 @@ def export_coordinates(e: EmbeddingSet, path) -> None:
             labels, coords = e.coordinates("F" if which == "row" else "G")
             for label, vec in zip(labels, coords):
                 fh.write(",".join([which, label] + [repr(float(x)) for x in vec]) + "\n")
-
-
-def read_coordinates(path) -> list[tuple[str, str, np.ndarray]]:
-    """Read back an exported coordinate CSV as (point_set, label, vector) rows."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        rows.append((cells[0], cells[1], np.array([float(x) for x in cells[2:]])))
-    return rows
 
 
 def write_embeddings(e: EmbeddingSet, path) -> None:
@@ -133,40 +109,71 @@ def write_embeddings(e: EmbeddingSet, path) -> None:
                 fh.write("\t".join([which, label] + [repr(float(x)) for x in vec]) + "\n")
 
 
+def _numbers(path, lineno: int, cells) -> list[float]:
+    try:
+        return [float(x) for x in cells]
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _finite_rows(path, linenos, rows, k: int) -> np.ndarray:
+    M = np.array(rows).reshape(len(rows), k)
+    bad = ~np.isfinite(M).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value")
+    return M
+
+
 def read_embeddings(path) -> EmbeddingSet:
-    """Read the text embedding format written by :func:`write_embeddings`."""
+    """Read the text embedding format written by :func:`write_embeddings`.
+
+    A header with fewer than four fields, counts that are not nonnegative
+    integers or other than ``k`` singular values, a malformed point line,
+    or a value that is not a finite number raises ``ValueError`` naming the
+    file and line.
+    """
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise ValueError(f"empty embeddings file: {path}")
-    head = lines[0].split("\t")
-    n_rows, n_cols, k = int(head[0]), int(head[1]), int(head[2])
-    method_tag = head[3]
-    singular_values = np.array([float(x) for x in head[4 : 4 + k]])
+    head_line, header = lines[0]
+    head = header.split("\t")
+    where = f"{path}:{head_line}"
+    if len(head) < 4:
+        raise ValueError(
+            f"{where}: header needs n_rows, n_cols, k and a method tag, got {len(head)} fields"
+        )
+    try:
+        n_rows, n_cols, k = (int(x) for x in head[:3])
+    except ValueError:
+        raise ValueError(f"{where}: header counts {head[:3]} are not integers") from None
+    if min(n_rows, n_cols, k) < 0:
+        raise ValueError(f"{where}: header counts {head[:3]} must be nonnegative")
+    if len(head) != 4 + k:
+        raise ValueError(f"{where}: header lists {len(head) - 4} singular values, expected k={k}")
+    singular_values = _finite_rows(path, [head_line], [_numbers(path, head_line, head[4:])], k)[0]
     if len(lines) != 1 + n_rows + n_cols:
         raise ValueError(
             f"{path}: expected {n_rows + n_cols} point lines, got {len(lines) - 1}"
         )
-    row_labels, col_labels = [], []
-    F_rows, G_rows = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    # point set -> labels, coordinate rows, line numbers
+    points = {"row": ([], [], []), "col": ([], [], [])}
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
-        which, label, values = cells[0], cells[1], [float(x) for x in cells[2:]]
-        if len(values) != k:
+        if len(cells) != k + 2:
             raise ValueError(f"{path}:{lineno}: expected {k} coordinates")
-        if which == "row":
-            row_labels.append(label)
-            F_rows.append(values)
-        elif which == "col":
-            col_labels.append(label)
-            G_rows.append(values)
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown point set {which!r}")
+        if cells[0] not in points:
+            raise ValueError(f"{path}:{lineno}: unknown point set {cells[0]!r}")
+        labels, rows, linenos = points[cells[0]]
+        labels.append(cells[1])
+        rows.append(_numbers(path, lineno, cells[2:]))
+        linenos.append(lineno)
+    (row_labels, F_rows, F_lines), (col_labels, G_rows, G_lines) = points.values()
     return EmbeddingSet(
-        F=np.array(F_rows).reshape(len(row_labels), k),
-        G=np.array(G_rows).reshape(len(col_labels), k),
+        F=_finite_rows(path, F_lines, F_rows, k),
+        G=_finite_rows(path, G_lines, G_rows, k),
         row_labels=tuple(row_labels),
         col_labels=tuple(col_labels),
         singular_values=singular_values,
-        method_tag=method_tag,
+        method_tag=head[3],
     )

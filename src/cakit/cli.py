@@ -20,28 +20,50 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+# flat key=value method configuration; each key is also a `fit` flag
+CONFIG_KEYS = ("method", "shift_k", "sw_alpha_row", "sw_alpha_col", "ws_alpha", "ws_beta",
+               "dim", "exponent", "kpca_alpha", "stopwords", "ws_scores")
+_FLOAT_KEYS = {"shift_k", "sw_alpha_row", "sw_alpha_col", "ws_alpha", "ws_beta",
+               "exponent", "kpca_alpha"}
+
+
+def parse_method_config(text: str) -> dict:
+    """Parse the flat key=value method configuration format.
+
+    One ``key=value`` entry per line; blank lines and ``#`` comments are
+    skipped.  Numeric values are converted, ``dim`` to int; unknown keys
+    are an error.
+    """
+    config: dict = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
+        if key == "dim":
+            config[key] = int(value)
+        elif key in _FLOAT_KEYS:
+            config[key] = float(value)
+        else:
+            config[key] = value
+    return config
+
+
 def _read_method_config(args) -> dict:
     """Merge config-file entries with CLI flags; flags win."""
     config: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config.update(kca.parse_method_config(fh.read()))
-    overrides = {
-        "method": args.method,
-        "shift_k": args.shift_k,
-        "sw_alpha_row": args.sw_alpha_row,
-        "sw_alpha_col": args.sw_alpha_col,
-        "ws_alpha": args.ws_alpha,
-        "ws_beta": args.ws_beta,
-        "dim": args.dim,
-        "exponent": args.exponent,
-        "kpca_alpha": args.kpca_alpha,
-        "stopwords": args.stopwords,
-        "ws_scores": args.ws_scores,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
+            config.update(parse_method_config(fh.read()))
+    for key in CONFIG_KEYS:
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     config.setdefault("method", "linear")
     config.setdefault("shift_k", 1.0)
     config.setdefault("ws_beta", 1.0)
@@ -89,31 +111,24 @@ def _ws_gammas(table, config):
 def cmd_fit(args) -> int:
     config = _read_method_config(args)
     table = tables.read_tsv(args.table)
-    k = config.get("dim")
-    method = config["method"]
-    if method == "ws":
-        gamma_r, gamma_c = _ws_gammas(table, config)
-        emb = kca.fit_ws_kca(table, gamma_r, gamma_c, k, exponent=config["exponent"])
-    elif method == "linear" and not any(
-        config.get(key) is not None for key in ("sw_alpha_row", "sw_alpha_col")
-    ):
-        emb = ca.fit_linear_ca(table, k)
-    else:
-        stopwords = None
-        if config.get("sw_alpha_row") is not None or config.get("sw_alpha_col") is not None:
-            if not config.get("stopwords"):
-                raise ValueError("stop-word alphas need a stop-word list (--stopwords)")
-            stopwords = corpus.load_stopwords(config["stopwords"])
-        m = kca.method_from_name(
-            method,
-            shift_k=config["shift_k"],
-            kpca_alpha=config["kpca_alpha"],
-            stopwords=stopwords,
-            sw_alpha_row=config.get("sw_alpha_row"),
-            sw_alpha_col=config.get("sw_alpha_col"),
-            exponent=config["exponent"],
-        )
-        emb = kca.fit_kca(table, m, k)
+    stopwords = None
+    if config.get("sw_alpha_row") is not None or config.get("sw_alpha_col") is not None:
+        if not config.get("stopwords"):
+            raise ValueError("stop-word alphas need a stop-word list (--stopwords)")
+        stopwords = corpus.load_stopwords(config["stopwords"])
+    gamma_r, gamma_c = _ws_gammas(table, config) if config["method"] == "ws" else (None, None)
+    m = kca.method_from_name(
+        config["method"],
+        shift_k=config["shift_k"],
+        kpca_alpha=config["kpca_alpha"],
+        stopwords=stopwords,
+        sw_alpha_row=config.get("sw_alpha_row"),
+        sw_alpha_col=config.get("sw_alpha_col"),
+        exponent=config["exponent"],
+        gamma_row=gamma_r,
+        gamma_col=gamma_c,
+    )
+    emb = kca.fit_kca(table, m, config.get("dim"))
     ca.write_embeddings(emb, args.out)
     _err(f"fitted {emb.method_tag}: k={emb.k}, top singular value {emb.singular_values[0]:.6g}")
     print(args.out)

@@ -89,14 +89,3 @@ def brute_force_covariance(obs: Observations, R) -> float:
         for rb, cb in pairs:
             terms.append(R[ra, ca] - R[ra, cb] - R[rb, ca] + R[rb, cb])
     return math.fsum(terms) / (4.0 * n * n)
-
-
-def pairwise_disagreement_count(t: ContingencyTable, axis: str) -> float:
-    """Number of ordered observation pairs whose category differs, n^2 - sum m_i^2.
-
-    Independent check of the closed-form variance: it equals
-    ``2 n^2 * gini_variance``.
-    """
-    m = t.r if axis == "row" else t.c
-    n = t.n
-    return n * n - float(np.sum(m * m))

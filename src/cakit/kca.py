@@ -1,15 +1,25 @@
-"""Kernel correspondence analysis.
+"""Kernel correspondence analysis: one fit for every method.
 
-Generalizes the linear fit to
-``maximize tr(R^T K_r A K_c) / 2  subject to  R^T K_r R K_c = I``
-where A is a pluggable association matrix built from the table and K_r,
-K_c are SPD kernel matrices.  The solution is read off the plain SVD of
-the sandwich ``K_r^{1/2} A K_c^{1/2}``.  Specializations recover linear
-CA, the plain (unscaled) categorical covariance, the G-test association,
-shifted-positive-PMI factorization, an exponential one-hot-distance
-kernel, plus two text-oriented kernels: diagonal stop-word reweighting
-and the pair-score (Hadamard) construction that folds external word
-similarity scores into the table.
+Solves ``maximize tr(R^T K_r A K_c) / 2  subject to  R^T K_r R K_c = I``
+where A is an association matrix built from the table and K_r, K_c are
+SPD kernels.  The solution is the generalized SVD of A under the kernel
+metrics, read off the plain SVD of the sandwich
+``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T``: the factors
+``U = K_r^{-1/2} U_s`` and ``V = K_c^{-1/2} V_s`` satisfy ``U^T K_r U = I``,
+``V^T K_c V = I`` and ``U S V^T = A``, and the coordinates are
+``F = K_r U S^p`` and ``G = K_c V S^p``.
+
+Specializations recover linear CA (inverse-marginal kernels), the plain
+categorical covariance, the G-test association, shifted-positive-PMI
+factorization, an exponential one-hot-distance kernel, plus two
+text-oriented variants: diagonal stop-word reweighting, and the
+pair-score (ws) association that folds external word similarity scores
+into the table and its marginals through Hadamard products.
+
+Kernels are described by their structure and never built as matrices
+unless given as one: identity, inverse-marginal and stop-word kernels are
+diagonal, the kpca_cd kernel ``(1-e) I + e 11^T`` has the closed-form root
+``a I + b 11^T``, and only an explicit kernel is dense.
 """
 
 from __future__ import annotations
@@ -19,18 +29,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ca import EmbeddingSet
-from .linalg import NotPositiveDefiniteError, spd_sqrt, svd
+from . import linalg
+from .ca import EmbeddingSet, default_dimension
+from .linalg import Decomposition, NotPositiveDefiniteError, spd_sqrt
+from .linalg import svd  # noqa: F401  (kca.svd stays importable; fit_kca calls linalg.svd)
 from .tables import ContingencyTable, residual_matrix
 
-ASSOCIATIONS = ("linear", "gini", "gtest", "sgns", "kpca_cd")
+ASSOCIATIONS = ("linear", "gini", "gtest", "sgns", "kpca_cd", "ws")
 KERNEL_KINDS = ("identity", "inverse_marginal", "stopword", "kpca_cd", "explicit")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One kernel matrix, described declaratively.
+    """One axis kernel, described by kind; :func:`kernel_root` gives its roots.
 
+    The marginal is the table's, or the ws association's modified one.
     kind:
       identity          -> I
       inverse_marginal  -> D(marginal)^{-1}
@@ -58,7 +71,8 @@ class KcaMethod:
     selects shifted positive PMI; with clamping off, zero-count cells take
     ``sgns_floor`` and negative shifted PMI values are kept.  ``exponent``
     is the power of the singular values in the output coordinates (1 is
-    the CA convention, 0.5 the symmetric split).
+    the CA convention, 0.5 the symmetric split).  ``gamma_row`` and
+    ``gamma_col`` are the pair-score matrices of the ws association.
     """
 
     association: str
@@ -68,18 +82,27 @@ class KcaMethod:
     exponent: float = 1.0
     sgns_clamp: bool = True
     sgns_floor: float = 0.0
+    gamma_row: np.ndarray | None = field(default=None, repr=False)
+    gamma_col: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.association not in ASSOCIATIONS:
             raise ValueError(f"unknown association {self.association!r}")
         if self.association == "sgns" and self.shift_k <= 0:
             raise ValueError(f"sgns shift k must be > 0, got {self.shift_k}")
+        if self.association == "ws" and (self.gamma_row is None or self.gamma_col is None):
+            raise ValueError("the ws association needs row and column pair-score matrices")
 
 
 @dataclass(frozen=True)
 class AssociationMatrix:
+    """The matrix a method factorizes, its tag, and the row and column
+    marginals that its inverse-marginal and stop-word kernels divide by."""
+
     values: np.ndarray
     method_tag: str
+    r: np.ndarray
+    c: np.ndarray
 
 
 def method_from_name(
@@ -90,17 +113,20 @@ def method_from_name(
     sw_alpha_row: float | None = None,
     sw_alpha_col: float | None = None,
     exponent: float = 1.0,
+    gamma_row=None,
+    gamma_col=None,
 ) -> KcaMethod:
     """Build the standard kernel/association pairing for a method name.
 
-    linear -> inverse-marginal kernels; gini/gtest/sgns -> identity
+    linear / ws -> inverse-marginal kernels; gini/gtest/sgns -> identity
     kernels; kpca_cd -> exponential row kernel.  Passing stop-word alphas
     (with a word set) swaps in the stop-word kernels on the chosen axes.
+    ws needs the pair-score matrices ``gamma_row`` and ``gamma_col``.
     """
     if name == "kpca_cd":
         row_kernel = KernelSpec("kpca_cd", alpha=kpca_alpha)
         col_kernel = KernelSpec("identity")
-    elif name == "linear":
+    elif name in ("linear", "ws"):
         row_kernel = KernelSpec("inverse_marginal")
         col_kernel = KernelSpec("inverse_marginal")
     elif name in ("gini", "gtest", "sgns"):
@@ -119,6 +145,8 @@ def method_from_name(
         col_kernel=col_kernel,
         shift_k=shift_k,
         exponent=exponent,
+        gamma_row=gamma_row,
+        gamma_col=gamma_col,
     )
 
 
@@ -130,115 +158,146 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
     convention on empty cells.
     sgns: shifted PMI, log(n_ij n / (r_i c_j)) - log(shift_k), clamped at 0
     by default (empty cells fall to the clamp or to ``sgns_floor``).
+    ws: see :func:`fit_ws_kca`; its marginals are the modified ones.
+    Every other association comes with the table's marginals.
     """
+    if m.association == "ws":
+        return _ws_association(t, m.gamma_row, m.gamma_col)
     N = t.counts
     n = t.n
     if m.association in ("linear", "gini", "kpca_cd"):
-        return AssociationMatrix(residual_matrix(t), m.association)
+        return AssociationMatrix(residual_matrix(t), m.association, t.r, t.c)
     expected = np.outer(t.r, t.c) / n  # E_ij = r_i c_j / n
     positive = N > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(positive, np.log(np.where(positive, N, 1.0) / expected), 0.0)
     if m.association == "gtest":
         A = np.where(positive, (N / n) * log_ratio, 0.0)
-        return AssociationMatrix(A, "gtest")
+        return AssociationMatrix(A, "gtest", t.r, t.c)
     if m.association == "sgns":
         shifted = log_ratio - math.log(m.shift_k)
         if m.sgns_clamp:
             A = np.where(positive, np.maximum(shifted, 0.0), 0.0)
         else:
             A = np.where(positive, shifted, m.sgns_floor)
-        return AssociationMatrix(A, f"sgns(k={m.shift_k:g})")
+        return AssociationMatrix(A, f"sgns(k={m.shift_k:g})", t.r, t.c)
     raise ValueError(f"unknown association {m.association!r}")
 
 
-def materialize_kernel(spec: KernelSpec, t: ContingencyTable, axis: str) -> np.ndarray:
-    """Turn a kernel spec into its SPD matrix for one axis of the table."""
-    if axis == "row":
-        marginal, labels = t.r, t.row_labels
-    elif axis == "col":
-        marginal, labels = t.c, t.col_labels
-    else:
-        raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
+    gamma_r = np.asarray(gamma_r, dtype=float)
+    gamma_c = np.asarray(gamma_c, dtype=float)
+    for axis, gamma, size in (("row", gamma_r, t.shape[0]), ("column", gamma_c, t.shape[1])):
+        if gamma.shape != (size, size):
+            raise ValueError(f"{axis} pair-score matrix shape {gamma.shape}, expected {(size, size)}")
+    N = t.counts
+    GN = gamma_r @ N
+    cross = GN * (N @ gamma_c)
+    r_mod = cross.sum(axis=1)
+    c_mod = cross.sum(axis=0)
+    for axis, labels, marginal in (("row", t.row_labels, r_mod), ("column", t.col_labels, c_mod)):
+        if np.any(marginal <= 0):
+            bad = [lbl for lbl, v in zip(labels, marginal) if v <= 0]
+            raise ValueError(f"nonpositive modified {axis} marginal for: {', '.join(bad)}")
+    A = (N * (GN @ gamma_c) - cross) / (t.n * t.n)
+    return AssociationMatrix(A, "ws", r_mod, c_mod)
+
+
+@dataclass(frozen=True)
+class KernelRoot:
+    """A root K^{1/2} or K^{-1/2} of one kernel: ``diag(d) + b 11^T``, or ``dense``.
+
+    ``d`` of None is the identity.  ``root @ X`` multiplies from the left;
+    roots are symmetric, so ``(root @ X.T).T`` is ``X @ root``.
+    """
+
+    d: np.ndarray | None = None
+    b: float = 0.0
+    dense: np.ndarray | None = field(default=None, repr=False)
+
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense @ X
+        Y = X if self.d is None else self.d[:, None] * X
+        return Y + self.b * X.sum(axis=0) if self.b else Y
+
+
+def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelRoot, KernelRoot]:
+    """K^{1/2} and K^{-1/2} of one axis kernel, from its structure.
+
+    ``marginal`` is what the inverse-marginal and stop-word kernels divide
+    by (the table's, or the ws association's modified marginals).
+    """
     m = len(labels)
     if spec.kind == "identity":
-        return np.eye(m)
-    if spec.kind == "inverse_marginal":
-        return np.diag(1.0 / marginal)
-    if spec.kind == "stopword":
-        if 1.0 + spec.alpha <= 0:
-            raise NotPositiveDefiniteError(
-                f"stop-word weight 1+alpha = {1.0 + spec.alpha:g} must be positive"
-            )
-        w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
-        return np.diag(w / marginal)
+        return KernelRoot(), KernelRoot()
+    if spec.kind in ("inverse_marginal", "stopword"):
+        w = 1.0
+        if spec.kind == "stopword":
+            if 1.0 + spec.alpha <= 0:
+                raise NotPositiveDefiniteError(
+                    f"stop-word weight 1+alpha = {1.0 + spec.alpha:g} must be positive"
+                )
+            w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
+        inv_root = np.sqrt(marginal / w)
+        return KernelRoot(1.0 / inv_root), KernelRoot(inv_root)
     if spec.kind == "kpca_cd":
-        # |e_i - e_j|^2 is 0 on the diagonal and 2 off it
-        off = math.exp(2.0 * spec.alpha)
-        K = np.full((m, m), off)
-        np.fill_diagonal(K, 1.0)
-        spd_sqrt(K)  # rejects alpha >= 0, where the matrix loses definiteness
-        return K
+        # |e_i - e_j|^2 is 0 on the diagonal and 2 off it, so K = (1-e) I + e 11^T,
+        # positive definite exactly when e < 1.  Its root is a I + b 11^T with
+        # a + b m = s, the square root of the eigenvalue on 1; Sherman-Morrison
+        # inverts it.
+        if spec.alpha >= 0:
+            raise NotPositiveDefiniteError(
+                f"kpca_cd kernel is not positive definite for alpha = {spec.alpha:g} >= 0"
+            )
+        e = math.exp(2.0 * spec.alpha)
+        a = math.sqrt(1.0 - e)
+        s = math.sqrt(1.0 - e + e * m)
+        b = (s - a) / m
+        return KernelRoot(np.full(m, a), b), KernelRoot(np.full(m, 1.0 / a), -b / (a * s))
     if spec.kind == "explicit":
         if spec.matrix is None:
             raise ValueError("explicit kernel spec carries no matrix")
         K = np.asarray(spec.matrix, dtype=float)
         if K.shape != (m, m):
             raise ValueError(f"explicit kernel shape {K.shape} does not match axis size {m}")
-        spd_sqrt(K)
-        return K
+        root, inv_root = spd_sqrt(K)
+        return KernelRoot(dense=root), KernelRoot(dense=inv_root)
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
-
-
-def _fit_sandwich(
-    A: np.ndarray,
-    Kr: np.ndarray,
-    Kc: np.ndarray,
-    k: int,
-    exponent: float,
-    row_labels,
-    col_labels,
-    method_tag: str,
-) -> EmbeddingSet:
-    Lr = spd_sqrt(Kr)
-    Lc = spd_sqrt(Kc)
-    dec = svd(Lr @ A @ Lc)
-    S = dec.S[:k]
-    scale = S**exponent if exponent != 1.0 else S
-    F = (Lr @ dec.U[:, :k]) * scale
-    G = (Lc @ dec.V[:, :k]) * scale
-    return EmbeddingSet(
-        F=F,
-        G=G,
-        row_labels=tuple(row_labels),
-        col_labels=tuple(col_labels),
-        singular_values=S.copy(),
-        method_tag=method_tag,
-        decomposition=dec,
-    )
 
 
 def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> EmbeddingSet:
     """Fit one kernel-CA configuration, keeping the top ``k`` dimensions.
 
-    Builds the association matrix A and kernels, takes the SVD of
-    ``K_r^{1/2} A K_c^{1/2} = U S V^T`` and returns the coordinates
-    ``F = K_r^{1/2} U S^p`` and ``G = K_c^{1/2} V S^p``.  With the linear
-    association and inverse-marginal kernels this reproduces
-    :func:`cakit.ca.fit_linear_ca`.
+    Takes the SVD of ``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T`` and returns the
+    coordinates ``F = K_r^{1/2} U_s S^p`` and ``G = K_c^{1/2} V_s S^p``.
+    ``decomposition`` holds the full generalized SVD of A under the kernel
+    metrics (see the module docstring).  ``k`` defaults to min(shape) - 1.
     """
     if k is None:
-        k = max(1, min(t.shape) - 1)
+        k = default_dimension(t)
     if not 1 <= k <= min(t.shape):
         raise ValueError(f"dimension k={k} out of range 1..{min(t.shape)}")
     assoc = association_matrix(t, m)
-    Kr = materialize_kernel(m.row_kernel, t, "row")
-    Kc = materialize_kernel(m.col_kernel, t, "col")
+    Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
+    Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
+    # looked up at call time, so a replacement linalg.svd reaches every fit
+    dec = linalg.svd((Lc @ (Lr @ assoc.values).T).T)
+    S = dec.S[:k]
+    scale = S**m.exponent if m.exponent != 1.0 else S
     tag = assoc.method_tag
     if "stopword" in (m.row_kernel.kind, m.col_kernel.kind):
         tag += "+sw"
-    return _fit_sandwich(
-        assoc.values, Kr, Kc, k, m.exponent, t.row_labels, t.col_labels, tag
+    elif tag == "linear":
+        tag = "linear_ca"  # plain linear CA
+    return EmbeddingSet(
+        F=(Lr @ dec.U[:, :k]) * scale,
+        G=(Lc @ dec.V[:, :k]) * scale,
+        row_labels=t.row_labels,
+        col_labels=t.col_labels,
+        singular_values=S.copy(),
+        method_tag=tag,
+        decomposition=Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V),
     )
 
 
@@ -272,99 +331,20 @@ def fit_ws_kca(t: ContingencyTable, gamma_r, gamma_c, k: int | None = None,
     analogue.  All-ones pair-score matrices reduce to linear CA up to a
     global positive scale.
     """
-    gamma_r = np.asarray(gamma_r, dtype=float)
-    gamma_c = np.asarray(gamma_c, dtype=float)
-    nr, nc = t.shape
-    if gamma_r.shape != (nr, nr):
-        raise ValueError(f"row pair-score matrix shape {gamma_r.shape}, expected {(nr, nr)}")
-    if gamma_c.shape != (nc, nc):
-        raise ValueError(f"column pair-score matrix shape {gamma_c.shape}, expected {(nc, nc)}")
-    N = t.counts
-    n = t.n
-    GN = gamma_r @ N
-    NG = N @ gamma_c
-    cross = GN * NG
-    r_mod = cross.sum(axis=1)
-    c_mod = cross.sum(axis=0)
-    if np.any(r_mod <= 0):
-        bad = [lbl for lbl, v in zip(t.row_labels, r_mod) if v <= 0]
-        raise ValueError(f"nonpositive modified row marginal for: {', '.join(bad)}")
-    if np.any(c_mod <= 0):
-        bad = [lbl for lbl, v in zip(t.col_labels, c_mod) if v <= 0]
-        raise ValueError(f"nonpositive modified column marginal for: {', '.join(bad)}")
-    A = (N * (gamma_r @ N @ gamma_c) - cross) / (n * n)
-    if k is None:
-        k = max(1, min(t.shape) - 1)
-    if not 1 <= k <= min(t.shape):
-        raise ValueError(f"dimension k={k} out of range 1..{min(t.shape)}")
-    return _fit_sandwich(
-        A, np.diag(1.0 / r_mod), np.diag(1.0 / c_mod), k, exponent,
-        t.row_labels, t.col_labels, "ws",
-    )
+    m = method_from_name("ws", exponent=exponent, gamma_row=gamma_r, gamma_col=gamma_c)
+    return fit_kca(t, m, k)
 
 
 def constraint_residual(e: EmbeddingSet, Kr, Kc) -> float:
     """Max deviation of R^T K_r R K_c from the identity for a fitted model.
 
-    R is recovered from the stored sandwich SVD as
-    ``K_r^{-1/2} (U V^T) K_c^{-1/2}``.  Meaningful when the table has at
-    least as many rows as columns (otherwise the constraint is
-    rank-deficient by construction).
+    R is ``U V^T`` from the stored generalized SVD.  Meaningful when the
+    table has at least as many rows as columns (otherwise the constraint
+    is rank-deficient by construction).
     """
     dec = e.decomposition
     if dec is None:
         raise ValueError("embedding set carries no decomposition")
-    Lr_inv = np.linalg.inv(spd_sqrt(Kr))
-    Lc_inv = np.linalg.inv(spd_sqrt(Kc))
-    R_hat = dec.U @ dec.V.T
-    R = Lr_inv @ R_hat @ Lc_inv
+    R = dec.U @ dec.V.T
     lhs = R.T @ np.asarray(Kr, dtype=float) @ R @ np.asarray(Kc, dtype=float)
     return float(np.max(np.abs(lhs - np.eye(lhs.shape[0]))))
-
-
-# -- flat key=value method configuration ------------------------------------
-
-CONFIG_KEYS = (
-    "method",
-    "shift_k",
-    "sw_alpha_row",
-    "sw_alpha_col",
-    "ws_alpha",
-    "ws_beta",
-    "dim",
-    "exponent",
-    "kpca_alpha",
-    "stopwords",
-    "ws_scores",
-)
-
-_FLOAT_KEYS = {"shift_k", "sw_alpha_row", "sw_alpha_col", "ws_alpha", "ws_beta",
-               "exponent", "kpca_alpha"}
-
-
-def parse_method_config(text: str) -> dict:
-    """Parse the flat key=value method configuration format.
-
-    One ``key=value`` entry per line; blank lines and ``#`` comments are
-    skipped.  Numeric values are converted, ``dim`` to int; unknown keys
-    are an error.
-    """
-    config: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
-        if key == "dim":
-            config[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            config[key] = float(value)
-        else:
-            config[key] = value
-    return config

@@ -1,14 +1,15 @@
-"""Dense linear-algebra kernel: SVD, SPD square roots, metric-weighted GSVD.
+"""Dense linear-algebra kernel: SVD, SPD square roots, nuclear norm.
 
-All fitting routines in this package reduce to one of the operations here.
-Matrices are plain ``numpy.ndarray`` (float64, dense); inputs are validated
-for finiteness and the decompositions carry a deterministic sign convention
-so repeated runs produce identical output.
+Every fit in this package reduces to one :func:`svd`; the kernel-CA fit
+(:mod:`cakit.kca`) scales the factors back into the generalized SVD under
+its kernel metrics.  Matrices are plain ``numpy.ndarray`` (float64, dense);
+inputs are validated for finiteness and the decompositions carry a
+deterministic sign convention so repeated runs produce identical output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,24 +31,17 @@ def _as_matrix(M, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Singular triplet ``U @ diag(S) @ V.T`` orthonormal under a metric pair.
+    """Singular triplet ``U @ diag(S) @ V.T``, ``S`` sorted descending and nonnegative.
 
-    ``U.T @ inv(metric_row) @ U = I`` and ``V.T @ inv(metric_col) @ V = I``;
-    identity metrics give a plain thin SVD.  ``S`` is sorted descending and
-    nonnegative.
+    From :func:`svd` the factors are orthonormal.  A kernel-CA fit stores
+    the generalized SVD of its association instead, whose factors are
+    orthonormal under the kernel metrics: ``U.T @ K_r @ U = I`` and
+    ``V.T @ K_c @ V = I``.
     """
 
     U: np.ndarray
     S: np.ndarray
     V: np.ndarray
-    metric_row: np.ndarray = field(repr=False, default=None)
-    metric_col: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.metric_row is None:
-            object.__setattr__(self, "metric_row", np.eye(self.U.shape[0]))
-        if self.metric_col is None:
-            object.__setattr__(self, "metric_col", np.eye(self.V.shape[0]))
 
     @property
     def rank(self) -> int:
@@ -64,7 +58,7 @@ class Decomposition:
         return self.S <= 1e-12 * (self.S[0] if self.S[0] > 0 else 1.0)
 
     def reconstruct(self) -> np.ndarray:
-        return self.U @ np.diag(self.S) @ self.V.T
+        return (self.U * self.S) @ self.V.T
 
 
 def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,28 +89,16 @@ def svd(M) -> Decomposition:
     return Decomposition(U=U, S=S, V=V)
 
 
-def _is_diagonal(K: np.ndarray) -> bool:
-    return np.count_nonzero(K - np.diag(np.diagonal(K))) == 0
+def spd_sqrt(K) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric square root of an SPD matrix and its inverse, (K^{1/2}, K^{-1/2}).
 
-
-def spd_sqrt(K) -> np.ndarray:
-    """Symmetric square root of an SPD matrix, K^{1/2} @ K^{1/2} = K.
-
-    Diagonal inputs take an exact elementwise fast path.  Non-SPD input
-    (any eigenvalue <= 0 within tolerance) raises
+    Both come from one eigendecomposition; K^{1/2} @ K^{1/2} = K.  Non-SPD
+    input (any eigenvalue <= 0 within tolerance) raises
     ``NotPositiveDefiniteError`` naming the offending eigenvalue.
     """
     A = _as_matrix(K, "kernel matrix")
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"SPD square root needs a square matrix, got {A.shape}")
-    if _is_diagonal(A):
-        d = np.diagonal(A)
-        if np.any(d <= 0):
-            bad = float(d[d <= 0][0])
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: diagonal entry {bad}"
-            )
-        return np.diag(np.sqrt(d))
     if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
         raise ValueError("SPD square root needs a symmetric matrix")
     lam, Q = np.linalg.eigh(A)
@@ -126,44 +108,8 @@ def spd_sqrt(K) -> np.ndarray:
             f"matrix is not positive definite: eigenvalue {lam[0]:.6g}"
         )
     root = (Q * np.sqrt(lam)) @ Q.T
-    return 0.5 * (root + root.T)
-
-
-def _spd_inv_sqrt(K: np.ndarray) -> np.ndarray:
-    """K^{-1/2} for SPD K; shares spd_sqrt's validation and fast path."""
-    if _is_diagonal(K):
-        d = np.diagonal(K)
-        if np.any(d <= 0):
-            bad = float(d[d <= 0][0])
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: diagonal entry {bad}"
-            )
-        return np.diag(1.0 / np.sqrt(d))
-    spd_sqrt(K)  # runs the SPD validation
-    lam, Q = np.linalg.eigh(K)
     inv_root = (Q / np.sqrt(lam)) @ Q.T
-    return 0.5 * (inv_root + inv_root.T)
-
-
-def metric_gsvd(M, Wr, Wc) -> Decomposition:
-    """GSVD of M orthonormal under the SPD metrics Wr, Wc.
-
-    Computes the plain SVD of ``Wr^{-1/2} @ M @ Wc^{-1/2}`` and scales the
-    factors back, so the result satisfies ``U.T @ inv(Wr) @ U = I``,
-    ``V.T @ inv(Wc) @ V = I`` and ``U @ diag(S) @ V.T = M``.
-    """
-    A = _as_matrix(M)
-    Wr = _as_matrix(Wr, "row metric")
-    Wc = _as_matrix(Wc, "column metric")
-    if Wr.shape != (A.shape[0], A.shape[0]) or Wc.shape != (A.shape[1], A.shape[1]):
-        raise ValueError(
-            f"metric shapes {Wr.shape}, {Wc.shape} do not conform to matrix {A.shape}"
-        )
-    inner = _spd_inv_sqrt(Wr) @ A @ _spd_inv_sqrt(Wc)
-    dec = svd(inner)
-    U = spd_sqrt(Wr) @ dec.U
-    V = spd_sqrt(Wc) @ dec.V
-    return Decomposition(U=U, S=dec.S, V=V, metric_row=Wr, metric_col=Wc)
+    return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
 
 
 def nuclear_norm(M) -> float:

@@ -194,12 +194,13 @@ def write_tsv(t: ContingencyTable, path) -> None:
 def read_tsv(path) -> ContingencyTable:
     """Read the TSV table format written by :func:`write_tsv`.
 
-    Blank lines are skipped.  A ragged row, a cell that is not a number or a
-    duplicate row or column label raises ``ValueError`` naming the file (and
-    the line, for cell errors).
+    Empty lines are skipped, but a line of whitespace is data: it is the
+    header of a table whose column labels are all whitespace.  A ragged
+    row, a cell that is not a number or a duplicate row or column label
+    raises ``ValueError`` naming the file (and the line, for cell errors).
     """
     with open(path, encoding="utf-8") as fh:
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line != "\n"]
     if not lines:
         raise ValueError(f"empty table file: {path}")
     col_labels = lines[0][1].split("\t")[1:]

@@ -8,12 +8,22 @@ from cakit.ca import (
     default_dimension,
     export_coordinates,
     fit_linear_ca,
-    read_coordinates,
     read_embeddings,
     write_embeddings,
 )
 from cakit.datasets import fisher_table
 from cakit.tables import ContingencyTable, residual_matrix
+
+
+def read_coordinates(path):
+    """Read back an exported coordinate CSV as (point_set, label, vector) rows."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        rows.append((cells[0], cells[1], np.array([float(x) for x in cells[2:]])))
+    return rows
 
 
 def random_table(rng, nr=None, nc=None, hi=20):
@@ -170,4 +180,56 @@ class TestEmbeddingsFile:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="point lines"):
+            read_embeddings(path)
+
+    @pytest.fixture
+    def emb_lines(self, tmp_path):
+        path = tmp_path / "emb.tsv"
+        write_embeddings(fit_linear_ca(fisher_table(), 2), path)
+        return path, path.read_text().splitlines()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_coordinate(self, emb_lines, bad):
+        path, lines = emb_lines
+        cells = lines[3].split("\t")
+        cells[2] = bad
+        lines[3] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"emb\.tsv:4: non-finite"):
+            read_embeddings(path)
+
+    def test_rejects_non_finite_singular_value(self, emb_lines):
+        path, lines = emb_lines
+        head = lines[0].split("\t")
+        head[4] = "nan"
+        path.write_text("\n".join(["\t".join(head)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"emb\.tsv:1: non-finite"):
+            read_embeddings(path)
+
+    def test_rejects_header_with_fewer_singular_values_than_k(self, emb_lines):
+        path, lines = emb_lines
+        head = lines[0].split("\t")
+        path.write_text("\n".join(["\t".join(head[:-1])] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"emb\.tsv:1: header lists 1 singular values, expected k=2"):
+            read_embeddings(path)
+
+    def test_rejects_short_header(self, emb_lines):
+        path, lines = emb_lines
+        path.write_text("\n".join(["4\t5"] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"emb\.tsv:1: header needs"):
+            read_embeddings(path)
+
+    def test_rejects_non_integer_header_counts(self, emb_lines):
+        path, lines = emb_lines
+        head = lines[0].split("\t")
+        head[2] = "two"
+        path.write_text("\n".join(["\t".join(head)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"emb\.tsv:1: header counts"):
+            read_embeddings(path)
+
+    def test_rejects_non_numeric_coordinate_naming_line(self, emb_lines):
+        path, lines = emb_lines
+        lines[5] = lines[5].rsplit("\t", 1)[0] + "\tx"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"emb\.tsv:6: could not convert"):
             read_embeddings(path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cakit import ca, tables
-from cakit.cli import main
+from cakit.cli import main, parse_method_config
 
 
 @pytest.fixture
@@ -129,6 +129,25 @@ class TestFit:
         assert rc == 0
         assert ca.read_embeddings(out).method_tag == "ws"
 
+    def test_ws_fit_applies_stopword_kernel(self, fisher_tsv, tmp_path):
+        scores = tmp_path / "scores.txt"
+        scores.write_text("blue light 8.0\nmedium dark 6.5\n")
+        sw = tmp_path / "sw.txt"
+        sw.write_text("blue\nfair\n")
+        base = ["fit", fisher_tsv, "--method", "ws", "--dim", "2", "--ws-scores", str(scores)]
+        fits = {}
+        for alpha in (None, "0", "-0.5"):
+            out = tmp_path / f"emb{alpha}.tsv"
+            flags = [] if alpha is None else [
+                "--sw-alpha-row", alpha, "--sw-alpha-col", alpha, "--stopwords", str(sw)]
+            assert main(base + flags + ["--out", str(out)]) == 0
+            fits[alpha] = ca.read_embeddings(out)
+        assert fits[None].method_tag == "ws"
+        assert fits["0"].method_tag == fits["-0.5"].method_tag == "ws+sw"
+        scale = np.abs(fits[None].F).max()
+        np.testing.assert_allclose(fits["0"].F, fits[None].F, atol=1e-10 * scale)
+        assert np.abs(fits["-0.5"].F - fits[None].F).max() > 1e-3 * scale
+
     def test_fit_is_byte_deterministic(self, fisher_tsv, tmp_path):
         out1 = tmp_path / "e1.tsv"
         out2 = tmp_path / "e2.tsv"
@@ -195,6 +214,17 @@ class TestEval:
         assert main(["eval", embeddings, "--wordsim", str(ws), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("header", ["4\t5", "4\t5\t2\tlinear_ca\t0.5", "4\t5\t2\tx\tnan\t0.1"])
+    def test_malformed_embeddings_exit_1_with_error(self, embeddings, tmp_path, capsys, header):
+        lines = open(embeddings, encoding="utf-8").read().splitlines()
+        bad = tmp_path / "bad_emb.tsv"
+        bad.write_text("\n".join([header] + lines[1:]) + "\n")
+        ws = tmp_path / "ws.txt"
+        ws.write_text("blue light 8\nmedium dark 6\nblue dark 2\n")
+        rc = main(["eval", str(bad), "--wordsim", str(ws)])
+        assert rc == 1
+        assert "error: " in capsys.readouterr().err
+
     def test_g_side(self, embeddings, tmp_path, capsys):
         ws = tmp_path / "ws.txt"
         ws.write_text("fair red 8\nmedium dark 6\nfair black 2\n")
@@ -215,3 +245,28 @@ class TestDemo:
         assert "rotated_covariance" in stdout
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4 + 5
+
+
+class TestMethodConfig:
+    def test_parse_round_trip(self):
+        text = """
+        # fit configuration
+        method=sgns
+        shift_k=5
+        dim=100
+        exponent=0.5
+        """
+        config = parse_method_config(text)
+        assert config == {"method": "sgns", "shift_k": 5.0, "dim": 100, "exponent": 0.5}
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            parse_method_config("methd=linear")
+
+    def test_missing_equals_rejected(self):
+        with pytest.raises(ValueError, match="key=value"):
+            parse_method_config("method linear")
+
+    def test_string_keys_preserved(self):
+        config = parse_method_config("stopwords=sw.txt\nws_scores=men.tsv")
+        assert config == {"stopwords": "sw.txt", "ws_scores": "men.tsv"}

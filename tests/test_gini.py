@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from cakit.datasets import fisher_table
-from cakit.gini import (
-    brute_force_covariance,
-    gini_variance,
-    pairwise_disagreement_count,
-    rotated_covariance,
-)
+from cakit.gini import brute_force_covariance, gini_variance, rotated_covariance
 from cakit.linalg import nuclear_norm
 from cakit.tables import ContingencyTable, contingency_from_observations, residual_matrix
+
+
+def pairwise_disagreement_count(t, axis):
+    """Number of ordered observation pairs whose category differs, n^2 - sum m_i^2."""
+    m = t.r if axis == "row" else t.c
+    return t.n * t.n - float(np.sum(m * m))
 
 
 def random_observations(rng, n_rows, n_cols, n_obs):

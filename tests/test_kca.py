@@ -1,4 +1,4 @@
-"""Kernel fits: association matrices, kernel materialization, reductions."""
+"""Kernel fits: association matrices, structured kernel roots, reductions."""
 
 import math
 
@@ -15,9 +15,8 @@ from cakit.kca import (
     constraint_residual,
     fit_kca,
     fit_ws_kca,
-    materialize_kernel,
+    kernel_root,
     method_from_name,
-    parse_method_config,
 )
 from cakit.linalg import NotPositiveDefiniteError, spd_sqrt, svd
 from cakit.tables import ContingencyTable, residual_matrix
@@ -29,6 +28,62 @@ def random_table(rng, nr=None, nc=None, hi=12, square=False):
     counts = rng.integers(0, hi, size=(nr, nc)) + 0.0
     counts[0, 0] += 1
     return ContingencyTable.from_counts(counts)
+
+
+def random_spd(rng, m, lo=0.5, hi=2.0):
+    """Well-conditioned SPD matrix with eigenvalues in [lo, hi]."""
+    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    lam = rng.uniform(lo, hi, size=m)
+    return (Q * lam) @ Q.T
+
+
+def materialize_kernel(spec, marginal, labels):
+    """Dense oracle: the kernel matrix of one axis, built entry by entry."""
+    m = len(labels)
+    if spec.kind == "identity":
+        return np.eye(m)
+    if spec.kind == "inverse_marginal":
+        return np.diag(1.0 / marginal)
+    if spec.kind == "stopword":
+        w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
+        return np.diag(w / marginal)
+    if spec.kind == "kpca_cd":
+        # |e_i - e_j|^2 is 0 on the diagonal and 2 off it
+        K = np.full((m, m), math.exp(2.0 * spec.alpha))
+        np.fill_diagonal(K, 1.0)
+        return K
+    return np.asarray(spec.matrix, dtype=float)
+
+
+def dense_kernels(t, m):
+    """Dense row and column kernels of a method, over its association's marginals."""
+    assoc = association_matrix(t, m)
+    return (
+        materialize_kernel(m.row_kernel, assoc.r, t.row_labels),
+        materialize_kernel(m.col_kernel, assoc.c, t.col_labels),
+    )
+
+
+def dense_fit(t, m, k):
+    """Oracle fit: SVD of the sandwich built with dense eigh roots; (F, G, S)."""
+    Kr, Kc = dense_kernels(t, m)
+    (Lr, _), (Lc, _) = spd_sqrt(Kr), spd_sqrt(Kc)
+    dec = svd(Lr @ association_matrix(t, m).values @ Lc)
+    scale = dec.S[:k] ** m.exponent
+    return (Lr @ dec.U[:, :k]) * scale, (Lc @ dec.V[:, :k]) * scale, dec.S[:k]
+
+
+def assert_root_matches(spec, marginal, labels):
+    """Structured K^{1/2} and K^{-1/2} agree with the dense oracle kernel."""
+    K = materialize_kernel(spec, marginal, labels)
+    root, inv_root = kernel_root(spec, marginal, labels)
+    m = len(labels)
+    L = root @ np.eye(m)
+    L_inv = inv_root @ np.eye(m)
+    np.testing.assert_allclose(L, L.T, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(L @ L, K, rtol=1e-10, atol=1e-14 * np.abs(K).max())
+    np.testing.assert_allclose(L @ L_inv, np.eye(m), atol=1e-10)
+    return K
 
 
 def cosine_matrix(X):
@@ -140,31 +195,34 @@ class TestAssociationMatrix:
 
 
 class TestMaterializeKernel:
+    """Structured kernel roots against the dense materialized kernel."""
+
     def test_identity(self):
         t = fisher_table()
-        np.testing.assert_array_equal(
-            materialize_kernel(KernelSpec("identity"), t, "row"), np.eye(4)
-        )
+        K = assert_root_matches(KernelSpec("identity"), t.r, t.row_labels)
+        np.testing.assert_array_equal(K, np.eye(4))
+        root, inv_root = kernel_root(KernelSpec("identity"), t.r, t.row_labels)
+        X = np.arange(8.0).reshape(4, 2)
+        assert root @ X is X and inv_root @ X is X  # nothing is built or copied
 
     def test_inverse_marginal(self):
         t = fisher_table()
-        np.testing.assert_allclose(
-            materialize_kernel(KernelSpec("inverse_marginal"), t, "col"),
-            np.diag(1.0 / t.c),
-        )
+        assert_root_matches(KernelSpec("inverse_marginal"), t.c, t.col_labels)
+        root, _ = kernel_root(KernelSpec("inverse_marginal"), t.c, t.col_labels)
+        assert root.d.shape == (5,) and root.dense is None  # a vector, not a matrix
 
     def test_stopword_alpha_zero_is_inverse_marginal(self):
         t = fisher_table()
         spec = KernelSpec("stopword", alpha=0.0, words=frozenset({"blue", "dark"}))
-        np.testing.assert_array_equal(
-            materialize_kernel(spec, t, "row"),
-            materialize_kernel(KernelSpec("inverse_marginal"), t, "row"),
-        )
+        sw_root, sw_inv = kernel_root(spec, t.r, t.row_labels)
+        im_root, im_inv = kernel_root(KernelSpec("inverse_marginal"), t.r, t.row_labels)
+        np.testing.assert_array_equal(sw_root.d, im_root.d)
+        np.testing.assert_array_equal(sw_inv.d, im_inv.d)
 
     def test_stopword_weights_listed_labels(self):
         t = fisher_table()
         spec = KernelSpec("stopword", alpha=0.5, words=frozenset({"blue"}))
-        K = materialize_kernel(spec, t, "row")
+        K = assert_root_matches(spec, t.r, t.row_labels)
         np.testing.assert_allclose(K[0, 0], 1.5 / t.r[0])
         np.testing.assert_allclose(K[1, 1], 1.0 / t.r[1])
 
@@ -172,31 +230,51 @@ class TestMaterializeKernel:
         t = fisher_table()
         spec = KernelSpec("stopword", alpha=-1.0, words=frozenset({"blue"}))
         with pytest.raises(NotPositiveDefiniteError):
-            materialize_kernel(spec, t, "row")
+            kernel_root(spec, t.r, t.row_labels)
 
     def test_exponential_kernel_structure(self):
-        t = fisher_table()
-        K = materialize_kernel(KernelSpec("kpca_cd", alpha=-0.5), t, "row")
-        np.testing.assert_allclose(np.diag(K), 1.0)
-        off = K[~np.eye(4, dtype=bool)]
-        np.testing.assert_allclose(off, math.exp(-1.0))
-        spd_sqrt(K)  # positive definite for alpha < 0
+        labels = tuple(f"w{i}" for i in range(7))
+        for alpha in (-0.05, -0.5, -3.0):
+            spec = KernelSpec("kpca_cd", alpha=alpha)
+            K = assert_root_matches(spec, np.ones(7), labels)
+            np.testing.assert_allclose(np.diag(K), 1.0)
+            np.testing.assert_allclose(K[~np.eye(7, dtype=bool)], math.exp(2.0 * alpha))
+            # the closed-form root equals the eigh root
+            root, _ = kernel_root(spec, np.ones(7), labels)
+            np.testing.assert_allclose(root @ np.eye(7), spd_sqrt(K)[0], atol=1e-12)
 
     def test_exponential_kernel_alpha_zero_singular(self):
         # all-ones matrix has a zero eigenvalue, so alpha = 0 must be rejected
         t = fisher_table()
-        with pytest.raises(NotPositiveDefiniteError):
-            materialize_kernel(KernelSpec("kpca_cd", alpha=0.0), t, "row")
+        for alpha in (0.0, 0.3):
+            with pytest.raises(NotPositiveDefiniteError, match="alpha"):
+                kernel_root(KernelSpec("kpca_cd", alpha=alpha), t.r, t.row_labels)
 
     def test_explicit_kernel_validated(self):
-        t = ContingencyTable.from_counts([[1.0, 2.0], [2.0, 1.0]])
+        labels = ("a", "b")
         good = np.array([[2.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_array_equal(
-            materialize_kernel(KernelSpec("explicit", matrix=good), t, "row"), good
-        )
+        K = assert_root_matches(KernelSpec("explicit", matrix=good), np.ones(2), labels)
+        np.testing.assert_array_equal(K, good)
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(NotPositiveDefiniteError):
-            materialize_kernel(KernelSpec("explicit", matrix=bad), t, "row")
+            kernel_root(KernelSpec("explicit", matrix=bad), np.ones(2), labels)
+
+    def test_explicit_kernel_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match axis size"):
+            kernel_root(KernelSpec("explicit", matrix=np.eye(3)), np.ones(2), ("a", "b"))
+
+    def test_ws_kernels_divide_by_modified_marginals(self):
+        rng = np.random.default_rng(139)
+        t = random_table(rng, nr=5, nc=4)
+        gamma_r = build_gamma(t.row_labels, {("r0", "r1"): 4.0}, alpha=0.05)
+        gamma_c = np.ones((4, 4))
+        m = method_from_name("ws", gamma_row=gamma_r, gamma_col=gamma_c)
+        assoc = association_matrix(t, m)
+        cross = (gamma_r @ t.counts) * (t.counts @ gamma_c)
+        np.testing.assert_allclose(assoc.r, cross.sum(axis=1), rtol=1e-14)
+        np.testing.assert_allclose(assoc.c, cross.sum(axis=0), rtol=1e-14)
+        Kr = assert_root_matches(m.row_kernel, assoc.r, t.row_labels)
+        np.testing.assert_allclose(np.diag(Kr), 1.0 / cross.sum(axis=1), rtol=1e-14)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kernel kind"):
@@ -249,18 +327,15 @@ class TestFitKca:
             t = random_table(rng, nr=nr, nc=nc)
             for m in methods:
                 emb = fit_kca(t, m, min(t.shape))
-                Kr = materialize_kernel(m.row_kernel, t, "row")
-                Kc = materialize_kernel(m.col_kernel, t, "col")
-                assert constraint_residual(emb, Kr, Kc) < 1e-8
+                assert constraint_residual(emb, *dense_kernels(t, m)) < 1e-8
 
     def test_objective_attains_half_nuclear_norm_and_dominates(self):
         rng = np.random.default_rng(109)
         t = random_table(rng, nr=5, nc=4)
         m = method_from_name("gtest")
         A = association_matrix(t, m).values
-        Kr = materialize_kernel(m.row_kernel, t, "row")
-        Kc = materialize_kernel(m.col_kernel, t, "col")
-        Lr, Lc = spd_sqrt(Kr), spd_sqrt(Kc)
+        Kr, Kc = dense_kernels(t, m)
+        (Lr, _), (Lc, _) = spd_sqrt(Kr), spd_sqrt(Kc)
         sandwich = Lr @ A @ Lc
         dec = svd(sandwich)
         best = 0.5 * float(dec.S.sum())
@@ -285,6 +360,82 @@ class TestFitKca:
         np.testing.assert_allclose(
             emb.F, dec.U[:, :2] * np.sqrt(dec.S[:2]), atol=1e-12
         )
+
+    def test_identity_kernels_reduce_to_svd(self):
+        rng = np.random.default_rng(5)
+        t = random_table(rng, nr=4, nc=3)
+        m = KcaMethod("gtest")
+        dec = fit_kca(t, m, 3).decomposition
+        plain = svd(association_matrix(t, m).values)
+        np.testing.assert_array_equal(dec.U, plain.U)
+        np.testing.assert_array_equal(dec.S, plain.S)
+        np.testing.assert_array_equal(dec.V, plain.V)
+
+    def test_random_explicit_kernels_orthonormal_and_reconstruct(self):
+        # >= 100 random instances of the metric-orthonormality contract
+        rng = np.random.default_rng(17)
+        associations = ("linear", "gtest", "sgns")
+        for i in range(100):
+            t = random_table(rng, nr=int(rng.integers(2, 7)), nc=int(rng.integers(2, 7)))
+            Kr = random_spd(rng, t.shape[0])
+            Kc = random_spd(rng, t.shape[1])
+            m = KcaMethod(associations[i % 3], KernelSpec("explicit", matrix=Kr),
+                          KernelSpec("explicit", matrix=Kc))
+            emb = fit_kca(t, m, min(t.shape))
+            dec = emb.decomposition
+            k = dec.S.shape[0]
+            np.testing.assert_allclose(dec.U.T @ Kr @ dec.U, np.eye(k), atol=1e-8)
+            np.testing.assert_allclose(dec.V.T @ Kc @ dec.V, np.eye(k), atol=1e-8)
+            np.testing.assert_allclose(
+                dec.reconstruct(), association_matrix(t, m).values, atol=1e-8
+            )
+            np.testing.assert_allclose(emb.F, Kr @ dec.U * dec.S, atol=1e-8)
+
+    def test_decomposition_orthonormal_and_reconstructs_for_every_kernel_kind(self):
+        rng = np.random.default_rng(19)
+        t = random_table(rng, nr=6, nc=5)
+        gamma_r = build_gamma(t.row_labels, {("r0", "r2"): 3.0}, alpha=0.1)
+        for m in (
+            method_from_name("linear"),
+            method_from_name("kpca_cd", kpca_alpha=-0.3, exponent=0.5),
+            method_from_name("gtest", stopwords={"r1", "c0"}, sw_alpha_row=0.7,
+                             sw_alpha_col=-0.4),
+            method_from_name("ws", gamma_row=gamma_r, gamma_col=np.ones((5, 5))),
+        ):
+            emb = fit_kca(t, m, 4)
+            dec = emb.decomposition
+            Kr, Kc = dense_kernels(t, m)
+            np.testing.assert_allclose(dec.U.T @ Kr @ dec.U, np.eye(5), atol=1e-8)
+            np.testing.assert_allclose(dec.V.T @ Kc @ dec.V, np.eye(5), atol=1e-8)
+            A = association_matrix(t, m).values
+            np.testing.assert_allclose(dec.reconstruct(), A, atol=1e-10 * np.abs(A).max())
+            scale = dec.S[:4] ** m.exponent
+            np.testing.assert_allclose(emb.F, Kr @ dec.U[:, :4] * scale, atol=1e-10)
+            np.testing.assert_allclose(emb.G, Kc @ dec.V[:, :4] * scale, atol=1e-10)
+
+    def test_structured_fit_matches_dense_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            t = random_table(rng, nr=6, nc=6, square=True)
+            gamma = build_gamma(t.row_labels, {("r0", "r1"): 5.0, ("r2", "r4"): 1.0}, 0.08)
+            methods = [
+                method_from_name(name, shift_k=2.0) for name in ("linear", "gini", "gtest", "sgns")
+            ] + [
+                method_from_name("kpca_cd", kpca_alpha=-0.2),
+                method_from_name("linear", stopwords={"r3"}, sw_alpha_row=1.5, sw_alpha_col=-0.5),
+                method_from_name("ws", gamma_row=gamma, gamma_col=gamma),
+                method_from_name("ws", stopwords={"r3"}, sw_alpha_row=-0.5,
+                                 gamma_row=gamma, gamma_col=gamma),
+                KcaMethod("gini", KernelSpec("explicit", matrix=random_spd(rng, 6)),
+                          KernelSpec("kpca_cd", alpha=-1.0)),
+            ]
+            for m in methods:
+                emb = fit_kca(t, m, 4)
+                F, G, S = dense_fit(t, m, 4)
+                tol = 1e-10 * max(np.abs(F).max(), np.abs(G).max())
+                np.testing.assert_allclose(emb.singular_values, S, atol=1e-12 * S[0])
+                np.testing.assert_allclose(emb.F, F, atol=tol)
+                np.testing.assert_allclose(emb.G, G, atol=tol)
 
     def test_method_tag_marks_stopword_kernel(self):
         t = fisher_table()
@@ -341,6 +492,29 @@ class TestWsKernelFit:
         apart = fit_ws_kca(t, pushed, ones, 3)
         assert cosine_matrix(apart.F)[0, 1] < base_cos
 
+    def test_stopword_kernel_acts_over_the_modified_marginals(self):
+        rng = np.random.default_rng(149)
+        t = random_table(rng, nr=5, nc=5, square=True)
+        gamma = build_gamma(t.row_labels, {("r0", "r1"): 10.0}, alpha=0.05)
+        plain = fit_ws_kca(t, gamma, gamma, 3)
+        assert plain.method_tag == "ws"
+
+        def ws_sw(alpha):
+            m = method_from_name("ws", stopwords={"r2", "r3"}, sw_alpha_row=alpha,
+                                 sw_alpha_col=alpha, gamma_row=gamma, gamma_col=gamma)
+            return fit_kca(t, m, 3)
+
+        zero = ws_sw(0.0)
+        assert zero.method_tag == "ws+sw"
+        np.testing.assert_allclose(zero.F, plain.F, atol=1e-10 * np.abs(plain.F).max())
+        np.testing.assert_allclose(zero.G, plain.G, atol=1e-10 * np.abs(plain.G).max())
+        moved = ws_sw(2.0)
+        assert np.abs(moved.F - plain.F).max() > 1e-3 * np.abs(plain.F).max()
+
+    def test_ws_method_needs_pair_scores(self):
+        with pytest.raises(ValueError, match="pair-score"):
+            KcaMethod("ws")
+
     def test_nonpositive_modified_marginal_names_label(self):
         t = ContingencyTable.from_counts(
             [[1.0, 1.0], [1.0, 1.0]], ("aa", "bb"), ("x", "y")
@@ -353,28 +527,3 @@ class TestWsKernelFit:
         t = fisher_table()
         with pytest.raises(ValueError, match="pair-score"):
             fit_ws_kca(t, np.ones((3, 3)), np.ones((5, 5)), 2)
-
-
-class TestMethodConfig:
-    def test_parse_round_trip(self):
-        text = """
-        # fit configuration
-        method=sgns
-        shift_k=5
-        dim=100
-        exponent=0.5
-        """
-        config = parse_method_config(text)
-        assert config == {"method": "sgns", "shift_k": 5.0, "dim": 100, "exponent": 0.5}
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown configuration key"):
-            parse_method_config("methd=linear")
-
-    def test_missing_equals_rejected(self):
-        with pytest.raises(ValueError, match="key=value"):
-            parse_method_config("method linear")
-
-    def test_string_keys_preserved(self):
-        config = parse_method_config("stopwords=sw.txt\nws_scores=men.tsv")
-        assert config == {"stopwords": "sw.txt", "ws_scores": "men.tsv"}

@@ -1,16 +1,9 @@
-"""Decomposition kernel: SVD, SPD square roots, metric-weighted GSVD."""
+"""Decomposition kernel: SVD, SPD square roots, nuclear norm."""
 
 import numpy as np
 import pytest
 
-from cakit.linalg import (
-    Decomposition,
-    NotPositiveDefiniteError,
-    metric_gsvd,
-    nuclear_norm,
-    spd_sqrt,
-    svd,
-)
+from cakit.linalg import NotPositiveDefiniteError, nuclear_norm, spd_sqrt, svd
 
 
 def random_spd(rng, m, lo=0.5, hi=2.0):
@@ -76,14 +69,14 @@ class TestSvd:
 
 class TestSpdSqrt:
     def test_diagonal_fast_path(self):
-        np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0]))[0], np.diag([2.0, 3.0]))
 
     def test_identity(self):
-        np.testing.assert_allclose(spd_sqrt(np.eye(3)), np.eye(3))
+        np.testing.assert_allclose(spd_sqrt(np.eye(3))[0], np.eye(3))
 
     def test_dense_squares_back(self):
         K = np.array([[2.0, 1.0], [1.0, 2.0]])
-        root = spd_sqrt(K)
+        root, _ = spd_sqrt(K)
         np.testing.assert_allclose(root @ root, K, atol=1e-10)
         np.testing.assert_allclose(root, root.T, atol=1e-14)
 
@@ -91,9 +84,17 @@ class TestSpdSqrt:
         rng = np.random.default_rng(3)
         for _ in range(30):
             K = random_spd(rng, int(rng.integers(2, 6)))
-            root = spd_sqrt(K)
+            root, _ = spd_sqrt(K)
             np.testing.assert_allclose(root @ root, K, atol=1e-10)
             np.testing.assert_allclose(root, root.T, atol=1e-12)
+
+    def test_inverse_root(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            K = random_spd(rng, int(rng.integers(2, 6)))
+            root, inv_root = spd_sqrt(K)
+            np.testing.assert_allclose(inv_root @ root, np.eye(K.shape[0]), atol=1e-12)
+            np.testing.assert_allclose(inv_root, inv_root.T, atol=1e-14)
 
     def test_indefinite_rejected_with_eigenvalue_in_message(self):
         with pytest.raises(NotPositiveDefiniteError, match="eigenvalue -1"):
@@ -112,66 +113,6 @@ class TestSpdSqrt:
             spd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
-class TestMetricGsvd:
-    def test_identity_metrics_reduce_to_svd(self):
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(4, 3))
-        plain = svd(A)
-        dec = metric_gsvd(A, np.eye(4), np.eye(3))
-        np.testing.assert_allclose(dec.U, plain.U, atol=1e-12)
-        np.testing.assert_allclose(dec.S, plain.S, atol=1e-12)
-        np.testing.assert_allclose(dec.V, plain.V, atol=1e-12)
-
-    def test_random_instances_orthonormal_and_reconstruct(self):
-        # >= 100 random instances of the metric-orthonormality contract
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            nr = int(rng.integers(2, 7))
-            nc = int(rng.integers(2, 7))
-            A = rng.normal(size=(nr, nc))
-            Wr = random_spd(rng, nr)
-            Wc = random_spd(rng, nc)
-            dec = metric_gsvd(A, Wr, Wc)
-            k = dec.S.shape[0]
-            np.testing.assert_allclose(
-                dec.U.T @ np.linalg.inv(Wr) @ dec.U, np.eye(k), atol=1e-8
-            )
-            np.testing.assert_allclose(
-                dec.V.T @ np.linalg.inv(Wc) @ dec.V, np.eye(k), atol=1e-8
-            )
-            np.testing.assert_allclose(dec.reconstruct(), A, atol=1e-8)
-
-    def test_diagonal_metrics(self):
-        rng = np.random.default_rng(19)
-        A = rng.normal(size=(4, 5))
-        Wr = np.diag(rng.uniform(0.5, 3.0, size=4))
-        Wc = np.diag(rng.uniform(0.5, 3.0, size=5))
-        dec = metric_gsvd(A, Wr, Wc)
-        np.testing.assert_allclose(
-            dec.U.T @ np.linalg.inv(Wr) @ dec.U, np.eye(4), atol=1e-10
-        )
-        np.testing.assert_allclose(dec.reconstruct(), A, atol=1e-10)
-
-    def test_survey_residual_under_marginal_metrics(self):
-        from cakit.datasets import fisher_table
-        from cakit.tables import residual_matrix
-
-        t = fisher_table()
-        dec = metric_gsvd(residual_matrix(t), np.diag(t.r), np.diag(t.c))
-        k = dec.S.shape[0]
-        np.testing.assert_allclose(
-            dec.U.T @ np.diag(1.0 / t.r) @ dec.U, np.eye(k), atol=1e-8
-        )
-        np.testing.assert_allclose(
-            dec.V.T @ np.diag(1.0 / t.c) @ dec.V, np.eye(k), atol=1e-8
-        )
-        np.testing.assert_allclose(dec.reconstruct(), residual_matrix(t), atol=1e-8)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="conform"):
-            metric_gsvd(np.ones((2, 3)), np.eye(3), np.eye(3))
-
-
 class TestNuclearNorm:
     def test_diagonal(self):
         assert nuclear_norm(np.diag([3.0, 4.0])) == pytest.approx(7.0, abs=1e-12)
@@ -184,9 +125,3 @@ class TestNuclearNorm:
         for _ in range(20):
             A = rng.normal(size=(3, 3))
             assert nuclear_norm(A) == pytest.approx(float(svd(A).S.sum()), abs=1e-10)
-
-
-def test_decomposition_defaults_identity_metrics():
-    dec = Decomposition(U=np.eye(2), S=np.ones(2), V=np.eye(2))
-    np.testing.assert_allclose(dec.metric_row, np.eye(2))
-    np.testing.assert_allclose(dec.metric_col, np.eye(2))

@@ -169,6 +169,17 @@ class TestTsvRoundTrip:
         assert lines[0] == "\tx\ty"
         assert lines[1] == "w\t2\t1"
 
+    def test_whitespace_column_label_round_trips(self, tmp_path):
+        # the header "\t \n" is whitespace only but is not blank
+        t = ContingencyTable.from_counts([[1.0], [2.0]], ["a", "b"], [" "])
+        path = tmp_path / "t.tsv"
+        write_tsv(t, path)
+        assert path.read_text() == "\t \na\t1\nb\t2\n"
+        back = read_tsv(path)
+        assert back.row_labels == ("a", "b")
+        assert back.col_labels == (" ",)
+        np.testing.assert_array_equal(back.counts, t.counts)
+
     def test_ragged_line_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("\tx\ty\nw\t1\n")
