@@ -95,7 +95,12 @@ def write_embeddings(e: EmbeddingSet, path) -> None:
     Header: n_row_labels, n_col_labels, k, method_tag, then the k singular
     values.  Body lines: point set ("row"/"col"), label, k coordinates.
     Tab-separated, floats via repr, so writing and re-reading is exact.
+    A label repeated within a point set, which :func:`read_embeddings`
+    rejects, raises ``ValueError`` before the file is opened.
     """
+    for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"{path}: duplicate {which} label")
     with open(path, "w", encoding="utf-8") as fh:
         header = [
             str(len(e.row_labels)),
@@ -129,8 +134,8 @@ def read_embeddings(path) -> EmbeddingSet:
 
     A header with fewer than four fields, counts that are not nonnegative
     integers or other than ``k`` singular values, a malformed point line,
-    or a value that is not a finite number raises ``ValueError`` naming the
-    file and line.
+    a label repeated within a point set, or a value that is not a finite
+    number raises ``ValueError`` naming the file and line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
@@ -158,12 +163,16 @@ def read_embeddings(path) -> EmbeddingSet:
         )
     # point set -> labels, coordinate rows, line numbers
     points = {"row": ([], [], []), "col": ([], [], [])}
+    seen = set()
     for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != k + 2:
             raise ValueError(f"{path}:{lineno}: expected {k} coordinates")
         if cells[0] not in points:
             raise ValueError(f"{path}:{lineno}: unknown point set {cells[0]!r}")
+        if (cells[0], cells[1]) in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate {cells[0]} label {cells[1]!r}")
+        seen.add((cells[0], cells[1]))
         labels, rows, linenos = points[cells[0]]
         labels.append(cells[1])
         rows.append(_numbers(path, lineno, cells[2:]))

@@ -3,6 +3,8 @@
 Embeddings are scored by ranking pair cosines against human similarity
 judgements.  Out-of-vocabulary pairs are skipped and counted, never
 zero-filled, so coverage is always visible next to the correlation.
+Pairs touching a zero vector score cosine 0, with one warning per
+evaluation that counts them.  NaN and infinite scores are rejected.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ def load_wordsim(path) -> WordSimDataset:
 
     Words are lowercased to match corpus tokenization.  A first line whose
     score field is not numeric is treated as a header; any other malformed
-    line raises with its line number.  Duplicate unordered pairs are
-    averaged.
+    line, and any NaN or infinite score, raises with its line number.
+    Duplicate unordered pairs are averaged.
     """
     scores: dict[tuple[str, str], list[float]] = {}
     order: list[tuple[str, str]] = []
@@ -69,6 +71,8 @@ def load_wordsim(path) -> WordSimDataset:
                 if lineno == 1:  # header row
                     continue
                 raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not a number")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not finite")
             a, b = cells[0].lower(), cells[1].lower()
             key = (a, b) if a <= b else (b, a)
             if key not in scores:
@@ -94,42 +98,36 @@ def cosine(u, v) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def _average_ranks(xs) -> list[float]:
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    ranks = [0.0] * len(xs)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0  # ranks are 1-based
-        for idx in order[i : j + 1]:
-            ranks[idx] = avg
-        i = j + 1
+def _ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of equal values shares the mean of its ranks."""
+    order = np.argsort(x, kind="stable")
+    starts = np.flatnonzero(np.r_[True, np.diff(x[order]) != 0])  # x is finite
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
 
 def spearman(xs, ys) -> float:
-    """Pearson correlation of average-fractional ranks.
+    """Pearson correlation of the average-fractional ranks of two sequences.
 
     A constant input list has no defined rank correlation and raises,
-    rather than reporting 0.
+    rather than reporting 0; so does a NaN or infinite value.
     """
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
+    x, y = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 2:
         raise ValueError("need at least two pairs")
-    if min(xs) == max(xs) or min(ys) == max(ys):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("rank correlation is undefined for non-finite values")
+    if x.min() == x.max() or y.min() == y.max():
         raise ValueError("rank correlation is undefined for a constant list")
-    rx = _average_ranks(xs)
-    ry = _average_ranks(ys)
-    mean = (len(xs) + 1) / 2.0  # both rank lists average to this
-    dx = [r - mean for r in rx]
-    dy = [r - mean for r in ry]
-    num = math.fsum(a * b for a, b in zip(dx, dy))
-    den = math.sqrt(math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
+    mean = (len(x) + 1) / 2.0  # both rank lists average to this
+    # the deviations are half-integers, so their products are exact
+    dx, dy = _ranks(x) - mean, _ranks(y) - mean
+    num = math.fsum((dx * dy).tolist())
+    den = math.sqrt(math.fsum((dx * dx).tolist()) * math.fsum((dy * dy).tolist()))
     return num / den
 
 
@@ -141,18 +139,19 @@ def evaluate(e: EmbeddingSet, which: str, d: WordSimDataset) -> EvalReport:
     """
     labels, coords = e.coordinates(which)
     index = {lbl: i for i, lbl in enumerate(labels)}
-    sims: list[float] = []
-    human: list[float] = []
-    skipped = 0
-    for a, b, score in d.triples:
-        ia = index.get(a)
-        ib = index.get(b)
-        if ia is None or ib is None:
-            skipped += 1
-            continue
-        sims.append(cosine(coords[ia], coords[ib]))
-        human.append(score)
-    if not sims:
+    pairs = np.array([(index.get(a, -1), index.get(b, -1)) for a, b, _ in d.triples])
+    used = (pairs >= 0).all(axis=1)
+    if not used.any():
         raise ValueError("zero usable pairs: every dataset word is out of vocabulary")
-    rho = spearman(sims, human)
-    return EvalReport(spearman_rho=rho, pairs_used=len(sims), pairs_skipped=skipped)
+    ia, ib = pairs[used].T
+    norms = np.linalg.norm(coords, axis=1)
+    zero = norms == 0.0
+    unit = coords / np.where(zero, 1.0, norms)[:, None]
+    sims = np.einsum("ij,ij->i", unit[ia], unit[ib])
+    touched = int(np.count_nonzero(zero[ia] | zero[ib]))
+    if touched:
+        warnings.warn(f"{touched} of {len(sims)} pairs involve a zero vector; "
+                      "their cosine is 0", stacklevel=2)
+    human = np.fromiter((s for _, _, s in d.triples), dtype=float, count=len(d))[used]
+    return EvalReport(spearman(sims, human), pairs_used=len(sims),
+                      pairs_skipped=len(d) - len(sims))

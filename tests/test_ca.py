@@ -233,3 +233,23 @@ class TestEmbeddingsFile:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"emb\.tsv:6: could not convert"):
             read_embeddings(path)
+
+    def test_rejects_duplicate_label_within_a_point_set(self, emb_lines):
+        path, lines = emb_lines
+        label = lines[1].split("\t")[1]
+        cells = lines[2].split("\t")
+        cells[1] = label
+        lines[2] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"emb\.tsv:3: duplicate row label '{label}'"):
+            read_embeddings(path)
+
+    def test_writer_rejects_duplicate_labels_before_opening(self, tmp_path):
+        emb = fit_linear_ca(fisher_table(), 2)
+        labels = (emb.row_labels[0],) + emb.row_labels[:-1]
+        dup = EmbeddingSet(F=emb.F, G=emb.G, row_labels=labels, col_labels=emb.col_labels,
+                           singular_values=emb.singular_values, method_tag=emb.method_tag)
+        path = tmp_path / "emb.tsv"
+        with pytest.raises(ValueError, match="duplicate row label"):
+            write_embeddings(dup, path)
+        assert not path.exists()

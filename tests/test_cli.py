@@ -205,6 +205,15 @@ class TestEval:
         assert "zero usable pairs" in captured.err
         assert float(lines[1].split("\t")[2]) is not None  # good row stays numeric
 
+    def test_non_finite_score_marked_error(self, embeddings, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("blue light 8\nmedium dark nan\nblue dark 2\n")
+        rc = main(["eval", embeddings, "--wordsim", str(bad)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].split("\t")[2:] == ["error", "0", "0"]
+        assert "bad.txt:2: score 'nan' is not finite" in captured.err
+
     def test_deterministic_output(self, embeddings, tmp_path):
         ws = tmp_path / "ws.txt"
         ws.write_text("blue light 8\nmedium dark 6\nblue dark 2\n")

@@ -1,13 +1,68 @@
 """Dataset parsing, cosine similarity, and rank correlation."""
 
 import itertools
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cakit.ca import EmbeddingSet
-from cakit.evaluation import EvalReport, WordSimDataset, cosine, evaluate, load_wordsim, spearman
+from cakit.evaluation import (
+    EvalReport,
+    WordSimDataset,
+    _ranks,
+    cosine,
+    evaluate,
+    load_wordsim,
+    spearman,
+)
+from cakit.kca import fit_kca, method_from_name
+from cakit.tables import ContingencyTable
+
+
+# The per-pair loop and sort-based ranking that evaluate and spearman
+# replaced, kept as the exact reference for the vectorised code.
+def reference_average_ranks(xs) -> list[float]:
+    order = sorted(range(len(xs)), key=lambda i: xs[i])
+    ranks = [0.0] * len(xs)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0  # ranks are 1-based
+        for idx in order[i : j + 1]:
+            ranks[idx] = avg
+        i = j + 1
+    return ranks
+
+
+def reference_spearman(xs, ys) -> float:
+    rx = reference_average_ranks(xs)
+    ry = reference_average_ranks(ys)
+    mean = (len(xs) + 1) / 2.0
+    dx = [r - mean for r in rx]
+    dy = [r - mean for r in ry]
+    num = math.fsum(a * b for a, b in zip(dx, dy))
+    den = math.sqrt(math.fsum(a * a for a in dx) * math.fsum(b * b for b in dy))
+    return num / den
+
+
+def reference_evaluate(e, which, d) -> EvalReport:
+    labels, coords = e.coordinates(which)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    sims, human, skipped = [], [], 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one zero-vector warning per pair
+        for a, b, score in d.triples:
+            if a not in index or b not in index:
+                skipped += 1
+                continue
+            sims.append(cosine(coords[index[a]], coords[index[b]]))
+            human.append(score)
+    return EvalReport(reference_spearman(sims, human), len(sims), skipped)
 
 
 class TestLoadWordsim:
@@ -52,6 +107,13 @@ class TestLoadWordsim:
         path = tmp_path / "ws.txt"
         path.write_text("cat 5\n")
         with pytest.raises(ValueError, match="word_a word_b score"):
+            load_wordsim(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_rejected_naming_line(self, tmp_path, bad):
+        path = tmp_path / "ws.txt"
+        path.write_text(f"cat dog 5\nbird fish {bad}\n")
+        with pytest.raises(ValueError, match=rf"ws\.txt:2: score '{bad}' is not finite"):
             load_wordsim(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -138,6 +200,31 @@ class TestSpearman:
         with pytest.raises(ValueError, match="two"):
             spearman([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_an_error(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman([1, 2, 3, 4], [bad, 1, 2, 3])
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman([1, bad, 3, 4], [4, 1, 2, 3])
+
+    def test_ranks_match_reference_on_heavy_ties(self):
+        rng = np.random.default_rng(179)
+        for m in (2, 3, 10, 57, 400):
+            for levels in (1, 2, 5, m):
+                steps = rng.integers(levels, size=m)
+                for xs in (steps * 0.5 - 1.0, 1.0 + steps * 2.0**-52):  # adjacent floats
+                    assert _ranks(xs).tolist() == reference_average_ranks(list(xs))
+
+    def test_matches_reference_bit_for_bit_on_heavy_ties(self):
+        rng = np.random.default_rng(181)
+        for m in (2, 5, 30, 500):
+            for _ in range(20):
+                xs = list(rng.integers(4, size=m) / 3.0)
+                ys = list(rng.integers(max(2, m // 3), size=m) - 7.25)
+                if min(xs) == max(xs) or min(ys) == max(ys):
+                    continue
+                assert spearman(xs, ys) == reference_spearman(xs, ys)
+
 
 def one_hot_embeddings(labels):
     m = len(labels)
@@ -201,6 +288,49 @@ class TestEvaluate:
         path.write_text("a b 3\nb c 9\nc d 1\nd e 5\ne f 2\n")
         d = load_wordsim(path)
         assert evaluate(emb, "F", d) == evaluate(scaled, "F", d)
+
+    def test_matches_reference_with_oov_and_zero_rows(self):
+        # Pairs of distinct words with distinct rows: a self pair or two equal
+        # rows has cosine 1 only up to rounding, and the two implementations
+        # round differently, so such near-ties may rank in another order.
+        rng = np.random.default_rng(191)
+        labels = tuple(f"w{i}" for i in range(60))
+        for _ in range(5):
+            F = rng.normal(size=(60, 4))
+            F[rng.choice(60, size=6, replace=False)] = 0.0
+            emb = EmbeddingSet(F=F, G=-F, row_labels=labels, col_labels=labels,
+                               singular_values=np.ones(4), method_tag="x")
+            words = list(labels) + ["oov1", "oov2", "oov3"]
+            triples = tuple(
+                (words[a], words[b], float(rng.integers(5)))
+                for a, b in (rng.choice(len(words), size=2, replace=False) for _ in range(300))
+            )
+            d = WordSimDataset(triples)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = evaluate(emb, "F", d)
+            want = reference_evaluate(emb, "F", d)
+            assert (got.pairs_used, got.pairs_skipped) == (want.pairs_used, want.pairs_skipped)
+            assert got.pairs_skipped > 0
+            assert abs(got.spearman_rho - want.spearman_rho) <= 1e-12
+
+    def test_sgns_zero_rows_warn_once_with_count(self, tmp_path):
+        # SGNS with shift_k=5 zeroes every row but the first of this 3x3 table
+        t = ContingencyTable.from_counts(
+            np.array([[1.0, 0, 0], [0, 20, 20], [0, 20, 20]]), list("abc"), list("abc")
+        )
+        emb = fit_kca(t, method_from_name("sgns", shift_k=5.0), None)
+        assert not emb.F[1:].any() and emb.F[0].any()
+        path = tmp_path / "ws.txt"
+        path.write_text("a a 10\na b 2\nb c 4\nc c 1\n")
+        d = load_wordsim(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = evaluate(emb, "F", d)
+        assert [str(w.message) for w in caught] == [
+            "3 of 4 pairs involve a zero vector; their cosine is 0"
+        ]
+        assert report == reference_evaluate(emb, "F", d)
 
     def test_g_side_selects_column_coordinates(self, tmp_path):
         rng = np.random.default_rng(173)
