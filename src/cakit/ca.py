@@ -6,6 +6,9 @@ frequency matrix under inverse-marginal kernels: the generalized SVD
 ``V^T D(c)^{-1} V = I``, and the principal row/column coordinates
 F = D(r)^{-1} U S and G = D(c)^{-1} V S used both for plotting category
 maps and as word vectors.
+
+The embedding TSV and coordinate CSV share the label checks and number
+parser of :mod:`cakit.tables`; floats are written via ``repr`` (exact).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import Decomposition
-from .tables import ContingencyTable
+from .tables import ContingencyTable, _check_labels, _parse_numbers, _read_lines
 
 
 @dataclass(frozen=True)
@@ -79,14 +82,19 @@ def fit_linear_ca(t: ContingencyTable, k: int | None = None) -> EmbeddingSet:
 
 
 def export_coordinates(e: EmbeddingSet, path) -> None:
-    """Write a CSV of both point sets: point_set,label,dim_1..dim_k."""
+    """Write a CSV of both point sets: point_set,label,dim_1..dim_k.
+
+    A label with a comma or line break, which a CSV reader would split, or
+    repeated within a point set raises ``ValueError`` before opening the file.
+    """
+    for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
+        _check_labels(path, which, labels, ",")
     header = ["point_set", "label"] + [f"dim_{i + 1}" for i in range(e.k)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for which in ("row", "col"):
-            labels, coords = e.coordinates("F" if which == "row" else "G")
-            for label, vec in zip(labels, coords):
-                fh.write(",".join([which, label] + [repr(float(x)) for x in vec]) + "\n")
+        for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
+            for label, row in zip(labels, coords.tolist()):
+                fh.write(",".join([which, label, *map(repr, row)]) + "\n")
 
 
 def write_embeddings(e: EmbeddingSet, path) -> None:
@@ -95,38 +103,18 @@ def write_embeddings(e: EmbeddingSet, path) -> None:
     Header: n_row_labels, n_col_labels, k, method_tag, then the k singular
     values.  Body lines: point set ("row"/"col"), label, k coordinates.
     Tab-separated, floats via repr, so writing and re-reading is exact.
-    A label repeated within a point set, which :func:`read_embeddings`
-    rejects, raises ``ValueError`` before the file is opened.
+    A label that :func:`read_embeddings` would split or reject (tab,
+    newline or carriage return, or repeated within a point set) raises
+    ``ValueError`` before the file is opened.
     """
     for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"{path}: duplicate {which} label")
+        _check_labels(path, which, labels, "\t")
     with open(path, "w", encoding="utf-8") as fh:
-        header = [
-            str(len(e.row_labels)),
-            str(len(e.col_labels)),
-            str(e.k),
-            e.method_tag,
-        ] + [repr(float(s)) for s in e.singular_values]
-        fh.write("\t".join(header) + "\n")
+        header = [str(len(e.row_labels)), str(len(e.col_labels)), str(e.k), e.method_tag]
+        fh.write("\t".join([*header, *map(repr, e.singular_values.tolist())]) + "\n")
         for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
-            for label, vec in zip(labels, coords):
-                fh.write("\t".join([which, label] + [repr(float(x)) for x in vec]) + "\n")
-
-
-def _numbers(path, lineno: int, cells) -> list[float]:
-    try:
-        return [float(x) for x in cells]
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-
-
-def _finite_rows(path, linenos, rows, k: int) -> np.ndarray:
-    M = np.array(rows).reshape(len(rows), k)
-    bad = ~np.isfinite(M).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value")
-    return M
+            for label, row in zip(labels, coords.tolist()):
+                fh.write("\t".join([which, label, *map(repr, row)]) + "\n")
 
 
 def read_embeddings(path) -> EmbeddingSet:
@@ -137,8 +125,7 @@ def read_embeddings(path) -> EmbeddingSet:
     a label repeated within a point set, or a value that is not a finite
     number raises ``ValueError`` naming the file and line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line.strip()]
+    lines = _read_lines(path)
     if not lines:
         raise ValueError(f"empty embeddings file: {path}")
     head_line, header = lines[0]
@@ -156,31 +143,28 @@ def read_embeddings(path) -> EmbeddingSet:
         raise ValueError(f"{where}: header counts {head[:3]} must be nonnegative")
     if len(head) != 4 + k:
         raise ValueError(f"{where}: header lists {len(head) - 4} singular values, expected k={k}")
-    singular_values = _finite_rows(path, [head_line], [_numbers(path, head_line, head[4:])], k)[0]
-    if len(lines) != 1 + n_rows + n_cols:
-        raise ValueError(
-            f"{path}: expected {n_rows + n_cols} point lines, got {len(lines) - 1}"
-        )
+    singular_values = _parse_numbers(path, [head_line], [head[4:]])[0]
     # point set -> labels, coordinate rows, line numbers
     points = {"row": ([], [], []), "col": ([], [], [])}
-    seen = set()
     for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != k + 2:
             raise ValueError(f"{path}:{lineno}: expected {k} coordinates")
         if cells[0] not in points:
             raise ValueError(f"{path}:{lineno}: unknown point set {cells[0]!r}")
-        if (cells[0], cells[1]) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate {cells[0]} label {cells[1]!r}")
-        seen.add((cells[0], cells[1]))
         labels, rows, linenos = points[cells[0]]
         labels.append(cells[1])
-        rows.append(_numbers(path, lineno, cells[2:]))
+        rows.append(cells[2:])
         linenos.append(lineno)
+    for which, (labels, _, linenos) in points.items():
+        _check_labels(path, which, labels, "\t", linenos)
     (row_labels, F_rows, F_lines), (col_labels, G_rows, G_lines) = points.values()
+    if (len(F_rows), len(G_rows)) != (n_rows, n_cols):
+        raise ValueError(f"{path}: expected {n_rows} row and {n_cols} col point lines, "
+                         f"got {len(F_rows)} and {len(G_rows)}")
     return EmbeddingSet(
-        F=_finite_rows(path, F_lines, F_rows, k),
-        G=_finite_rows(path, G_lines, G_rows, k),
+        F=_parse_numbers(path, F_lines, F_rows).reshape(len(F_rows), k),
+        G=_parse_numbers(path, G_lines, G_rows).reshape(len(G_rows), k),
         row_labels=tuple(row_labels),
         col_labels=tuple(col_labels),
         singular_values=singular_values,

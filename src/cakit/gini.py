@@ -47,16 +47,11 @@ def gini_variance(t: ContingencyTable, axis: str) -> float:
 def rotated_covariance(t: ContingencyTable) -> RotatedCovariance:
     """Maximize trace(R.T @ residual)/2 over R with R.T @ R = I via R = U V^T.
 
-    The orthogonality constraint needs at least as many rows as columns;
-    wider-than-tall tables are solved transposed and the rotation is
-    transposed back (it then satisfies R @ R.T = I instead).
+    ``U V^T`` comes from the thin SVD of the residual; for a wider-than-tall
+    table it satisfies R @ R.T = I instead, with the same optimum.
     """
-    if t.shape[0] < t.shape[1]:
-        flipped = rotated_covariance(t.transposed())
-        return RotatedCovariance(value=flipped.value, rotation=flipped.rotation.T)
     dec = svd(residual_matrix(t))
-    R = dec.U @ dec.V.T
-    return RotatedCovariance(value=0.5 * float(np.sum(dec.S)), rotation=R)
+    return RotatedCovariance(value=0.5 * float(np.sum(dec.S)), rotation=dec.U @ dec.V.T)
 
 
 def brute_force_covariance(obs: Observations, R) -> float:

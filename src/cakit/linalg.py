@@ -62,15 +62,13 @@ class Decomposition:
 
 
 def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per left vector: entry of largest magnitude made nonnegative (lowest
-    # index wins ties); the matching right vector is flipped with it.
-    U = U.copy()
-    V = V.copy()
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))  # argmax returns first maximum
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
-            V[:, j] = -V[:, j]
+    # Per left vector: entry of largest magnitude made nonnegative (argmax
+    # returns the lowest index of ties); the matching right vector is flipped
+    # with it.  Flips the fresh factors in place.
+    top = np.argmax(np.abs(U), axis=0)
+    signs = np.where(U[top, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    U *= signs
+    V *= signs
     return U, V
 
 

@@ -4,6 +4,11 @@ A table holds a nonnegative count matrix together with row/column category
 labels.  Marginals are always strictly positive: categories whose marginal
 is zero are dropped (with a logged warning) at construction time, because
 every downstream fit divides by them.
+
+This module also owns the text-file policy of the package (the table TSV
+here, the embedding and coordinate files of :mod:`cakit.ca`): a writer
+rejects a label its reader would split or that repeats before it opens the
+file, and a reader rejects a malformed line or value naming ``path:line``.
 """
 
 from __future__ import annotations
@@ -109,13 +114,6 @@ class ContingencyTable:
             col_labels=self.col_labels,
         )
 
-    def transposed(self) -> "ContingencyTable":
-        return ContingencyTable(
-            counts=self.counts.T,
-            row_labels=self.col_labels,
-            col_labels=self.row_labels,
-        )
-
 
 def one_hot(index: int, dimension: int) -> np.ndarray:
     """Unit basis vector: position ``index`` set to 1 in a length-``dimension`` vector."""
@@ -159,12 +157,44 @@ def _format_count(x: float) -> str:
     return repr(x)
 
 
-def _reject_duplicates(path, axis: str, labels) -> None:
+def _read_lines(path) -> list[tuple[int, str]]:
+    """Numbered lines of a text file without their terminators; empty lines skipped."""
+    with open(path, encoding="utf-8") as fh:
+        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line != "\n"]
+
+
+def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
+    """Reject a label containing ``sep``, LF or CR, or repeated within ``labels``.
+
+    The error names ``path:line`` when ``linenos`` (one per label) is given.
+    """
     seen = set()
-    for label in labels:
-        if label in seen:
-            raise ValueError(f"{path}: duplicate {axis} label {label!r}")
+    for i, label in enumerate(labels):
+        split = sep in label or "\n" in label or "\r" in label
+        if split or label in seen:
+            where = path if linenos is None else f"{path}:{linenos[i]}"
+            if split:
+                raise ValueError(f"{where}: {axis} label {label!r} contains {sep!r} or a line break")
+            raise ValueError(f"{where}: duplicate {axis} label {label!r}")
         seen.add(label)
+
+
+def _parse_numbers(path, linenos, rows) -> np.ndarray:
+    """Float array of ``rows``; a bad or non-finite value names ``path:line`` of its row."""
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        # find the offending line with the same conversion, one row at a time
+        for lineno, row in zip(linenos, rows):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        raise
+    bad = ~np.isfinite(values).all(axis=-1)
+    if bad.any():
+        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value")
+    return values
 
 
 def write_tsv(t: ContingencyTable, path) -> None:
@@ -175,11 +205,8 @@ def write_tsv(t: ContingencyTable, path) -> None:
     that :func:`read_tsv` would split or reject (tab, newline or carriage
     return, or a duplicate) raise ``ValueError`` before the file is opened.
     """
-    for label in t.row_labels + t.col_labels:
-        if any(ch in label for ch in "\t\n\r"):
-            raise ValueError(f"{path}: label {label!r} contains a tab or line break")
-    _reject_duplicates(path, "row", t.row_labels)
-    _reject_duplicates(path, "column", t.col_labels)
+    _check_labels(path, "row", t.row_labels, "\t")
+    _check_labels(path, "column", t.col_labels, "\t")
     counts = t.counts
     if np.all((counts == np.trunc(counts)) & (np.abs(counts) < 2**53)):
         rows = counts.astype(np.int64).tolist()
@@ -195,35 +222,29 @@ def read_tsv(path) -> ContingencyTable:
     """Read the TSV table format written by :func:`write_tsv`.
 
     Empty lines are skipped, but a line of whitespace is data: it is the
-    header of a table whose column labels are all whitespace.  A ragged
-    row, a cell that is not a number or a duplicate row or column label
-    raises ``ValueError`` naming the file (and the line, for cell errors).
+    header of a table whose column labels are all whitespace.  A file
+    without data rows or a duplicate row or column label raises
+    ``ValueError`` naming the file; a ragged row or a cell that is not a
+    finite nonnegative number names the file and line.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line != "\n"]
-    if not lines:
-        raise ValueError(f"empty table file: {path}")
+    lines = _read_lines(path)
+    if len(lines) < 2:
+        raise ValueError(f"empty table file, no data rows: {path}")
     col_labels = lines[0][1].split("\t")[1:]
-    row_labels = []
-    rows = []
+    linenos, row_labels, rows = [], [], []
     for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) != len(col_labels) + 1:
             raise ValueError(
                 f"{path}:{lineno}: expected {len(col_labels) + 1} cells, got {len(cells)}"
             )
+        linenos.append(lineno)
         row_labels.append(cells[0])
         rows.append(cells[1:])
-    _reject_duplicates(path, "row", row_labels)
-    _reject_duplicates(path, "column", col_labels)
-    try:
-        counts = np.array(rows, dtype=float)
-    except ValueError:
-        # find the offending line with the same conversion, one row at a time
-        for (lineno, _), row in zip(lines[1:], rows):
-            try:
-                np.array(row, dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-        raise
+    _check_labels(path, "row", row_labels, "\t")
+    _check_labels(path, "column", col_labels, "\t")
+    counts = _parse_numbers(path, linenos, rows)
+    negative = (counts < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"{path}:{linenos[int(np.argmax(negative))]}: negative count")
     return ContingencyTable.from_counts(counts, row_labels, col_labels)

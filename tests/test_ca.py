@@ -253,3 +253,27 @@ class TestEmbeddingsFile:
         with pytest.raises(ValueError, match="duplicate row label"):
             write_embeddings(dup, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("writer, bad", [
+        (write_embeddings, "a\tb"), (write_embeddings, "a\nb"), (write_embeddings, "a\rb"),
+        (export_coordinates, "a,b"), (export_coordinates, "a\nb"), (export_coordinates, "a\rb"),
+    ], ids=lambda x: getattr(x, "__name__", repr(x)))
+    def test_writers_reject_labels_their_reader_would_split(self, tmp_path, writer, bad):
+        emb = fit_linear_ca(fisher_table(), 2)
+        path = tmp_path / "out"
+        for rows, cols in ((emb.row_labels[:-1] + (bad,), emb.col_labels),
+                           (emb.row_labels, (bad,) + emb.col_labels[1:])):
+            split = EmbeddingSet(F=emb.F, G=emb.G, row_labels=rows, col_labels=cols,
+                                 singular_values=emb.singular_values, method_tag=emb.method_tag)
+            with pytest.raises(ValueError, match="label .* contains"):
+                writer(split, path)
+        assert not path.exists()
+
+    def test_rejects_point_set_sizes_other_than_the_header_counts(self, emb_lines):
+        # 4 row and 5 col lines under a header that claims 5 and 4
+        path, lines = emb_lines
+        head = lines[0].split("\t")
+        head[:2] = head[1], head[0]
+        path.write_text("\n".join(["\t".join(head)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match=r"emb\.tsv: expected 5 row and 4 col point lines"):
+            read_embeddings(path)

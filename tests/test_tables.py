@@ -192,6 +192,21 @@ class TestTsvRoundTrip:
         with pytest.raises(ValueError, match=r"bad\.tsv:4: .*'abc'"):
             read_tsv(path)
 
+    @pytest.mark.parametrize("cell, problem", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("-1", "negative"),
+    ])
+    def test_bad_count_names_file_and_line(self, tmp_path, cell, problem):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"\tx\ty\nv\t1\t2\n\nw\t1\t{cell}\n")
+        with pytest.raises(ValueError, match=rf"bad\.tsv:4: {problem}"):
+            read_tsv(path)
+
+    def test_header_only_file_names_the_file(self, tmp_path):
+        path = tmp_path / "head.tsv"
+        path.write_text("\tx\ty\n")
+        with pytest.raises(ValueError, match=r"no data rows: .*head\.tsv"):
+            read_tsv(path)
+
     def test_duplicate_row_label_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("\tx\ty\nw\t1\t2\nv\t1\t1\nw\t3\t4\n")
