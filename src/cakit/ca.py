@@ -28,7 +28,9 @@ class EmbeddingSet:
     ``singular_values`` is the truncated, descending spectrum of the fitted
     matrix; ``decomposition``, when present, is the full (untruncated)
     generalized SVD of the association under the kernel metrics that the
-    coordinates were derived from.
+    coordinates were derived from.  A NaN or infinite value in F, G or the
+    singular values raises ``ValueError``, so no writer emits a file that
+    its reader rejects.
     """
 
     F: np.ndarray
@@ -49,6 +51,8 @@ class EmbeddingSet:
             raise ValueError(
                 f"G shape {self.G.shape} does not match {len(self.col_labels)} labels x {k} dims"
             )
+        if not all(np.isfinite(x).all() for x in (self.F, self.G, self.singular_values)):
+            raise ValueError("coordinates or singular values are NaN or infinite")
         if np.any(np.diff(self.singular_values) > 0):
             raise ValueError("singular values must be sorted descending")
 
@@ -84,8 +88,9 @@ def fit_linear_ca(t: ContingencyTable, k: int | None = None) -> EmbeddingSet:
 def export_coordinates(e: EmbeddingSet, path) -> None:
     """Write a CSV of both point sets: point_set,label,dim_1..dim_k.
 
-    A label with a comma or line break, which a CSV reader would split, or
-    repeated within a point set raises ``ValueError`` before opening the file.
+    A label with a comma or line break, which a CSV reader would split, one
+    beginning with a double quote, which it would unquote, or one repeated
+    within a point set raises ``ValueError`` before opening the file.
     """
     for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
         _check_labels(path, which, labels, ",")

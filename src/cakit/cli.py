@@ -20,56 +20,66 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# flat key=value method configuration; each key is also a `fit` flag
-CONFIG_KEYS = ("method", "shift_k", "sw_alpha_row", "sw_alpha_col", "ws_alpha", "ws_beta",
-               "dim", "exponent", "kpca_alpha", "stopwords", "ws_scores")
-_FLOAT_KEYS = {"shift_k", "sw_alpha_row", "sw_alpha_col", "ws_alpha", "ws_beta",
-               "exponent", "kpca_alpha"}
+# The `fit` method options, each declared once: name -> (type, default, extra
+# argparse keywords).  Each is a --flag (dashes for underscores) and a config
+# file key, converted and checked alike; a None default leaves it unset.
+FIT_OPTIONS = {
+    "method": (str, "linear", {"choices": kca.ASSOCIATIONS}),
+    "dim": (int, None, {}),
+    "shift_k": (float, 1.0, {}),
+    "sw_alpha_row": (float, None, {}),
+    "sw_alpha_col": (float, None, {}),
+    "ws_alpha": (float, None, {}),
+    "ws_beta": (float, 1.0, {}),
+    "exponent": (float, 1.0, {}),
+    "kpca_alpha": (float, -0.5, {}),
+    "stopwords": (str, None, {"help": "stop-word list for the stop-word kernel"}),
+    "ws_scores": (str, None, {"help": "pair-score file for the pair-score kernel (method=ws)"}),
+}
 
 
 def parse_method_config(text: str) -> dict:
     """Parse the flat key=value method configuration format.
 
     One ``key=value`` entry per line; blank lines and ``#`` comments are
-    skipped.  Numeric values are converted, ``dim`` to int; unknown keys
-    are an error.
+    skipped.  Keys are the :data:`FIT_OPTIONS` names, and each value is
+    converted and checked as its flag's is.  Errors name ``line N``.
     """
+    return _parse_config(text, "line ")
+
+
+def _parse_config(text: str, where: str) -> dict:
+    """:func:`parse_method_config` with errors prefixed ``{where}{lineno}: ``."""
     config: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown configuration key {key!r}")
-        if key == "dim":
-            config[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            config[key] = float(value)
-        else:
-            config[key] = value
+            raise ValueError(f"{where}{lineno}: expected key=value, got {raw!r}")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in FIT_OPTIONS:
+            raise ValueError(f"{where}{lineno}: unknown configuration key {key!r}")
+        kind, _, extra = FIT_OPTIONS[key]
+        try:
+            config[key] = kind(value)
+        except ValueError:
+            msg = f"{key}: invalid {kind.__name__} value {value!r}"
+            raise ValueError(f"{where}{lineno}: {msg}") from None
+        if "choices" in extra and config[key] not in extra["choices"]:
+            raise ValueError(f"{where}{lineno}: {key}: invalid choice {value!r} "
+                             f"(choose from {', '.join(extra['choices'])})")
     return config
 
 
 def _read_method_config(args) -> dict:
-    """Merge config-file entries with CLI flags; flags win."""
-    config: dict = {}
+    """Defaults, then config-file entries, then flags; each later source wins."""
+    config = {key: default for key, (_, default, _) in FIT_OPTIONS.items()}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config.update(parse_method_config(fh.read()))
-    for key in CONFIG_KEYS:
-        if getattr(args, key) is not None:
-            config[key] = getattr(args, key)
-    config.setdefault("method", "linear")
-    config.setdefault("shift_k", 1.0)
-    config.setdefault("ws_beta", 1.0)
-    config.setdefault("exponent", 1.0)
-    config.setdefault("kpca_alpha", -0.5)
-    for key in sorted(config):
+            config.update(_parse_config(fh.read(), f"{args.config}:"))
+    config.update((k, v) for k, v in vars(args).items() if k in FIT_OPTIONS and v is not None)
+    for key in sorted(k for k, v in config.items() if v is not None):
         _err(f"config: {key}={config[key]}")
     return config
 
@@ -92,12 +102,12 @@ def cmd_count(args) -> int:
 
 
 def _ws_gammas(table, config):
-    scores_path = config.get("ws_scores")
+    scores_path = config["ws_scores"]
     if not scores_path:
         raise ValueError("method=ws needs a pair-score file (--ws-scores)")
     dataset = evaluation.load_wordsim(scores_path)
     score_map = {(a, b): s for a, b, s in dataset.triples}
-    alpha = config.get("ws_alpha")
+    alpha = config["ws_alpha"]
     if alpha is None:
         max_score = max(abs(s) for s in score_map.values())
         alpha = 0.1 / max_score if max_score > 0 else 0.0
@@ -112,8 +122,8 @@ def cmd_fit(args) -> int:
     config = _read_method_config(args)
     table = tables.read_tsv(args.table)
     stopwords = None
-    if config.get("sw_alpha_row") is not None or config.get("sw_alpha_col") is not None:
-        if not config.get("stopwords"):
+    if config["sw_alpha_row"] is not None or config["sw_alpha_col"] is not None:
+        if not config["stopwords"]:
             raise ValueError("stop-word alphas need a stop-word list (--stopwords)")
         stopwords = corpus.load_stopwords(config["stopwords"])
     gamma_r, gamma_c = _ws_gammas(table, config) if config["method"] == "ws" else (None, None)
@@ -122,13 +132,13 @@ def cmd_fit(args) -> int:
         shift_k=config["shift_k"],
         kpca_alpha=config["kpca_alpha"],
         stopwords=stopwords,
-        sw_alpha_row=config.get("sw_alpha_row"),
-        sw_alpha_col=config.get("sw_alpha_col"),
+        sw_alpha_row=config["sw_alpha_row"],
+        sw_alpha_col=config["sw_alpha_col"],
         exponent=config["exponent"],
         gamma_row=gamma_r,
         gamma_col=gamma_c,
     )
-    emb = kca.fit_kca(table, m, config.get("dim"))
+    emb = kca.fit_kca(table, m, config["dim"])
     ca.write_embeddings(emb, args.out)
     _err(f"fitted {emb.method_tag}: k={emb.k}, top singular value {emb.singular_values[0]:.6g}")
     print(args.out)
@@ -194,19 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit embeddings from a contingency table")
     p_fit.add_argument("table", help="contingency table (TSV)")
     p_fit.add_argument("--config", help="key=value method configuration file")
-    p_fit.add_argument("--method",
-                       choices=["linear", "gini", "gtest", "sgns", "kpca_cd", "ws"])
-    p_fit.add_argument("--dim", type=int)
-    p_fit.add_argument("--shift-k", type=float, dest="shift_k")
-    p_fit.add_argument("--sw-alpha-row", type=float, dest="sw_alpha_row")
-    p_fit.add_argument("--sw-alpha-col", type=float, dest="sw_alpha_col")
-    p_fit.add_argument("--ws-alpha", type=float, dest="ws_alpha")
-    p_fit.add_argument("--ws-beta", type=float, dest="ws_beta")
-    p_fit.add_argument("--exponent", type=float)
-    p_fit.add_argument("--kpca-alpha", type=float, dest="kpca_alpha")
-    p_fit.add_argument("--stopwords", help="stop-word list for the stop-word kernel")
-    p_fit.add_argument("--ws-scores", dest="ws_scores",
-                       help="pair-score file for the pair-score kernel (method=ws)")
+    for key, (kind, _, extra) in FIT_OPTIONS.items():
+        p_fit.add_argument("--" + key.replace("_", "-"), type=kind, **extra)
     p_fit.add_argument("--out", required=True, help="output embeddings file")
     p_fit.set_defaults(func=cmd_fit)
 

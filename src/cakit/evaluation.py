@@ -4,7 +4,9 @@ Embeddings are scored by ranking pair cosines against human similarity
 judgements.  Out-of-vocabulary pairs are skipped and counted, never
 zero-filled, so coverage is always visible next to the correlation.
 Pairs touching a zero vector score cosine 0, with one warning per
-evaluation that counts them.  NaN and infinite scores are rejected.
+evaluation that counts them; a pair of identical nonzero vectors scores
+exactly 1, so such pairs tie in the ranking.  NaN and infinite scores are
+rejected.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ def load_wordsim(path) -> WordSimDataset:
     Duplicate unordered pairs are averaged.
     """
     scores: dict[tuple[str, str], list[float]] = {}
-    order: list[tuple[str, str]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -74,16 +75,11 @@ def load_wordsim(path) -> WordSimDataset:
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not finite")
             a, b = cells[0].lower(), cells[1].lower()
-            key = (a, b) if a <= b else (b, a)
-            if key not in scores:
-                scores[key] = []
-                order.append(key)
-            scores[key].append(value)
-    if not order:
+            scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
+    if not scores:
         raise ValueError(f"no usable lines in {path}")
-    triples = tuple((a, b, math.fsum(vs) / len(vs)) for (a, b), vs in
-                    ((key, scores[key]) for key in order))
-    return WordSimDataset(triples)
+    return WordSimDataset(tuple((a, b, math.fsum(vs) / len(vs))
+                                for (a, b), vs in scores.items()))
 
 
 def cosine(u, v) -> float:
@@ -148,6 +144,9 @@ def evaluate(e: EmbeddingSet, which: str, d: WordSimDataset) -> EvalReport:
     zero = norms == 0.0
     unit = coords / np.where(zero, 1.0, norms)[:, None]
     sims = np.einsum("ij,ij->i", unit[ia], unit[ib])
+    # two identical nonzero rows (a self pair too) score exactly 1, not 1 +- rounding
+    group = np.unique(coords, axis=0, return_inverse=True)[1].ravel()
+    sims[(group[ia] == group[ib]) & ~zero[ia]] = 1.0
     touched = int(np.count_nonzero(zero[ia] | zero[ib]))
     if touched:
         warnings.warn(f"{touched} of {len(sims)} pairs involve a zero vector; "

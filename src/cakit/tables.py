@@ -166,15 +166,21 @@ def _read_lines(path) -> list[tuple[int, str]]:
 def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
     """Reject a label containing ``sep``, LF or CR, or repeated within ``labels``.
 
-    The error names ``path:line`` when ``linenos`` (one per label) is given.
+    With ``sep`` a comma, a label that begins with a double quote, which a
+    CSV reader takes as quoting and strips, is rejected too.  The error
+    names ``path:line`` when ``linenos`` (one per label) is given.
     """
     seen = set()
     for i, label in enumerate(labels):
         split = sep in label or "\n" in label or "\r" in label
-        if split or label in seen:
+        quoted = sep == "," and label.startswith('"')
+        if split or quoted or label in seen:
             where = path if linenos is None else f"{path}:{linenos[i]}"
             if split:
                 raise ValueError(f"{where}: {axis} label {label!r} contains {sep!r} or a line break")
+            if quoted:
+                raise ValueError(f"{where}: {axis} label {label!r} contains a leading '\"', "
+                                 "which a CSV reader strips")
             raise ValueError(f"{where}: duplicate {axis} label {label!r}")
         seen.add(label)
 

@@ -257,6 +257,7 @@ class TestEmbeddingsFile:
     @pytest.mark.parametrize("writer, bad", [
         (write_embeddings, "a\tb"), (write_embeddings, "a\nb"), (write_embeddings, "a\rb"),
         (export_coordinates, "a,b"), (export_coordinates, "a\nb"), (export_coordinates, "a\rb"),
+        (export_coordinates, '"quoted" word'),
     ], ids=lambda x: getattr(x, "__name__", repr(x)))
     def test_writers_reject_labels_their_reader_would_split(self, tmp_path, writer, bad):
         emb = fit_linear_ca(fisher_table(), 2)
@@ -268,6 +269,16 @@ class TestEmbeddingsFile:
             with pytest.raises(ValueError, match="label .* contains"):
                 writer(split, path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["F", "G", "singular_values"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_values_rejected_at_construction(self, field, bad):
+        emb = fit_linear_ca(fisher_table(), 2)
+        parts = dict(F=emb.F.copy(), G=emb.G.copy(), singular_values=emb.singular_values.copy())
+        parts[field][-1] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            EmbeddingSet(row_labels=emb.row_labels, col_labels=emb.col_labels,
+                         method_tag=emb.method_tag, **parts)
 
     def test_rejects_point_set_sizes_other_than_the_header_counts(self, emb_lines):
         # 4 row and 5 col lines under a header that claims 5 and 4

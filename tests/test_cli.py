@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cakit import ca, tables
-from cakit.cli import main, parse_method_config
+from cakit.cli import FIT_OPTIONS, main, parse_method_config
 
 
 @pytest.fixture
@@ -148,6 +148,15 @@ class TestFit:
         np.testing.assert_allclose(fits["0"].F, fits[None].F, atol=1e-10 * scale)
         assert np.abs(fits["-0.5"].F - fits[None].F).max() > 1e-3 * scale
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("exponent", ["nan", "-1000"])  # S**-1000 overflows
+    def test_non_finite_fit_writes_no_file(self, fisher_tsv, tmp_path, capsys, exponent):
+        out = tmp_path / "e.tsv"
+        rc = main(["fit", fisher_tsv, "--dim", "2", "--exponent", exponent, "--out", str(out)])
+        assert rc == 1
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_fit_is_byte_deterministic(self, fisher_tsv, tmp_path):
         out1 = tmp_path / "e1.tsv"
         out2 = tmp_path / "e2.tsv"
@@ -279,3 +288,66 @@ class TestMethodConfig:
     def test_string_keys_preserved(self):
         config = parse_method_config("stopwords=sw.txt\nws_scores=men.tsv")
         assert config == {"stopwords": "sw.txt", "ws_scores": "men.tsv"}
+
+
+# option -> (value, flags that make the value take effect); {sw} and {scores}
+# name the stop-word list and pair-score file of the test directory
+OPTION_CASES = {
+    "method": ("gini", []),
+    "dim": ("2", []),
+    "shift_k": ("3", ["--method", "sgns"]),
+    "sw_alpha_row": ("-0.5", ["--stopwords", "{sw}"]),
+    "sw_alpha_col": ("-0.5", ["--stopwords", "{sw}"]),
+    "ws_alpha": ("-0.01", ["--method", "ws", "--ws-scores", "{scores}"]),
+    "ws_beta": ("0.5", ["--method", "ws", "--ws-scores", "{scores}"]),
+    "exponent": ("0.5", ["--method", "gtest"]),
+    "kpca_alpha": ("-0.3", ["--method", "kpca_cd"]),
+    "stopwords": ("{sw}", ["--sw-alpha-row", "-0.5"]),
+    "ws_scores": ("{scores}", ["--method", "ws"]),
+}
+
+
+class TestFitOptions:
+    def test_cases_cover_every_option(self):
+        assert set(OPTION_CASES) == set(FIT_OPTIONS)
+
+    @pytest.mark.parametrize("key", list(OPTION_CASES))
+    def test_flag_and_config_entry_fit_alike(self, fisher_tsv, tmp_path, capsys, key):
+        files = {"sw": tmp_path / "sw.txt", "scores": tmp_path / "scores.txt"}
+        files["sw"].write_text("blue\nfair\n")
+        files["scores"].write_text("blue light 8.0\nmedium dark 6.5\n")
+        value, flags = OPTION_CASES[key]
+        value = value.format(**files)
+        base = ["fit", fisher_tsv, *(f.format(**files) for f in flags)]
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"# one option\n{key}={value}\n")
+        runs = []
+        for name, extra in (("flag", ["--" + key.replace("_", "-"), value]),
+                            ("cfg", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.tsv"
+            assert main(base + extra + ["--out", str(out)]) == 0
+            err = capsys.readouterr().err
+            runs.append(([ln for ln in err.splitlines() if ln.startswith("config:")],
+                         out.read_bytes()))
+        (flag_echo, flag_bytes), (cfg_echo, cfg_bytes) = runs
+        assert f"config: {key}=" in "\n".join(flag_echo)
+        assert flag_echo == cfg_echo
+        assert flag_bytes == cfg_bytes
+
+    @pytest.mark.parametrize("line, message", [
+        ("method linear", "expected key=value"),
+        ("methd=linear", "unknown configuration key 'methd'"),
+        ("dim=abc", "dim: invalid int value 'abc'"),
+        ("shift_k=x", "shift_k: invalid float value 'x'"),
+        ("method=nope", "method: invalid choice 'nope'"),
+    ])
+    def test_config_errors_name_file_and_line(self, fisher_tsv, tmp_path, capsys,
+                                              line, message):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"# fit options\nexponent=0.5\n{line}\n")
+        out = tmp_path / "e.tsv"
+        assert main(["fit", fisher_tsv, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}:3: {message}")
+        assert "config:" not in err  # rejected before the configuration echo
+        assert not out.exists()

@@ -314,6 +314,32 @@ class TestEvaluate:
             assert got.pairs_skipped > 0
             assert abs(got.spearman_rho - want.spearman_rho) <= 1e-12
 
+    def test_identical_rows_tie_at_cosine_one(self):
+        # 60 seeded rows, 12 of them copies of others, and zero rows: every
+        # self pair and copy pair ties at exactly 1, a zero pair stays 0
+        rng = np.random.default_rng(211)
+        labels = tuple(f"w{i}" for i in range(60))
+        F = rng.normal(size=(60, 5)) * rng.uniform(0.1, 10.0, size=(60, 1))
+        F[48:] = F[:12]
+        F[[20, 21]] = 0.0
+        emb = EmbeddingSet(F=F, G=F, row_labels=labels, col_labels=labels,
+                           singular_values=np.ones(5), method_tag="x")
+        idx = np.r_[np.arange(60), rng.integers(60, size=(200,))]
+        jdx = np.r_[np.arange(60), rng.integers(60, size=(200,))]
+        idx[60:72], jdx[60:72] = np.arange(12), np.arange(48, 60)  # copy pairs
+        triples = tuple((labels[a], labels[b], float(rng.integers(10)))
+                        for a, b in zip(idx, jdx))
+        d = WordSimDataset(triples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want_sims = [cosine(F[a], F[b]) for a, b in zip(idx, jdx)]
+            got = evaluate(emb, "F", d)
+        same = (F[idx] == F[jdx]).all(axis=1) & F[idx].any(axis=1)
+        assert same.sum() >= 58 + 12
+        want_sims = np.where(same, 1.0, want_sims)
+        assert got.spearman_rho == reference_spearman(want_sims.tolist(),
+                                                       [s for _, _, s in triples])
+
     def test_sgns_zero_rows_warn_once_with_count(self, tmp_path):
         # SGNS with shift_k=5 zeroes every row but the first of this 3x3 table
         t = ContingencyTable.from_counts(
