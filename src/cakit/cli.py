@@ -20,36 +20,37 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-# The `fit` method options, each declared once: name -> (type, default, extra
-# argparse keywords).  Each is a --flag (dashes for underscores) and a config
-# file key, converted and checked alike; a None default leaves it unset.
+# The `fit` method options, each declared once: name -> (type, default, read
+# by, extra argparse keywords).  Each is a --flag (dashes for underscores) and
+# a config file key, converted and checked alike; a None default leaves it
+# unset.  "Read by" names the methods whose fit reads the option, except for
+# the stop-word list, which is read once either stop-word alpha is set.
+EVERY_FIT = kca.ASSOCIATIONS
+SW_ALPHAS = ("sw_alpha_row", "sw_alpha_col")
 FIT_OPTIONS = {
-    "method": (str, "linear", {"choices": kca.ASSOCIATIONS}),
-    "dim": (int, None, {}),
-    "shift_k": (float, 1.0, {}),
-    "sw_alpha_row": (float, None, {}),
-    "sw_alpha_col": (float, None, {}),
-    "ws_alpha": (float, None, {}),
-    "ws_beta": (float, 1.0, {}),
-    "exponent": (float, 1.0, {}),
-    "kpca_alpha": (float, -0.5, {}),
-    "stopwords": (str, None, {"help": "stop-word list for the stop-word kernel"}),
-    "ws_scores": (str, None, {"help": "pair-score file for the pair-score kernel (method=ws)"}),
+    "method": (str, "linear", EVERY_FIT, {"choices": kca.ASSOCIATIONS}),
+    "dim": (int, None, EVERY_FIT, {}),
+    "shift_k": (float, 1.0, ("sgns",), {}),
+    "sw_alpha_row": (float, None, EVERY_FIT, {}),
+    "sw_alpha_col": (float, None, EVERY_FIT, {}),
+    "ws_alpha": (float, None, ("ws",), {}),
+    "ws_beta": (float, 1.0, ("ws",), {}),
+    "exponent": (float, 1.0, EVERY_FIT, {}),
+    "kpca_alpha": (float, -0.5, ("kpca_cd",), {}),
+    "stopwords": (str, None, SW_ALPHAS, {"help": "stop-word list for the stop-word kernel"}),
+    "ws_scores": (str, None, ("ws",),
+                  {"help": "pair-score file for the pair-score kernel (method=ws)"}),
 }
 
 
-def parse_method_config(text: str) -> dict:
+def parse_method_config(text: str, where: str = "line ") -> dict:
     """Parse the flat key=value method configuration format.
 
     One ``key=value`` entry per line; blank lines and ``#`` comments are
     skipped.  Keys are the :data:`FIT_OPTIONS` names, and each value is
-    converted and checked as its flag's is.  Errors name ``line N``.
+    converted and checked as its flag's is.  Errors begin ``{where}N: ``,
+    ``line N: `` by default.
     """
-    return _parse_config(text, "line ")
-
-
-def _parse_config(text: str, where: str) -> dict:
-    """:func:`parse_method_config` with errors prefixed ``{where}{lineno}: ``."""
     config: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -60,7 +61,7 @@ def _parse_config(text: str, where: str) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in FIT_OPTIONS:
             raise ValueError(f"{where}{lineno}: unknown configuration key {key!r}")
-        kind, _, extra = FIT_OPTIONS[key]
+        kind, _, _, extra = FIT_OPTIONS[key]
         try:
             config[key] = kind(value)
         except ValueError:
@@ -72,13 +73,37 @@ def _parse_config(text: str, where: str) -> dict:
     return config
 
 
+def _why_unread(key: str, config: dict) -> str | None:
+    """Why the fit that ``config`` chooses does not read option ``key``; None if it does."""
+    read_by = FIT_OPTIONS[key][2]
+    if read_by == SW_ALPHAS:
+        if all(config[alpha] is None for alpha in SW_ALPHAS):
+            return f"without {' or '.join(SW_ALPHAS)} the fit does not read"
+    elif config["method"] not in read_by:
+        return f"method {config['method']} does not read"
+    return None
+
+
 def _read_method_config(args) -> dict:
-    """Defaults, then config-file entries, then flags; each later source wins."""
-    config = {key: default for key, (_, default, _) in FIT_OPTIONS.items()}
+    """The options the chosen fit reads: flags, else config-file entries, else defaults.
+
+    A given option that the fit does not read stops the run before anything
+    is echoed; the echo lists the options read, defaults included.
+    """
+    given = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            config.update(_parse_config(fh.read(), f"{args.config}:"))
-    config.update((k, v) for k, v in vars(args).items() if k in FIT_OPTIONS and v is not None)
+            given.update(parse_method_config(fh.read(), f"{args.config}:"))
+    given.update((k, v) for k, v in vars(args).items() if k in FIT_OPTIONS and v is not None)
+    config = {key: given.get(key, default) for key, (_, default, _, _) in FIT_OPTIONS.items()}
+    unread: dict = {}
+    for key in sorted(given):
+        why = _why_unread(key, config)
+        if why:
+            unread.setdefault(why, []).append(key)
+    if unread:
+        raise ValueError("; ".join(f"{why} {', '.join(keys)}" for why, keys in unread.items()))
+    config = {key: v for key, v in config.items() if _why_unread(key, config) is None}
     for key in sorted(k for k, v in config.items() if v is not None):
         _err(f"config: {key}={config[key]}")
     return config
@@ -101,18 +126,33 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _ws_gammas(table, config):
-    scores_path = config["ws_scores"]
+def _stopwords(table, config) -> set:
+    """The stop-word list, which must hold a label of each axis that has a stop-word alpha."""
+    path = config["stopwords"]
+    if not path:
+        raise ValueError("stop-word alphas need a stop-word list (--stopwords)")
+    words = corpus.load_stopwords(path)
+    for axis, labels, alpha in (("row", table.row_labels, config["sw_alpha_row"]),
+                                ("column", table.col_labels, config["sw_alpha_col"])):
+        if alpha is not None and words.isdisjoint(labels):
+            raise ValueError(f"{path}: no stop word is a {axis} label")
+    return words
+
+
+def _ws_gammas(table, scores_path, alpha, beta):
+    """The row and column pair-score matrices of a ws fit."""
     if not scores_path:
         raise ValueError("method=ws needs a pair-score file (--ws-scores)")
     dataset = evaluation.load_wordsim(scores_path)
     score_map = {(a, b): s for a, b, s in dataset.triples}
-    alpha = config["ws_alpha"]
+    axes = (set(table.row_labels), set(table.col_labels))
+    if not any({a, b} <= labels for a, b in score_map for labels in axes):
+        raise ValueError(f"{scores_path}: no pair has both words among the row labels "
+                         "or among the column labels")
     if alpha is None:
         max_score = max(abs(s) for s in score_map.values())
         alpha = 0.1 / max_score if max_score > 0 else 0.0
         _err(f"config: ws_alpha defaulted to {alpha:g}")
-    beta = config["ws_beta"]
     gamma_r = kca.build_gamma(table.row_labels, score_map, alpha, beta)
     gamma_c = kca.build_gamma(table.col_labels, score_map, alpha, beta)
     return gamma_r, gamma_c
@@ -121,24 +161,13 @@ def _ws_gammas(table, config):
 def cmd_fit(args) -> int:
     config = _read_method_config(args)
     table = tables.read_tsv(args.table)
-    stopwords = None
-    if config["sw_alpha_row"] is not None or config["sw_alpha_col"] is not None:
-        if not config["stopwords"]:
-            raise ValueError("stop-word alphas need a stop-word list (--stopwords)")
-        stopwords = corpus.load_stopwords(config["stopwords"])
-    gamma_r, gamma_c = _ws_gammas(table, config) if config["method"] == "ws" else (None, None)
-    m = kca.method_from_name(
-        config["method"],
-        shift_k=config["shift_k"],
-        kpca_alpha=config["kpca_alpha"],
-        stopwords=stopwords,
-        sw_alpha_row=config["sw_alpha_row"],
-        sw_alpha_col=config["sw_alpha_col"],
-        exponent=config["exponent"],
-        gamma_row=gamma_r,
-        gamma_col=gamma_c,
-    )
-    emb = kca.fit_kca(table, m, config["dim"])
+    name, k = config.pop("method"), config.pop("dim")
+    if "stopwords" in config:
+        config["stopwords"] = _stopwords(table, config)
+    if name == "ws":
+        config["gamma_row"], config["gamma_col"] = _ws_gammas(
+            table, config.pop("ws_scores"), config.pop("ws_alpha"), config.pop("ws_beta"))
+    emb = kca.fit_kca(table, kca.method_from_name(name, **config), k)
     ca.write_embeddings(emb, args.out)
     _err(f"fitted {emb.method_tag}: k={emb.k}, top singular value {emb.singular_values[0]:.6g}")
     print(args.out)
@@ -147,25 +176,23 @@ def cmd_fit(args) -> int:
 
 def cmd_eval(args) -> int:
     emb = ca.read_embeddings(args.embeddings)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    rows = ["method\tdataset\trho\tused\tskipped\n"]
     failed = False
-    try:
-        out.write("method\tdataset\trho\tused\tskipped\n")
-        for path in args.wordsim:
-            try:
-                dataset = evaluation.load_wordsim(path)
-                report = evaluation.evaluate(emb, args.which, dataset)
-                out.write(
-                    f"{emb.method_tag}\t{path}\t{report.spearman_rho:.6f}"
-                    f"\t{report.pairs_used}\t{report.pairs_skipped}\n"
-                )
-            except (ValueError, OSError) as exc:
-                failed = True
-                _err(f"eval failed for {path}: {exc}")
-                out.write(f"{emb.method_tag}\t{path}\terror\t0\t0\n")
-    finally:
-        if args.out:
-            out.close()
+    for path in args.wordsim:
+        try:
+            dataset = evaluation.load_wordsim(path)
+            report = evaluation.evaluate(emb, args.which, dataset)
+            rows.append(f"{emb.method_tag}\t{path}\t{report.spearman_rho:.6f}"
+                        f"\t{report.pairs_used}\t{report.pairs_skipped}\n")
+        except (ValueError, OSError) as exc:
+            failed = True
+            _err(f"eval failed for {path}: {exc}")
+            rows.append(f"{emb.method_tag}\t{path}\terror\t0\t0\n")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.writelines(rows)
+    else:
+        sys.stdout.writelines(rows)
     return 1 if failed else 0
 
 
@@ -204,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="fit embeddings from a contingency table")
     p_fit.add_argument("table", help="contingency table (TSV)")
     p_fit.add_argument("--config", help="key=value method configuration file")
-    for key, (kind, _, extra) in FIT_OPTIONS.items():
+    for key, (kind, _, _, extra) in FIT_OPTIONS.items():
         p_fit.add_argument("--" + key.replace("_", "-"), type=kind, **extra)
     p_fit.add_argument("--out", required=True, help="output embeddings file")
     p_fit.set_defaults(func=cmd_fit)

@@ -93,14 +93,25 @@ class KcaMethod:
         if self.association == "ws" and (self.gamma_row is None or self.gamma_col is None):
             raise ValueError("the ws association needs row and column pair-score matrices")
 
+    @property
+    def tag(self) -> str:
+        """The method's name in embeddings files and reports.
+
+        The association, with the shift for sgns (``sgns(k=5)``) and ``+sw``
+        for a stop-word kernel on either axis; plain linear CA is ``linear_ca``.
+        """
+        tag = f"sgns(k={self.shift_k:g})" if self.association == "sgns" else self.association
+        if "stopword" in (self.row_kernel.kind, self.col_kernel.kind):
+            return tag + "+sw"
+        return "linear_ca" if tag == "linear" else tag
+
 
 @dataclass(frozen=True)
 class AssociationMatrix:
-    """The matrix a method factorizes, its tag, and the row and column
-    marginals that its inverse-marginal and stop-word kernels divide by."""
+    """The matrix a method factorizes, and the row and column marginals that
+    its inverse-marginal and stop-word kernels divide by."""
 
     values: np.ndarray
-    method_tag: str
     r: np.ndarray
     c: np.ndarray
 
@@ -166,21 +177,21 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
     N = t.counts
     n = t.n
     if m.association in ("linear", "gini", "kpca_cd"):
-        return AssociationMatrix(residual_matrix(t), m.association, t.r, t.c)
+        return AssociationMatrix(residual_matrix(t), t.r, t.c)
     expected = np.outer(t.r, t.c) / n  # E_ij = r_i c_j / n
     positive = N > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = np.where(positive, np.log(np.where(positive, N, 1.0) / expected), 0.0)
     if m.association == "gtest":
         A = np.where(positive, (N / n) * log_ratio, 0.0)
-        return AssociationMatrix(A, "gtest", t.r, t.c)
+        return AssociationMatrix(A, t.r, t.c)
     if m.association == "sgns":
         shifted = log_ratio - math.log(m.shift_k)
         if m.sgns_clamp:
             A = np.where(positive, np.maximum(shifted, 0.0), 0.0)
         else:
             A = np.where(positive, shifted, m.sgns_floor)
-        return AssociationMatrix(A, f"sgns(k={m.shift_k:g})", t.r, t.c)
+        return AssociationMatrix(A, t.r, t.c)
     raise ValueError(f"unknown association {m.association!r}")
 
 
@@ -200,7 +211,7 @@ def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
             bad = [lbl for lbl, v in zip(labels, marginal) if v <= 0]
             raise ValueError(f"nonpositive modified {axis} marginal for: {', '.join(bad)}")
     A = (N * (GN @ gamma_c) - cross) / (t.n * t.n)
-    return AssociationMatrix(A, "ws", r_mod, c_mod)
+    return AssociationMatrix(A, r_mod, c_mod)
 
 
 @dataclass(frozen=True)
@@ -285,18 +296,13 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
     dec = linalg.svd((Lc @ (Lr @ assoc.values).T).T)
     S = dec.S[:k]
     scale = S**m.exponent if m.exponent != 1.0 else S
-    tag = assoc.method_tag
-    if "stopword" in (m.row_kernel.kind, m.col_kernel.kind):
-        tag += "+sw"
-    elif tag == "linear":
-        tag = "linear_ca"  # plain linear CA
     return EmbeddingSet(
         F=(Lr @ dec.U[:, :k]) * scale,
         G=(Lc @ dec.V[:, :k]) * scale,
         row_labels=t.row_labels,
         col_labels=t.col_labels,
         singular_values=S.copy(),
-        method_tag=tag,
+        method_tag=m.tag,
         decomposition=Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V),
     )
 

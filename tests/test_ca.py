@@ -1,4 +1,5 @@
-"""Linear correspondence analysis: constraints, coordinates, file formats."""
+"""Linear correspondence analysis: constraints, coordinates, file formats,
+and the metamorphic invariants of every kernel-CA method."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cakit.ca import (
     write_embeddings,
 )
 from cakit.datasets import fisher_table
+from cakit.kca import KcaMethod, KernelSpec, build_gamma, fit_kca
 from cakit.tables import ContingencyTable, residual_matrix
 
 
@@ -32,6 +34,87 @@ def random_table(rng, nr=None, nc=None, hi=20):
     counts = rng.integers(0, hi, size=(nr, nc)) + 0.0
     counts[0, 0] += 1
     return ContingencyTable.from_counts(counts)
+
+
+# The metamorphic cases: every method and kernel kind.  Each kernel and pair
+# score is built from its axis labels, so it follows the table's labels
+# through a permutation or a transposition.
+STOPWORDS = frozenset({"r1", "r4", "c0", "c3"})
+PAIR_SCORES = {("r0", "r3"): 9.0, ("r2", "r5"): 4.0, ("c1", "c4"): 7.0, ("c0", "c5"): 2.5}
+_FEATURES = dict(zip([f"r{i}" for i in range(7)] + [f"c{j}" for j in range(6)],
+                     np.random.default_rng(5).normal(size=(13, 3))))
+
+
+def _kernel(kind, **fields):
+    return lambda labels: KernelSpec(kind, **fields)
+
+
+def _explicit_kernel(labels):
+    """X X^T + I over per-label feature vectors: SPD."""
+    X = np.array([_FEATURES[lbl] for lbl in labels])
+    return KernelSpec("explicit", matrix=X @ X.T + np.eye(len(labels)))
+
+
+IM, ID = _kernel("inverse_marginal"), _kernel("identity")
+SW_ROW = _kernel("stopword", alpha=-0.5, words=STOPWORDS)
+SW_COL = _kernel("stopword", alpha=0.7, words=STOPWORDS)
+# name -> (association, row kernel, column kernel, KcaMethod keywords,
+#          powers of s that S and the coordinates take when the counts are scaled by s)
+METHOD_CASES = {
+    # A = N/n - r c^T/n^2 is scale-free and D(r)^{-1/2} scales by s^{-1/2},
+    # so the sandwich scales by 1/s and F = K^{1/2} U S by s^{-3/2}
+    "linear": ("linear", IM, IM, {}, (-1.0, -1.5)),
+    "gini": ("gini", ID, ID, {}, (0.0, 0.0)),
+    "gtest": ("gtest", ID, ID, {}, (0.0, 0.0)),
+    "sgns": ("sgns", ID, ID, {"shift_k": 0.5}, (0.0, 0.0)),
+    "sgns_unclamped": ("sgns", ID, ID,
+                       {"shift_k": 2.0, "sgns_clamp": False, "sgns_floor": -1.0}, (0.0, 0.0)),
+    "kpca_cd": ("kpca_cd", _kernel("kpca_cd", alpha=-0.4), ID, {}, (0.0, 0.0)),
+    "linear+sw": ("linear", SW_ROW, SW_COL, {}, (-1.0, -1.5)),
+    # the ws association is scale-free, its modified marginals scale by s^2
+    "ws": ("ws", IM, IM, {}, (-2.0, -3.0)),
+    "ws+sw": ("ws", SW_ROW, SW_COL, {}, (-2.0, -3.0)),
+    "explicit": ("linear", _explicit_kernel, _explicit_kernel, {}, (0.0, 0.0)),
+}
+K = 3  # compared dimensions
+
+
+def case_method(name, t, transpose=False):
+    """The case's method on table ``t``; ``transpose`` swaps its row and column kernels."""
+    association, row, col, fields, _ = METHOD_CASES[name]
+    if transpose:
+        row, col = col, row
+    if association == "ws":
+        fields = dict(fields, gamma_row=build_gamma(t.row_labels, PAIR_SCORES, 0.1),
+                      gamma_col=build_gamma(t.col_labels, PAIR_SCORES, 0.1))
+    return KcaMethod(association, row(t.row_labels), col(t.col_labels), **fields)
+
+
+def metamorphic_counts():
+    """A seeded 7x6 count table with empty cells and no empty row or column."""
+    counts = np.random.default_rng(83).integers(0, 20, size=(7, 6)) + 0.0
+    counts[counts < 4] = 0.0
+    assert counts.sum(axis=1).all() and counts.sum(axis=0).all()
+    return counts
+
+
+def fit_case(name, counts, row_labels=None, col_labels=None, transpose=False):
+    t = ContingencyTable.from_counts(counts, row_labels, col_labels)
+    emb = fit_kca(t, case_method(name, t, transpose), K)
+    S = emb.decomposition.S[:K + 1]
+    # the top K+1 singular values are pairwise apart, so each compared
+    # dimension is determined up to sign and no tie needs F F^T instead
+    assert np.all(-np.diff(S) > 1e-3 * S[0]), (name, S)
+    return emb
+
+
+def assert_same_coordinates(actual, expected, name):
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10 * np.abs(expected).max(),
+                               err_msg=name)
+
+
+def assert_same_spectrum(actual, expected, name):
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-12 * expected[0], err_msg=name)
 
 
 class TestFitLinearCa:
@@ -102,18 +185,19 @@ class TestFitLinearCa:
         np.testing.assert_allclose(fa.G, fb.G, atol=1e-9)
 
     def test_row_permutation_equivariance(self):
-        rng = np.random.default_rng(73)
-        counts = rng.integers(1, 15, size=(5, 4)) + 0.0
-        labels = tuple("abcde")
-        t = ContingencyTable.from_counts(counts, labels, ("w", "x", "y", "z"))
-        perm = np.array([3, 0, 4, 1, 2])
-        tp = ContingencyTable.from_counts(
-            counts[perm], tuple(labels[i] for i in perm), ("w", "x", "y", "z")
-        )
-        base = fit_linear_ca(t, 2)
-        permuted = fit_linear_ca(tp, 2)
-        np.testing.assert_allclose(permuted.F, base.F[perm], atol=1e-10)
-        np.testing.assert_allclose(permuted.G, base.G, atol=1e-10)
+        # permuting rows and columns, with their labels and so with every
+        # kernel and pair score, permutes F and G alike, signs included
+        counts = metamorphic_counts()
+        rows, cols = [f"r{i}" for i in range(7)], [f"c{j}" for j in range(6)]
+        pr, pc = np.array([3, 0, 6, 4, 1, 5, 2]), np.array([2, 5, 0, 4, 1, 3])
+        for name in METHOD_CASES:
+            base = fit_case(name, counts, rows, cols)
+            permuted = fit_case(name, counts[np.ix_(pr, pc)], [rows[i] for i in pr],
+                                [cols[j] for j in pc])
+            assert permuted.row_labels == tuple(base.row_labels[i] for i in pr)
+            assert_same_spectrum(permuted.singular_values, base.singular_values, name)
+            assert_same_coordinates(permuted.F, base.F[pr], name)
+            assert_same_coordinates(permuted.G, base.G[pc], name)
 
     def test_k_out_of_range(self):
         t = fisher_table()
@@ -126,6 +210,39 @@ class TestFitLinearCa:
         assert default_dimension(fisher_table()) == 3
         one = ContingencyTable.from_counts([[1.0]])
         assert default_dimension(one) == 1
+
+
+class TestMetamorphic:
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_transpose_swaps_F_and_G(self, name):
+        counts = metamorphic_counts()
+        base = fit_case(name, counts)
+        flipped = fit_case(name, counts.T, [f"c{j}" for j in range(6)],
+                           [f"r{i}" for i in range(7)], transpose=True)
+        assert_same_spectrum(flipped.singular_values, base.singular_values, name)
+        # one sign per dimension: the sign convention looks at the left vectors
+        signs = np.sign(np.sum(flipped.F * base.G, axis=0))
+        assert_same_coordinates(flipped.F * signs, base.G, name)
+        assert_same_coordinates(flipped.G * signs, base.F, name)
+
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_scaling_the_counts(self, name):
+        s = 3.0
+        s_power, coord_power = METHOD_CASES[name][4]
+        counts = metamorphic_counts()
+        base = fit_case(name, counts)
+        scaled = fit_case(name, s * counts)
+        assert_same_spectrum(scaled.singular_values, base.singular_values * s**s_power, name)
+        assert_same_coordinates(scaled.F, base.F * s**coord_power, name)
+        assert_same_coordinates(scaled.G, base.G * s**coord_power, name)
+
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_two_fits_are_bit_identical(self, name):
+        counts = metamorphic_counts()
+        first, second = fit_case(name, counts), fit_case(name, counts)
+        for a, b in ((first.F, second.F), (first.G, second.G),
+                     (first.singular_values, second.singular_values)):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestCoordinateExport:

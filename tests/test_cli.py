@@ -1,10 +1,15 @@
 """Command-line pipeline: count -> fit -> eval, plus the demo subcommand."""
 
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cakit import ca, tables
-from cakit.cli import FIT_OPTIONS, main, parse_method_config
+from cakit import ca, evaluation, tables
+from cakit.cli import FIT_OPTIONS, _read_method_config, build_parser, main, parse_method_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -148,6 +153,35 @@ class TestFit:
         np.testing.assert_allclose(fits["0"].F, fits[None].F, atol=1e-10 * scale)
         assert np.abs(fits["-0.5"].F - fits[None].F).max() > 1e-3 * scale
 
+    @pytest.mark.parametrize("flag, words", [
+        ("--sw-alpha-row", "BLUE\nFAIR\n"),  # the table's labels are lowercase
+        ("--sw-alpha-col", "blue\n"),  # a row label only
+    ], ids=["row", "column"])
+    def test_stopword_list_matching_no_label_fails(self, fisher_tsv, tmp_path, capsys,
+                                                   flag, words):
+        sw = tmp_path / "sw.txt"
+        sw.write_text(words)
+        out = tmp_path / "e.tsv"
+        rc = main(["fit", fisher_tsv, flag, "-0.9", "--stopwords", str(sw), "--out", str(out)])
+        assert rc == 1
+        assert f"error: {sw}: no stop word is a " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pairs", [
+        "cat dog 8.0\nfoo bar 2.0\n",
+        "blue fair 8.0\n",  # a row label with a column label
+    ], ids=["unknown-words", "across-axes"])
+    def test_pair_file_matching_no_labels_fails(self, fisher_tsv, tmp_path, capsys, pairs):
+        scores = tmp_path / "scores.txt"
+        scores.write_text(pairs)
+        out = tmp_path / "e.tsv"
+        rc = main(["fit", fisher_tsv, "--method", "ws", "--ws-scores", str(scores),
+                   "--out", str(out)])
+        assert rc == 1
+        assert f"error: {scores}: no pair has both words among the row labels" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("exponent", ["nan", "-1000"])  # S**-1000 overflows
     def test_non_finite_fit_writes_no_file(self, fisher_tsv, tmp_path, capsys, exponent):
@@ -243,6 +277,25 @@ class TestEval:
         assert rc == 1
         assert "error: " in capsys.readouterr().err
 
+    def test_unexpected_error_writes_no_report(self, embeddings, tmp_path, monkeypatch):
+        ws = tmp_path / "ws.txt"
+        ws.write_text("blue light 8\nmedium dark 6\nblue dark 2\n")
+        real = evaluation.evaluate
+        calls = []
+
+        def evaluate_once(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise RuntimeError("interrupted")
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "evaluate", evaluate_once)
+        out = tmp_path / "r.tsv"
+        with pytest.raises(RuntimeError):
+            main(["eval", embeddings, "--wordsim", str(ws), "--wordsim", str(ws),
+                  "--out", str(out)])
+        assert not out.exists()  # not a header and one row of two
+
     def test_g_side(self, embeddings, tmp_path, capsys):
         ws = tmp_path / "ws.txt"
         ws.write_text("fair red 8\nmedium dark 6\nfair black 2\n")
@@ -306,6 +359,17 @@ OPTION_CASES = {
     "ws_scores": ("{scores}", ["--method", "ws"]),
 }
 
+# option -> (value, flags of a fit that does not read it, the error)
+UNREAD_CASES = {
+    "shift_k": ("3", ["--method", "linear"], "method linear does not read shift_k"),
+    "kpca_alpha": ("-0.3", ["--method", "sgns"], "method sgns does not read kpca_alpha"),
+    "ws_alpha": ("-0.01", ["--method", "kpca_cd"], "method kpca_cd does not read ws_alpha"),
+    "ws_beta": ("0.5", ["--method", "gtest"], "method gtest does not read ws_beta"),
+    "ws_scores": ("{scores}", ["--method", "gini"], "method gini does not read ws_scores"),
+    "stopwords": ("{sw}", ["--method", "ws", "--ws-scores", "{scores}"],
+                  "without sw_alpha_row or sw_alpha_col the fit does not read stopwords"),
+}
+
 
 class TestFitOptions:
     def test_cases_cover_every_option(self):
@@ -351,3 +415,66 @@ class TestFitOptions:
         assert err.startswith(f"error: {cfg}:3: {message}")
         assert "config:" not in err  # rejected before the configuration echo
         assert not out.exists()
+
+    @pytest.mark.parametrize("route", ["flag", "cfg"])
+    @pytest.mark.parametrize("key", list(UNREAD_CASES))
+    def test_option_the_fit_does_not_read_stops_the_run(self, fisher_tsv, tmp_path, capsys,
+                                                        key, route):
+        value, flags, why = UNREAD_CASES[key]
+        files = {"sw": tmp_path / "sw.txt", "scores": tmp_path / "scores.txt"}
+        files["sw"].write_text("blue\nfair\n")
+        files["scores"].write_text("blue light 8.0\nmedium dark 6.5\n")
+        value = value.format(**files)
+        argv = ["fit", fisher_tsv, *(f.format(**files) for f in flags)]
+        if route == "flag":
+            argv += ["--" + key.replace("_", "-"), value]
+        else:
+            cfg = tmp_path / "m.cfg"
+            cfg.write_text(f"{key}={value}\n")
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "e.tsv"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {why}\n"  # before the configuration echo
+        assert not out.exists()
+
+    def test_every_unread_option_is_named(self, fisher_tsv, tmp_path, capsys):
+        out = tmp_path / "e.tsv"
+        rc = main(["fit", fisher_tsv, "--ws-alpha", "5", "--shift-k", "9", "--kpca-alpha", "3",
+                   "--stopwords", str(tmp_path / "missing.txt"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: method linear does not read kpca_alpha, shift_k, ws_alpha; "
+            "without sw_alpha_row or sw_alpha_col the fit does not read stopwords\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method, echo", [
+        ("linear", ["dim=2", "exponent=1.0", "method=linear"]),
+        ("sgns", ["dim=2", "exponent=1.0", "method=sgns", "shift_k=1.0"]),
+        ("kpca_cd", ["dim=2", "exponent=1.0", "kpca_alpha=-0.5", "method=kpca_cd"]),
+    ], ids=["linear", "sgns", "kpca_cd"])
+    def test_echo_lists_the_options_the_fit_reads(self, fisher_tsv, tmp_path, capsys,
+                                                  method, echo):
+        out = tmp_path / "e.tsv"
+        assert main(["fit", fisher_tsv, "--method", method, "--dim", "2", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert [ln for ln in err.splitlines() if ln.startswith("config:")] == [
+            f"config: {line}" for line in echo]
+
+
+def readme_commands():
+    """Every ``cakit ...`` command of the README's "Command line" block, continuations joined."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cakit ")]
+
+
+class TestReadme:
+    def test_command_lines_parse_and_pass_the_option_check(self, capsys):
+        commands = readme_commands()
+        assert len(commands) == 7
+        for argv in commands:
+            args = build_parser().parse_args(argv)
+            if argv[0] == "fit":
+                assert args.config is None
+                _read_method_config(args)  # raises on an option the fit does not read
