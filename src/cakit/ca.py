@@ -13,12 +13,19 @@ parser of :mod:`cakit.tables`; floats are written via ``repr`` (exact).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import Decomposition
-from .tables import ContingencyTable, _check_labels, _parse_numbers, _read_lines
+from .tables import (
+    ContingencyTable,
+    _check_labels,
+    _parse_numbers,
+    _read_lines,
+    _write_atomic,
+)
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,13 @@ def fit_linear_ca(t: ContingencyTable, k: int | None = None) -> EmbeddingSet:
     return fit_kca(t, method_from_name("linear"), k)
 
 
+def _point_lines(e: EmbeddingSet, sep: str):
+    """One line per labeled point: point set ("row"/"col"), label, k coordinates via repr."""
+    for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
+        for label, row in zip(labels, coords.tolist()):
+            yield sep.join([which, label, *map(repr, row)]) + "\n"
+
+
 def export_coordinates(e: EmbeddingSet, path) -> None:
     """Write a CSV of both point sets: point_set,label,dim_1..dim_k.
 
@@ -95,11 +109,7 @@ def export_coordinates(e: EmbeddingSet, path) -> None:
     for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
         _check_labels(path, which, labels, ",")
     header = ["point_set", "label"] + [f"dim_{i + 1}" for i in range(e.k)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
-            for label, row in zip(labels, coords.tolist()):
-                fh.write(",".join([which, label, *map(repr, row)]) + "\n")
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"], _point_lines(e, ",")))
 
 
 def write_embeddings(e: EmbeddingSet, path) -> None:
@@ -114,12 +124,9 @@ def write_embeddings(e: EmbeddingSet, path) -> None:
     """
     for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
         _check_labels(path, which, labels, "\t")
-    with open(path, "w", encoding="utf-8") as fh:
-        header = [str(len(e.row_labels)), str(len(e.col_labels)), str(e.k), e.method_tag]
-        fh.write("\t".join([*header, *map(repr, e.singular_values.tolist())]) + "\n")
-        for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
-            for label, row in zip(labels, coords.tolist()):
-                fh.write("\t".join([which, label, *map(repr, row)]) + "\n")
+    header = [str(len(e.row_labels)), str(len(e.col_labels)), str(e.k), e.method_tag,
+              *map(repr, e.singular_values.tolist())]
+    _write_atomic(path, itertools.chain(["\t".join(header) + "\n"], _point_lines(e, "\t")))
 
 
 def read_embeddings(path) -> EmbeddingSet:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -181,7 +182,11 @@ def cmd_eval(args) -> int:
     for path in args.wordsim:
         try:
             dataset = evaluation.load_wordsim(path)
-            report = evaluation.evaluate(emb, args.which, dataset)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                report = evaluation.evaluate(emb, args.which, dataset)
+            for warning in caught:
+                _err(f"warning: {warning.message}")
             rows.append(f"{emb.method_tag}\t{path}\t{report.spearman_rho:.6f}"
                         f"\t{report.pairs_used}\t{report.pairs_skipped}\n")
         except (ValueError, OSError) as exc:

@@ -3,11 +3,20 @@
 Solves ``maximize tr(R^T K_r A K_c) / 2  subject to  R^T K_r R K_c = I``
 where A is an association matrix built from the table and K_r, K_c are
 SPD kernels.  The solution is the generalized SVD of A under the kernel
-metrics, read off the plain SVD of the sandwich
-``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T``: the factors
-``U = K_r^{-1/2} U_s`` and ``V = K_c^{-1/2} V_s`` satisfy ``U^T K_r U = I``,
-``V^T K_c V = I`` and ``U S V^T = A``, and the coordinates are
-``F = K_r U S^p`` and ``G = K_c V S^p``.
+metrics, read off the SVD of the sandwich
+``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T`` (:func:`cakit.linalg.svd`): the
+factors ``U = K_r^{-1/2} U_s`` and ``V = K_c^{-1/2} V_s`` satisfy
+``U^T K_r U = I``, ``V^T K_c V = I`` and ``U S V^T = A``, and the
+coordinates are ``F = K_r U S^p`` and ``G = K_c V S^p``.
+
+A symmetric table with the same labels on both axes, as ``cakit count``
+writes, makes the sandwich symmetric for every method whose two kernels
+agree: linear, gini, gtest, sgns, ws (its two pair-score matrices are
+then equal), and stop-word kernels with equal alphas.  kpca_cd is
+symmetric too: the ``e 11^T`` part of its row kernel annihilates the
+centered residual, whose columns sum to zero, so its sandwich is gini's
+times sqrt(1-e).  The SVD of a symmetric sandwich is one symmetric
+eigendecomposition.
 
 Specializations recover linear CA (inverse-marginal kernels), the plain
 categorical covariance, the G-test association, shifted-positive-PMI
@@ -130,7 +139,10 @@ def method_from_name(
     """Build the standard kernel/association pairing for a method name.
 
     linear / ws -> inverse-marginal kernels; gini/gtest/sgns -> identity
-    kernels; kpca_cd -> exponential row kernel.  Passing stop-word alphas
+    kernels; kpca_cd -> exponential row kernel.  On the centered residual
+    that kernel only rescales the gini fit: with e = exp(2 kpca_alpha),
+    S = sqrt(1-e) S_gini, F = (1-e) F_gini and G = sqrt(1-e) G_gini, so
+    ``kpca_alpha`` moves no cosine.  Passing stop-word alphas
     (with a word set) swaps in the stop-word kernels on the chosen axes.
     ws needs the pair-score matrices ``gamma_row`` and ``gamma_col``.
     """
@@ -280,8 +292,10 @@ def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelR
 def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> EmbeddingSet:
     """Fit one kernel-CA configuration, keeping the top ``k`` dimensions.
 
-    Takes the SVD of ``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T`` and returns the
-    coordinates ``F = K_r^{1/2} U_s S^p`` and ``G = K_c^{1/2} V_s S^p``.
+    Takes the SVD of ``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T`` through
+    :func:`cakit.linalg.svd`, which takes one ``eigh`` when the sandwich is
+    symmetric, and returns the coordinates ``F = K_r^{1/2} U_s S^p`` and
+    ``G = K_c^{1/2} V_s S^p``.
     ``decomposition`` holds the full generalized SVD of A under the kernel
     metrics (see the module docstring).  ``k`` defaults to min(shape) - 1.
     """

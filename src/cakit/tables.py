@@ -8,12 +8,16 @@ every downstream fit divides by them.
 This module also owns the text-file policy of the package (the table TSV
 here, the embedding and coordinate files of :mod:`cakit.ca`): a writer
 rejects a label its reader would split or that repeats before it opens the
-file, and a reader rejects a malformed line or value naming ``path:line``.
+file and replaces the file whole or not at all, and a reader rejects a
+malformed line or value naming ``path:line``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import logging
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -203,6 +207,30 @@ def _parse_numbers(path, linenos, rows) -> np.ndarray:
     return values
 
 
+def _write_atomic(path, lines) -> None:
+    """Write the strings of ``lines`` to ``path`` through a temporary file beside it.
+
+    The temporary file is renamed over ``path`` once every line is written,
+    so an error while the lines are formatted or written leaves an earlier
+    file at ``path`` unchanged and no temporary file behind.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8")
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            fh.writelines(lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_tsv(t: ContingencyTable, path) -> None:
     """Write the TSV table format: header of column labels, one labeled row per line.
 
@@ -218,10 +246,9 @@ def write_tsv(t: ContingencyTable, path) -> None:
         rows = counts.astype(np.int64).tolist()
     else:
         rows = [map(_format_count, row) for row in counts.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t" + "\t".join(t.col_labels) + "\n")
-        for label, row in zip(t.row_labels, rows):
-            fh.write(label + "\t" + "\t".join(map(str, row)) + "\n")
+    body = (label + "\t" + "\t".join(map(str, row)) + "\n"
+            for label, row in zip(t.row_labels, rows))
+    _write_atomic(path, itertools.chain(["\t" + "\t".join(t.col_labels) + "\n"], body))
 
 
 def read_tsv(path) -> ContingencyTable:

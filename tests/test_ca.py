@@ -4,6 +4,7 @@ and the metamorphic invariants of every kernel-CA method."""
 import numpy as np
 import pytest
 
+from cakit import linalg
 from cakit.ca import (
     EmbeddingSet,
     default_dimension,
@@ -96,6 +97,21 @@ def metamorphic_counts():
     counts[counts < 4] = 0.0
     assert counts.sum(axis=1).all() and counts.sum(axis=0).all()
     return counts
+
+
+def symmetric_counts():
+    """A seeded symmetric 7x7 count table, as `cakit count` writes, with empty cells."""
+    upper = np.triu(np.random.default_rng(0).integers(0, 20, size=(7, 7)) + 0.0)
+    upper[upper < 4] = 0.0
+    counts = upper + np.triu(upper, 1).T
+    assert counts.sum(axis=1).all()
+    return counts
+
+
+# one vocabulary on both axes, so every kernel and pair score is the same on
+# both, except the stop-word kernels, whose alphas differ
+WORDS = [f"r{i}" for i in range(7)]
+SYMMETRIC_SANDWICH = set(METHOD_CASES) - {"linear+sw", "ws+sw"}
 
 
 def fit_case(name, counts, row_labels=None, col_labels=None, transpose=False):
@@ -243,6 +259,43 @@ class TestMetamorphic:
         for a, b in ((first.F, second.F), (first.G, second.G),
                      (first.singular_values, second.singular_values)):
             assert a.tobytes() == b.tobytes(), name
+
+
+class TestSymmetricTable:
+    """A symmetric table makes a symmetric sandwich, which svd decomposes by eigh."""
+
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_fit_matches_the_general_svd(self, name, record_calls, monkeypatch):
+        general_svd_calls = record_calls(np.linalg, "svd")
+        t = ContingencyTable.from_counts(symmetric_counts(), WORDS, WORDS)
+        fast, again = (fit_kca(t, case_method(name, t), 6) for _ in range(2))
+        assert (not general_svd_calls) == (name in SYMMETRIC_SANDWICH), general_svd_calls
+        for a, b in ((fast.F, again.F), (fast.G, again.G),
+                     (fast.decomposition.S, again.decomposition.S)):
+            assert a.tobytes() == b.tobytes(), name
+        monkeypatch.setattr(linalg, "_symmetric_part", lambda A: None)
+        oracle = fit_kca(t, case_method(name, t), 6)
+        S = oracle.decomposition.S
+        assert_same_spectrum(fast.decomposition.S, S, name)
+        # compare the dimensions that the spectral gap determines, signs included
+        gaps = -np.diff(S)
+        determined = np.minimum(np.r_[np.inf, gaps[:5]], gaps[:6]) > 1e-4 * S[0]
+        assert determined.sum() >= 3, (name, S)
+        scale = max(np.abs(oracle.F).max(), np.abs(oracle.G).max())
+        for fast_X, oracle_X in ((fast.F, oracle.F), (fast.G, oracle.G)):
+            np.testing.assert_allclose(fast_X[:, determined], oracle_X[:, determined], rtol=0,
+                                       atol=1e-9 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_SANDWICH))
+    def test_permutation_equivariance(self, name):
+        # one permutation of the shared vocabulary keeps the table symmetric
+        counts, p = symmetric_counts(), np.array([3, 0, 6, 4, 1, 5, 2])
+        base = fit_case(name, counts, WORDS, WORDS)
+        words = [WORDS[i] for i in p]
+        permuted = fit_case(name, counts[np.ix_(p, p)], words, words)
+        assert_same_spectrum(permuted.singular_values, base.singular_values, name)
+        assert_same_coordinates(permuted.F, base.F[p], name)
+        assert_same_coordinates(permuted.G, base.G[p], name)
 
 
 class TestCoordinateExport:

@@ -277,6 +277,18 @@ class TestEval:
         assert rc == 1
         assert "error: " in capsys.readouterr().err
 
+    def test_zero_vector_warning_is_one_plain_stderr_line(self, tmp_path, capsys):
+        F = np.array([[1.0, 0.0], [0.0, 0.0], [0.6, 0.8]])
+        emb = ca.EmbeddingSet(F=F, G=F, row_labels=("a", "b", "c"), col_labels=("a", "b", "c"),
+                              singular_values=np.array([2.0, 1.0]), method_tag="sgns(k=5)")
+        path = tmp_path / "emb.tsv"
+        ca.write_embeddings(emb, path)
+        ws = tmp_path / "ws.txt"
+        ws.write_text("a b 1\na c 2\nb c 3\n")
+        assert main(["eval", str(path), "--wordsim", str(ws)]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 2 of 3 pairs involve a zero vector; their cosine is 0\n")
+
     def test_unexpected_error_writes_no_report(self, embeddings, tmp_path, monkeypatch):
         ws = tmp_path / "ws.txt"
         ws.write_text("blue light 8\nmedium dark 6\nblue dark 2\n")

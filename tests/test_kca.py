@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cakit.ca import fit_linear_ca
+from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import fisher_table
 from cakit.kca import (
     KcaMethod,
@@ -311,6 +312,19 @@ class TestFitKca:
         np.testing.assert_allclose(emb.F, dec.U[:, :3] * dec.S[:3], atol=1e-12)
         np.testing.assert_allclose(emb.G, dec.V[:, :3] * dec.S[:3], atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [-0.2, -0.5, -2.0])
+    def test_kpca_cd_rescales_the_gini_fit(self, alpha):
+        # the centred residual's columns sum to 0, so the e 11^T part of the
+        # kernel (1-e) I + e 11^T annihilates it: alpha only rescales
+        t = fisher_table()
+        gini = fit_kca(t, method_from_name("gini"), 3)
+        kpca = fit_kca(t, method_from_name("kpca_cd", kpca_alpha=alpha), 3)
+        a2 = 1.0 - math.exp(2.0 * alpha)
+        np.testing.assert_allclose(kpca.singular_values, math.sqrt(a2) * gini.singular_values,
+                                   rtol=0, atol=1e-14 * gini.singular_values[0])
+        np.testing.assert_allclose(kpca.F, a2 * gini.F, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(kpca.G, math.sqrt(a2) * gini.G, rtol=0, atol=1e-15)
+
     def test_constraint_satisfied_for_all_methods(self):
         rng = np.random.default_rng(107)
         methods = [
@@ -444,6 +458,27 @@ class TestFitKca:
 
 
 class TestWsKernelFit:
+    def test_sandwich_of_a_symmetric_table_takes_eigh(self, monkeypatch, record_calls):
+        # a Zipf corpus over 500 types, counted as `cakit count` does
+        rng = np.random.default_rng(137)
+        p = 1.0 / np.arange(1, 501) ** 1.1
+        ids = rng.choice(500, size=100_000, p=p / p.sum())
+        t = count_cooccurrences([f"w{i:03d}" for i in ids], CooccurrenceConfig(window=2))
+        assert 450 <= t.shape[0] == t.shape[1] and t.row_labels == t.col_labels
+        pairs = rng.choice(len(t.row_labels), size=(3000, 2))
+        scores = {(t.row_labels[a], t.row_labels[b]): float(rng.uniform(0, 10))
+                  for a, b in pairs}
+        gamma = build_gamma(t.row_labels, scores, alpha=0.01)
+        eigh_shapes = record_calls(np.linalg, "eigh")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the general SVD was called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        emb = fit_ws_kca(t, gamma, gamma, 50)
+        assert eigh_shapes == [t.shape]
+        assert np.all(np.isfinite(emb.F)) and emb.k == 50
+
     def test_flat_scores_reduce_to_linear_ca_cosines(self):
         rng = np.random.default_rng(127)
         for _ in range(5):

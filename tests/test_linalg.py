@@ -125,3 +125,108 @@ class TestNuclearNorm:
         for _ in range(20):
             A = rng.normal(size=(3, 3))
             assert nuclear_norm(A) == pytest.approx(float(svd(A).S.sum()), abs=1e-10)
+
+
+def symmetric_with_spectrum(rng, lam):
+    Q = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))[0]
+    M = (Q * lam) @ Q.T
+    return 0.5 * (M + M.T)
+
+
+@pytest.fixture
+def eigh_calls(record_calls):
+    """The calls of ``np.linalg.eigh``; the symmetric path of svd takes one."""
+    return record_calls(np.linalg, "eigh")
+
+
+class TestSymmetricPath:
+    def test_matches_the_general_svd_signs_included(self, eigh_calls):
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 40):
+            # distinct magnitudes of both signs, so every triplet is determined
+            lam = rng.permutation(np.linspace(1.0, 3.0, n) * rng.choice([-1.0, 1.0], size=n))
+            M = symmetric_with_spectrum(rng, lam)
+            dec = svd(M)
+            U, S, Vt = np.linalg.svd(M)
+            top = np.argmax(np.abs(U), axis=0)
+            signs = np.where(U[top, np.arange(n)] < 0, -1.0, 1.0)
+            np.testing.assert_allclose(dec.S, S, rtol=0, atol=1e-12 * S[0])
+            np.testing.assert_allclose(dec.U, U * signs, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(dec.V, Vt.T * signs, rtol=0, atol=1e-9)
+        assert eigh_calls == [(2, 2), (5, 5), (40, 40)]
+
+    def test_right_vectors_carry_the_eigenvalue_signs(self):
+        rng = np.random.default_rng(37)
+        lam = np.array([2.0, -5.0, 1.0, -0.5])
+        dec = svd(symmetric_with_spectrum(rng, lam))
+        np.testing.assert_allclose(dec.S, [5.0, 2.0, 1.0, 0.5], atol=1e-12)
+        np.testing.assert_allclose(np.sum(dec.U * dec.V, axis=0), [-1.0, 1.0, 1.0, -1.0],
+                                   atol=1e-12)
+
+    def test_opposite_eigenvalue_pair(self):
+        rng = np.random.default_rng(41)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for M in (swap, symmetric_with_spectrum(rng, [3.0, -3.0, 1.0, 0.0])):
+            dec = svd(M)
+            assert np.all(dec.S >= 0) and np.all(np.diff(dec.S) <= 0)
+            np.testing.assert_allclose(dec.reconstruct(), M, rtol=0, atol=1e-14)
+            k = dec.S.shape[0]
+            np.testing.assert_allclose(dec.U.T @ dec.U, np.eye(k), atol=1e-12)
+            np.testing.assert_allclose(dec.V.T @ dec.V, np.eye(k), atol=1e-12)
+        dec = svd(swap)
+        np.testing.assert_allclose(dec.S, [1.0, 1.0])
+        # the tie keeps eigh's ascending order: the -1 eigenvalue comes first
+        np.testing.assert_allclose(np.sum(dec.U * dec.V, axis=0), [-1.0, 1.0], atol=1e-15)
+
+    def test_zero_eigenvalue_takes_the_plus_sign(self):
+        dec = svd(np.diag([2.0, 0.0, -1.0]))
+        np.testing.assert_array_equal(dec.S, [2.0, 1.0, 0.0])
+        np.testing.assert_array_equal(dec.V, dec.U * [1.0, -1.0, 1.0])
+
+    def test_square_non_symmetric_input_never_reaches_eigh(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh called on a non-symmetric matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        rng = np.random.default_rng(43)
+        M = symmetric_with_spectrum(rng, np.linspace(1.0, 2.0, 6))
+        M[0, 1] += 1e-9  # far above roundoff
+        for A in (M, rng.normal(size=(5, 5)), np.triu(np.ones((4, 4)))):
+            dec = svd(A)
+            np.testing.assert_allclose(dec.reconstruct(), A, atol=1e-12)
+
+    def test_asymmetry_at_roundoff_takes_eigh(self, eigh_calls):
+        rng = np.random.default_rng(47)
+        M = symmetric_with_spectrum(rng, np.linspace(-1.0, 2.0, 30))
+        noisy = M * (1.0 + 4 * np.finfo(float).eps * rng.uniform(-1, 1, size=M.shape))
+        assert np.any(noisy != noisy.T)
+        dec = svd(noisy)
+        assert eigh_calls == [(30, 30)]
+        np.testing.assert_allclose(dec.S, np.linalg.svd(noisy, compute_uv=False),
+                                   rtol=0, atol=1e-14 * dec.S[0])
+
+    def test_two_runs_are_bit_identical(self):
+        rng = np.random.default_rng(53)
+        M = symmetric_with_spectrum(rng, rng.normal(size=25))
+        first, second = svd(M), svd(M)
+        for a, b in zip((first.U, first.S, first.V), (second.U, second.S, second.V)):
+            assert a.tobytes() == b.tobytes()
+
+
+class TestZeroRows:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_singular_vectors_vanish_on_zero_rows_and_columns(self, symmetric):
+        rng = np.random.default_rng(59)
+        A = rng.normal(size=(8, 8))
+        A = A + A.T if symmetric else A
+        A[[2, 5], :] = 0.0
+        A[:, [2, 5] if symmetric else [1]] = 0.0
+        dec = svd(A)
+        kept = ~dec.flagged_small
+        assert kept.sum() == 6
+        assert np.all(dec.U[[2, 5]][:, kept] == 0.0)
+        assert np.all(dec.V[[2, 5] if symmetric else [1]][:, kept] == 0.0)
+        np.testing.assert_allclose(dec.reconstruct(), A, atol=1e-12)
+        k = dec.S.shape[0]
+        np.testing.assert_allclose(dec.U.T @ dec.U, np.eye(k), atol=1e-12)
+        np.testing.assert_allclose(dec.V.T @ dec.V, np.eye(k), atol=1e-12)

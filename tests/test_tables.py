@@ -1,10 +1,12 @@
-"""Contingency-table construction, residuals, and the TSV format."""
+"""Contingency-table construction, residuals, the TSV format and the atomic writers."""
 
 import logging
 
 import numpy as np
 import pytest
 
+from cakit import ca, tables
+from cakit.ca import EmbeddingSet, fit_linear_ca
 from cakit.datasets import FISHER_COL_LABELS, FISHER_COUNTS, FISHER_ROW_LABELS, fisher_table
 from cakit.tables import (
     ContingencyTable,
@@ -283,3 +285,61 @@ class TestTsvGoldenBytes:
         write_tsv(t, path)
         assert path.read_bytes() == cell_by_cell_tsv(t)
         np.testing.assert_array_equal(read_tsv(path).counts, t.counts)
+
+
+class _Unformattable(np.ndarray):
+    """Coordinates whose formatting fails, after the lines before them are written."""
+
+    def tolist(self):
+        raise RuntimeError("formatting failed")
+
+
+def _write_failing_table(path, monkeypatch):
+    calls = []
+
+    def format_count(x):
+        calls.append(x)
+        if len(calls) > 7:
+            raise RuntimeError("formatting failed")
+        return repr(float(x))
+
+    monkeypatch.setattr(tables, "_format_count", format_count)
+    write_tsv(ContingencyTable.from_counts(np.full((4, 4), 0.5)), path)
+
+
+def _failing_embeddings():
+    F = np.arange(6.0).reshape(3, 2)
+    return EmbeddingSet(F=F, G=(F[:2] + 1.0).view(_Unformattable), row_labels=("a", "b", "c"),
+                        col_labels=("x", "y"), singular_values=np.array([2.0, 1.0]),
+                        method_tag="linear_ca")
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("writer", ["write_tsv", "write_embeddings", "export_coordinates"])
+    def test_failed_write_keeps_the_earlier_file(self, writer, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        if writer == "write_tsv":
+            write_tsv(fisher_table(), path)
+            fail = lambda: _write_failing_table(path, monkeypatch)  # noqa: E731
+        else:
+            write = getattr(ca, writer)
+            write(fit_linear_ca(fisher_table(), 2), path)
+            fail = lambda: write(_failing_embeddings(), path)  # noqa: E731
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            fail()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_write_replaces_the_earlier_file(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text("stale\n" * 100)
+        write_tsv(fisher_table(), path)
+        assert read_tsv(path).counts.tolist() == fisher_table().counts.tolist()
+        assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+    def test_missing_directory_error_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "t.tsv"
+        with pytest.raises(FileNotFoundError) as info:
+            write_tsv(fisher_table(), path)
+        assert info.value.filename == str(path)
