@@ -16,7 +16,7 @@ from .kca import (
     method_from_name,
 )
 from .linalg import Decomposition, NotPositiveDefiniteError, nuclear_norm, spd_sqrt, svd
-from .tables import ContingencyTable, contingency_from_observations, one_hot, read_tsv, residual_matrix, write_tsv
+from .tables import ContingencyTable, contingency_from_observations, read_tsv, residual_matrix, write_tsv
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "load_wordsim",
     "method_from_name",
     "nuclear_norm",
-    "one_hot",
     "read_embeddings",
     "read_tsv",
     "residual_matrix",

@@ -145,18 +145,15 @@ def _ws_gammas(table, scores_path, alpha, beta):
     if not scores_path:
         raise ValueError("method=ws needs a pair-score file (--ws-scores)")
     dataset = evaluation.load_wordsim(scores_path)
-    score_map = {(a, b): s for a, b, s in dataset.triples}
-    axes = (set(table.row_labels), set(table.col_labels))
-    if not any({a, b} <= labels for a, b in score_map for labels in axes):
+    if not any(len(dataset.lookup(labels)[0]) for labels in (table.row_labels, table.col_labels)):
         raise ValueError(f"{scores_path}: no pair has both words among the row labels "
                          "or among the column labels")
     if alpha is None:
-        max_score = max(abs(s) for s in score_map.values())
+        max_score = max(abs(s) for _, _, s in dataset.triples)
         alpha = 0.1 / max_score if max_score > 0 else 0.0
         _err(f"config: ws_alpha defaulted to {alpha:g}")
-    gamma_r = kca.build_gamma(table.row_labels, score_map, alpha, beta)
-    gamma_c = kca.build_gamma(table.col_labels, score_map, alpha, beta)
-    return gamma_r, gamma_c
+    return (kca.build_gamma(table.row_labels, dataset, alpha, beta),
+            kca.build_gamma(table.col_labels, dataset, alpha, beta))
 
 
 def cmd_fit(args) -> int:
@@ -194,8 +191,7 @@ def cmd_eval(args) -> int:
             _err(f"eval failed for {path}: {exc}")
             rows.append(f"{emb.method_tag}\t{path}\terror\t0\t0\n")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.writelines(rows)
+        tables._write_atomic(args.out, rows)
     else:
         sys.stdout.writelines(rows)
     return 1 if failed else 0

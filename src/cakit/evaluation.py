@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +34,19 @@ class WordSimDataset:
 
     def __len__(self) -> int:
         return len(self.triples)
+
+    def lookup(self, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Label indices ``ia``, ``ib`` and the score of each pair whose words are both labels.
+
+        Pairs keep their dataset order; a pair with a word that is not a
+        label is left out.  The one place that matches pair words to labels.
+        """
+        index = {lbl: i for i, lbl in enumerate(labels)}
+        words_a, words_b, scores = (map(itemgetter(k), self.triples) for k in range(3))
+        ia, ib = (np.fromiter(map(index.get, words, repeat(-1)), dtype=np.intp, count=len(self))
+                  for words in (words_a, words_b))
+        keep = (ia >= 0) & (ib >= 0)
+        return ia[keep], ib[keep], np.fromiter(scores, dtype=float, count=len(self))[keep]
 
 
 @dataclass(frozen=True)
@@ -130,27 +145,23 @@ def spearman(xs, ys) -> float:
 def evaluate(e: EmbeddingSet, which: str, d: WordSimDataset) -> EvalReport:
     """Spearman correlation of pair cosines against human scores.
 
-    ``which`` selects the row ("F") or column ("G") coordinates.  Pairs
-    with either word out of vocabulary are skipped and counted.
+    ``which`` selects the row ("F") or column ("G") coordinates.  The pairs
+    :meth:`WordSimDataset.lookup` matches to their labels are scored; the
+    others, with a word out of vocabulary, are skipped and counted.
     """
     labels, coords = e.coordinates(which)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    pairs = np.array([(index.get(a, -1), index.get(b, -1)) for a, b, _ in d.triples])
-    used = (pairs >= 0).all(axis=1)
-    if not used.any():
+    ia, ib, human = d.lookup(labels)
+    if not len(ia):
         raise ValueError("zero usable pairs: every dataset word is out of vocabulary")
-    ia, ib = pairs[used].T
     norms = np.linalg.norm(coords, axis=1)
     zero = norms == 0.0
     unit = coords / np.where(zero, 1.0, norms)[:, None]
     sims = np.einsum("ij,ij->i", unit[ia], unit[ib])
     # two identical nonzero rows (a self pair too) score exactly 1, not 1 +- rounding
-    group = np.unique(coords, axis=0, return_inverse=True)[1].ravel()
-    sims[(group[ia] == group[ib]) & ~zero[ia]] = 1.0
+    sims[(coords[ia] == coords[ib]).all(axis=1) & ~zero[ia]] = 1.0
     touched = int(np.count_nonzero(zero[ia] | zero[ib]))
     if touched:
         warnings.warn(f"{touched} of {len(sims)} pairs involve a zero vector; "
                       "their cosine is 0", stacklevel=2)
-    human = np.fromiter((s for _, _, s in d.triples), dtype=float, count=len(d))[used]
     return EvalReport(spearman(sims, human), pairs_used=len(sims),
                       pairs_skipped=len(d) - len(sims))

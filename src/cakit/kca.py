@@ -321,22 +321,19 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
     )
 
 
-def build_gamma(labels, scores, alpha: float, beta: float = 1.0) -> np.ndarray:
+def build_gamma(labels, pairs, alpha: float, beta: float = 1.0) -> np.ndarray:
     """Pair-score matrix gamma_ij = alpha * score(i, j) + beta over the labels.
 
-    ``scores`` maps unordered label pairs to similarity values; pairs
-    without a score contribute 0, so their entry is just ``beta``.
+    ``pairs`` is a :class:`cakit.evaluation.WordSimDataset`; the pairs its
+    ``lookup`` matches to the labels set both gamma_ij and gamma_ji, a later
+    listing of a pair over an earlier one, so gamma is symmetric.  Other
+    entries are just ``beta``.
     """
-    labels = list(labels)
-    m = len(labels)
-    gamma = np.full((m, m), beta)
-    index = {lbl: i for i, lbl in enumerate(labels)}
-    for key, value in scores.items():
-        a, b = key
-        if a in index and b in index:
-            i, j = index[a], index[b]
-            gamma[i, j] = alpha * value + beta
-            gamma[j, i] = alpha * value + beta
+    gamma = np.full((len(labels), len(labels)), beta, dtype=float)
+    ia, ib, scores = pairs.lookup(labels)
+    # one pair at a time: a pair listed in both orders must leave gamma symmetric
+    for i, j, value in zip(ia.tolist(), ib.tolist(), (alpha * scores + beta).tolist()):
+        gamma[i, j] = gamma[j, i] = value
     return gamma
 
 

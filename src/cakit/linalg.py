@@ -49,13 +49,6 @@ class Decomposition:
     V: np.ndarray
 
     @property
-    def rank(self) -> int:
-        """Number of singular values above the 1e-12 * S_max flag threshold."""
-        if self.S.size == 0 or self.S[0] == 0.0:
-            return 0
-        return int(np.sum(self.S > 1e-12 * self.S[0]))
-
-    @property
     def flagged_small(self) -> np.ndarray:
         """Boolean mask of singular values flagged as numerically zero."""
         if self.S.size == 0:

@@ -80,21 +80,21 @@ class ContingencyTable:
 
     @classmethod
     def from_counts(cls, counts, row_labels=None, col_labels=None) -> "ContingencyTable":
-        """Build a table, dropping zero-marginal rows/columns with a warning."""
+        """Build a table, dropping all-zero rows/columns with a warning.
+
+        The counts left are checked as any table's are, so a NaN or a
+        negative count raises even in a row or column that sums to zero.
+        """
         counts = np.asarray(counts, dtype=float)
         if counts.ndim != 2:
             raise ValueError(f"counts must be 2-dimensional, got shape {counts.shape}")
-        if not np.all(np.isfinite(counts)):
-            raise ValueError("counts contain NaN or Inf")
-        if np.any(counts < 0):
-            raise ValueError("counts must be nonnegative")
         nr, nc = counts.shape
         if row_labels is None:
             row_labels = [f"r{i}" for i in range(nr)]
         if col_labels is None:
             col_labels = [f"c{j}" for j in range(nc)]
-        row_keep = counts.sum(axis=1) > 0
-        col_keep = counts.sum(axis=0) > 0
+        row_keep = (counts != 0).any(axis=1)
+        col_keep = (counts != 0).any(axis=0)
         if not row_keep.all():
             dropped = [lbl for lbl, keep in zip(row_labels, row_keep) if not keep]
             logger.warning("dropping zero-marginal rows: %s", ", ".join(dropped))
@@ -109,23 +109,6 @@ class ContingencyTable:
             row_labels=tuple(l for l, k in zip(row_labels, row_keep) if k),
             col_labels=tuple(l for l, k in zip(col_labels, col_keep) if k),
         )
-
-    def normalized(self) -> "ContingencyTable":
-        """Same table with counts divided by the grand total (n becomes 1)."""
-        return ContingencyTable(
-            counts=self.counts / self.n,
-            row_labels=self.row_labels,
-            col_labels=self.col_labels,
-        )
-
-
-def one_hot(index: int, dimension: int) -> np.ndarray:
-    """Unit basis vector: position ``index`` set to 1 in a length-``dimension`` vector."""
-    if not 0 <= index < dimension:
-        raise IndexError(f"category index {index} out of range for dimension {dimension}")
-    e = np.zeros(dimension)
-    e[index] = 1.0
-    return e
 
 
 def contingency_from_observations(obs: Observations) -> ContingencyTable:

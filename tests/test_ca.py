@@ -14,6 +14,7 @@ from cakit.ca import (
     write_embeddings,
 )
 from cakit.datasets import fisher_table
+from cakit.evaluation import WordSimDataset
 from cakit.kca import KcaMethod, KernelSpec, build_gamma, fit_kca
 from cakit.tables import ContingencyTable, residual_matrix
 
@@ -41,7 +42,8 @@ def random_table(rng, nr=None, nc=None, hi=20):
 # score is built from its axis labels, so it follows the table's labels
 # through a permutation or a transposition.
 STOPWORDS = frozenset({"r1", "r4", "c0", "c3"})
-PAIR_SCORES = {("r0", "r3"): 9.0, ("r2", "r5"): 4.0, ("c1", "c4"): 7.0, ("c0", "c5"): 2.5}
+PAIR_SCORES = WordSimDataset(
+    (("r0", "r3", 9.0), ("r2", "r5", 4.0), ("c1", "c4", 7.0), ("c0", "c5", 2.5)))
 _FEATURES = dict(zip([f"r{i}" for i in range(7)] + [f"c{j}" for j in range(6)],
                      np.random.default_rng(5).normal(size=(13, 3))))
 
@@ -193,8 +195,8 @@ class TestFitLinearCa:
         # N/n and (10N)/(10n) are the same normalized table; the fit must agree
         rng = np.random.default_rng(71)
         counts = rng.integers(1, 15, size=(4, 5)) + 0.0
-        a = ContingencyTable.from_counts(counts).normalized()
-        b = ContingencyTable.from_counts(10.0 * counts).normalized()
+        a = ContingencyTable.from_counts(counts / counts.sum())
+        b = ContingencyTable.from_counts(10.0 * counts / (10.0 * counts).sum())
         fa = fit_linear_ca(a, 3)
         fb = fit_linear_ca(b, 3)
         np.testing.assert_allclose(fa.F, fb.F, atol=1e-9)

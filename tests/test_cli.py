@@ -1,5 +1,6 @@
 """Command-line pipeline: count -> fit -> eval, plus the demo subcommand."""
 
+import os
 import shlex
 from pathlib import Path
 
@@ -307,6 +308,25 @@ class TestEval:
             main(["eval", embeddings, "--wordsim", str(ws), "--wordsim", str(ws),
                   "--out", str(out)])
         assert not out.exists()  # not a header and one row of two
+
+    def test_failed_report_write_keeps_the_earlier_report(self, embeddings, tmp_path,
+                                                           monkeypatch, capsys):
+        ws = tmp_path / "ws.txt"
+        ws.write_text("blue light 8\nmedium dark 6\nblue dark 2\n")
+        out = tmp_path / "r.tsv"
+        assert main(["eval", embeddings, "--wordsim", str(ws), "--out", str(out)]) == 0
+        before, files = out.read_bytes(), sorted(tmp_path.iterdir())
+
+        def refuse(src, dst):
+            raise OSError(5, "rename refused", str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        rc = main(["eval", embeddings, "--wordsim", str(ws), "--wordsim", str(ws),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "rename refused" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == files
 
     def test_g_side(self, embeddings, tmp_path, capsys):
         ws = tmp_path / "ws.txt"

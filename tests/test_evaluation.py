@@ -1,4 +1,4 @@
-"""Dataset parsing, cosine similarity, and rank correlation."""
+"""Dataset parsing, the pair lookup, cosine similarity, and rank correlation."""
 
 import itertools
 import math
@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cakit import tables
 from cakit.ca import EmbeddingSet
+from cakit.cli import main
 from cakit.evaluation import (
     EvalReport,
     WordSimDataset,
@@ -18,7 +20,7 @@ from cakit.evaluation import (
     load_wordsim,
     spearman,
 )
-from cakit.kca import fit_kca, method_from_name
+from cakit.kca import build_gamma, fit_kca, method_from_name
 from cakit.tables import ContingencyTable
 
 
@@ -376,6 +378,68 @@ class TestEvaluate:
         g_report = evaluate(emb, "G", d)
         assert isinstance(f_report, EvalReport)
         assert f_report != g_report
+
+
+# A non-square table's labels and pairs that reach each axis differently:
+# OOV words, a pair across the axes, a self pair, pairs of row labels only
+# and of column labels only ("mid" is a label of both axes).
+ROWS = ("ant", "bee", "cat", "mid")
+COLS = ("xi", "yo", "zu", "mid")
+LOOKUP_TRIPLES = (
+    ("ant", "bee", 3.0), ("ant", "xi", 8.0), ("ant", "ant", 9.0), ("cat", "zzz", 1.0),
+    ("bee", "mid", 2.0), ("xi", "yo", 4.0), ("qq", "rr", 6.0), ("yo", "mid", 7.0),
+    ("cat", "bee", 5.0), ("mid", "zu", 1.5),
+)
+
+
+class TestPairLookup:
+    def test_lookup_keeps_the_pairs_of_labels_in_dataset_order(self):
+        d = WordSimDataset(LOOKUP_TRIPLES)
+        ia, ib, scores = d.lookup(ROWS)
+        assert [(ROWS[i], ROWS[j], s) for i, j, s in zip(ia, ib, scores)] == [
+            ("ant", "bee", 3.0), ("ant", "ant", 9.0), ("bee", "mid", 2.0), ("cat", "bee", 5.0)]
+        ia, ib, scores = d.lookup(COLS)
+        assert [(COLS[i], COLS[j], s) for i, j, s in zip(ia, ib, scores)] == [
+            ("xi", "yo", 4.0), ("yo", "mid", 7.0), ("mid", "zu", 1.5)]
+        assert all(len(x) == 0 for x in WordSimDataset((("qq", "rr", 1.0),)).lookup(ROWS))
+
+    def test_evaluate_uses_the_looked_up_pairs(self):
+        rng = np.random.default_rng(229)
+        emb = EmbeddingSet(F=rng.normal(size=(4, 3)), G=rng.normal(size=(4, 3)),
+                           row_labels=ROWS, col_labels=COLS, singular_values=np.ones(3),
+                           method_tag="x")
+        d = WordSimDataset(LOOKUP_TRIPLES)
+        for which, labels in (("F", ROWS), ("G", COLS)):
+            report = evaluate(emb, which, d)
+            used = len(d.lookup(labels)[0])
+            assert (report.pairs_used, report.pairs_skipped) == (used, len(d) - used)
+
+    def test_build_gamma_fills_the_looked_up_cells(self):
+        d = WordSimDataset(LOOKUP_TRIPLES)
+        for labels in (ROWS, COLS):
+            gamma = build_gamma(labels, d, alpha=0.5, beta=1)  # an int beta too
+            want = np.ones((4, 4))
+            for i, j, s in zip(*d.lookup(labels)):
+                want[i, j] = want[j, i] = 0.5 * s + 1.0
+            np.testing.assert_array_equal(gamma, want)
+            assert (gamma != 1.0).sum() == sum(1 if i == j else 2
+                                                for i, j in zip(*d.lookup(labels)[:2]))
+
+    @pytest.mark.parametrize("picks", [(1, 3, 6), (2, 3), (5, 1), (9,)],
+                             ids=["across-and-oov", "self-pair", "column-pair", "shared-label"])
+    def test_ws_fit_fails_exactly_when_no_pair_is_looked_up(self, tmp_path, capsys, picks):
+        table = tmp_path / "t.tsv"
+        counts = np.arange(1.0, 17.0).reshape(4, 4) % 5 + 1.0
+        tables.write_tsv(ContingencyTable(counts, ROWS, COLS), table)
+        d = WordSimDataset(tuple(LOOKUP_TRIPLES[i] for i in picks))
+        scores = tmp_path / "scores.txt"
+        scores.write_text("".join(f"{a} {b} {s}\n" for a, b, s in d.triples))
+        out = tmp_path / "e.tsv"
+        rc = main(["fit", str(table), "--method", "ws", "--ws-scores", str(scores),
+                   "--out", str(out)])
+        matched = any(len(d.lookup(labels)[0]) for labels in (ROWS, COLS))
+        assert (rc, out.exists()) == ((0, True) if matched else (1, False))
+        assert ("no pair has both words" in capsys.readouterr().err) != matched
 
 
 def test_dataset_must_not_be_empty():

@@ -8,6 +8,7 @@ import pytest
 from cakit.ca import fit_linear_ca
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import fisher_table
+from cakit.evaluation import WordSimDataset
 from cakit.kca import (
     KcaMethod,
     KernelSpec,
@@ -90,6 +91,25 @@ def assert_root_matches(spec, marginal, labels):
 def cosine_matrix(X):
     norms = np.linalg.norm(X, axis=1, keepdims=True)
     return (X / norms) @ (X / norms).T
+
+
+def reference_build_gamma(labels, items, alpha, beta=1.0):
+    """The dict loop build_gamma ran before it took a WordSimDataset.
+
+    ``items`` are the ((a, b), score) listings in order, as ``dict.items()``
+    gave them, so a repeated pair can be listed too.
+    """
+    labels = list(labels)
+    m = len(labels)
+    gamma = np.full((m, m), beta)
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    for key, value in items:
+        a, b = key
+        if a in index and b in index:
+            i, j = index[a], index[b]
+            gamma[i, j] = alpha * value + beta
+            gamma[j, i] = alpha * value + beta
+    return gamma
 
 
 def brute_force_sgns(t, k):
@@ -267,7 +287,7 @@ class TestMaterializeKernel:
     def test_ws_kernels_divide_by_modified_marginals(self):
         rng = np.random.default_rng(139)
         t = random_table(rng, nr=5, nc=4)
-        gamma_r = build_gamma(t.row_labels, {("r0", "r1"): 4.0}, alpha=0.05)
+        gamma_r = build_gamma(t.row_labels, WordSimDataset((("r0", "r1", 4.0),)), alpha=0.05)
         gamma_c = np.ones((4, 4))
         m = method_from_name("ws", gamma_row=gamma_r, gamma_col=gamma_c)
         assoc = association_matrix(t, m)
@@ -408,7 +428,7 @@ class TestFitKca:
     def test_decomposition_orthonormal_and_reconstructs_for_every_kernel_kind(self):
         rng = np.random.default_rng(19)
         t = random_table(rng, nr=6, nc=5)
-        gamma_r = build_gamma(t.row_labels, {("r0", "r2"): 3.0}, alpha=0.1)
+        gamma_r = build_gamma(t.row_labels, WordSimDataset((("r0", "r2", 3.0),)), alpha=0.1)
         for m in (
             method_from_name("linear"),
             method_from_name("kpca_cd", kpca_alpha=-0.3, exponent=0.5),
@@ -431,7 +451,8 @@ class TestFitKca:
         rng = np.random.default_rng(23)
         for _ in range(5):
             t = random_table(rng, nr=6, nc=6, square=True)
-            gamma = build_gamma(t.row_labels, {("r0", "r1"): 5.0, ("r2", "r4"): 1.0}, 0.08)
+            pairs = WordSimDataset((("r0", "r1", 5.0), ("r2", "r4", 1.0)))
+            gamma = build_gamma(t.row_labels, pairs, 0.08)
             methods = [
                 method_from_name(name, shift_k=2.0) for name in ("linear", "gini", "gtest", "sgns")
             ] + [
@@ -468,6 +489,7 @@ class TestWsKernelFit:
         pairs = rng.choice(len(t.row_labels), size=(3000, 2))
         scores = {(t.row_labels[a], t.row_labels[b]): float(rng.uniform(0, 10))
                   for a, b in pairs}
+        scores = WordSimDataset(tuple((a, b, s) for (a, b), s in scores.items()))
         gamma = build_gamma(t.row_labels, scores, alpha=0.01)
         eigh_shapes = record_calls(np.linalg, "eigh")
 
@@ -478,6 +500,23 @@ class TestWsKernelFit:
         emb = fit_ws_kca(t, gamma, gamma, 50)
         assert eigh_shapes == [t.shape]
         assert np.all(np.isfinite(emb.F)) and emb.k == 50
+
+    def test_build_gamma_matches_the_dict_loop_bit_for_bit(self):
+        rng = np.random.default_rng(233)
+        pool = [f"w{i}" for i in range(30)]
+        for _ in range(20):
+            labels = tuple(rng.permutation(pool)[: int(rng.integers(2, 25))])
+            words = rng.choice(pool + ["oov1", "oov2"], size=(int(rng.integers(1, 80)), 2))
+            triples = [(a, b, float(rng.normal(scale=5.0))) for a, b in words]
+            a, b, _ = triples[0]
+            triples += [(b, a, 11.0), (a, b, -7.25)]  # both orders, then a repeat
+            alpha, beta = float(rng.normal()), float(rng.uniform(0.5, 2.0))
+            gamma = build_gamma(labels, WordSimDataset(tuple(triples)), alpha, beta)
+            items = [((a, b), s) for a, b, s in triples]
+            assert gamma.tobytes() == reference_build_gamma(labels, items, alpha, beta).tobytes()
+            np.testing.assert_array_equal(gamma, gamma.T)
+            if a in labels and b in labels:  # the later listing wins
+                assert gamma[labels.index(a), labels.index(b)] == alpha * -7.25 + beta
 
     def test_flat_scores_reduce_to_linear_ca_cosines(self):
         rng = np.random.default_rng(127)
@@ -497,7 +536,7 @@ class TestWsKernelFit:
         # gamma = alpha*s + beta constant over all pairs acts as a global scale
         rng = np.random.default_rng(131)
         t = random_table(rng, nr=4, nc=4)
-        scores = {(f"r{i}", f"r{j}"): 5.0 for i in range(4) for j in range(4)}
+        scores = WordSimDataset(tuple((f"r{i}", f"r{j}", 5.0) for i in range(4) for j in range(4)))
         gamma = build_gamma(t.row_labels, scores, alpha=0.06, beta=1.0)
         np.testing.assert_allclose(gamma, 1.3)
         ws = fit_ws_kca(t, gamma, np.full((4, 4), 1.3), 3)
@@ -517,7 +556,7 @@ class TestWsKernelFit:
         base = fit_ws_kca(t, ones, ones, 3)
         base_cos = cosine_matrix(base.F)[0, 1]
 
-        scores = {("w0", "w1"): 10.0}
+        scores = WordSimDataset((("w0", "w1", 10.0),))
         pulled = build_gamma(labels, scores, alpha=-0.03, beta=1.0)
         assert pulled[0, 1] == pytest.approx(0.7)
         together = fit_ws_kca(t, pulled, ones, 3)
@@ -530,7 +569,7 @@ class TestWsKernelFit:
     def test_stopword_kernel_acts_over_the_modified_marginals(self):
         rng = np.random.default_rng(149)
         t = random_table(rng, nr=5, nc=5, square=True)
-        gamma = build_gamma(t.row_labels, {("r0", "r1"): 10.0}, alpha=0.05)
+        gamma = build_gamma(t.row_labels, WordSimDataset((("r0", "r1", 10.0),)), alpha=0.05)
         plain = fit_ws_kca(t, gamma, gamma, 3)
         assert plain.method_tag == "ws"
 

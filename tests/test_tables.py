@@ -11,28 +11,10 @@ from cakit.datasets import FISHER_COL_LABELS, FISHER_COUNTS, FISHER_ROW_LABELS, 
 from cakit.tables import (
     ContingencyTable,
     contingency_from_observations,
-    one_hot,
     read_tsv,
     residual_matrix,
     write_tsv,
 )
-
-
-class TestOneHot:
-    def test_first_of_four(self):
-        np.testing.assert_array_equal(one_hot(0, 4), [1, 0, 0, 0])
-
-    def test_last_of_four(self):
-        np.testing.assert_array_equal(one_hot(3, 4), [0, 0, 0, 1])
-
-    def test_single_dimension(self):
-        np.testing.assert_array_equal(one_hot(0, 1), [1])
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            one_hot(4, 4)
-        with pytest.raises(IndexError):
-            one_hot(-1, 4)
 
 
 class TestFromObservations:
@@ -127,6 +109,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="NaN"):
             ContingencyTable.from_counts([[1.0, np.nan], [1.0, 1.0]])
 
+    def test_negative_row_summing_to_zero_rejected(self):
+        # its marginal is 0, but it is not an empty category to drop
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            ContingencyTable.from_counts([[-1.0, 1.0], [2.0, 3.0]])
+
+    def test_nan_row_beside_an_all_zero_row_rejected(self):
+        with pytest.raises(ValueError, match="counts contain NaN or Inf"):
+            ContingencyTable.from_counts([[np.nan, np.nan], [0.0, 0.0], [1.0, 2.0]])
+
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ContingencyTable.from_counts(np.zeros((2, 2)))
@@ -141,8 +132,9 @@ class TestConstruction:
         assert t.n == t.r.sum() == t.c.sum()
 
     def test_normalized_total_is_one(self):
-        t = ContingencyTable.from_counts([[2.0, 3.0], [5.0, 7.0]])
-        assert t.normalized().n == pytest.approx(1.0, abs=1e-15)
+        counts = np.array([[2.0, 3.0], [5.0, 7.0]])
+        t = ContingencyTable.from_counts(counts / counts.sum())
+        assert t.n == pytest.approx(1.0, abs=1e-15)
 
 
 class TestTsvRoundTrip:
