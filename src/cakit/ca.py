@@ -155,28 +155,29 @@ def read_embeddings(path) -> EmbeddingSet:
         raise ValueError(f"{where}: header counts {head[:3]} must be nonnegative")
     if len(head) != 4 + k:
         raise ValueError(f"{where}: header lists {len(head) - 4} singular values, expected k={k}")
-    singular_values = _parse_numbers(path, [head_line], [head[4:]])[0]
-    # point set -> labels, coordinate rows, line numbers
+    singular_values = _parse_numbers(path, [head_line], ["\t".join(head[4:])], k)[0]
+    # point set -> labels, coordinate texts, line numbers
     points = {"row": ([], [], []), "col": ([], [], [])}
     for lineno, line in lines[1:]:
-        cells = line.split("\t")
-        if len(cells) != k + 2:
+        if line.count("\t") != k + 1:
             raise ValueError(f"{path}:{lineno}: expected {k} coordinates")
-        if cells[0] not in points:
-            raise ValueError(f"{path}:{lineno}: unknown point set {cells[0]!r}")
-        labels, rows, linenos = points[cells[0]]
-        labels.append(cells[1])
-        rows.append(cells[2:])
+        which, _, rest = line.partition("\t")
+        if which not in points:
+            raise ValueError(f"{path}:{lineno}: unknown point set {which!r}")
+        label, _, text = rest.partition("\t")
+        labels, texts, linenos = points[which]
+        labels.append(label)
+        texts.append(text)
         linenos.append(lineno)
     for which, (labels, _, linenos) in points.items():
         _check_labels(path, which, labels, "\t", linenos)
-    (row_labels, F_rows, F_lines), (col_labels, G_rows, G_lines) = points.values()
-    if (len(F_rows), len(G_rows)) != (n_rows, n_cols):
+    (row_labels, F_texts, F_lines), (col_labels, G_texts, G_lines) = points.values()
+    if (len(F_texts), len(G_texts)) != (n_rows, n_cols):
         raise ValueError(f"{path}: expected {n_rows} row and {n_cols} col point lines, "
-                         f"got {len(F_rows)} and {len(G_rows)}")
+                         f"got {len(F_texts)} and {len(G_texts)}")
     return EmbeddingSet(
-        F=_parse_numbers(path, F_lines, F_rows).reshape(len(F_rows), k),
-        G=_parse_numbers(path, G_lines, G_rows).reshape(len(G_rows), k),
+        F=_parse_numbers(path, F_lines, F_texts, k),
+        G=_parse_numbers(path, G_lines, G_texts, k),
         row_labels=tuple(row_labels),
         col_labels=tuple(col_labels),
         singular_values=singular_values,

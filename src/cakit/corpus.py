@@ -34,6 +34,8 @@ class CooccurrenceConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.min_count < 0:
             raise ValueError(f"min_count must be >= 0, got {self.min_count}")
+        if self.max_vocab is not None and self.max_vocab < 1:
+            raise ValueError(f"max_vocab must be >= 1, got {self.max_vocab}")
 
 
 def tokenize(text: str, lowercase: bool = True) -> list[str]:

@@ -180,6 +180,12 @@ class TestCountCooccurrences:
         with pytest.raises(ValueError, match="window"):
             CooccurrenceConfig(window=0)
 
+    @pytest.mark.parametrize("max_vocab", [0, -1])
+    def test_max_vocab_must_be_positive(self, max_vocab):
+        # -1 used to slice off only the least frequent word
+        with pytest.raises(ValueError, match=f"max_vocab must be >= 1, got {max_vocab}"):
+            CooccurrenceConfig(max_vocab=max_vocab)
+
 
 class TestSliceTokens:
     def test_first_fifth(self):

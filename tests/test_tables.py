@@ -1,6 +1,7 @@
 """Contingency-table construction, residuals, the TSV format and the atomic writers."""
 
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,245 @@ class TestTsvGoldenBytes:
         write_tsv(t, path)
         assert path.read_bytes() == cell_by_cell_tsv(t)
         np.testing.assert_array_equal(read_tsv(path).counts, t.counts)
+
+
+def reference_tsv_bytes(t):
+    """The bytes the per-row writer wrote: ``str`` of each int, else ``_format_count``."""
+    counts = t.counts
+    if np.all((counts == np.trunc(counts)) & (np.abs(counts) < 2**53)):
+        rows = counts.astype(np.int64).tolist()
+    else:
+        rows = [map(tables._format_count, row) for row in counts.tolist()]
+    body = "".join(label + "\t" + "\t".join(map(str, row)) + "\n"
+                   for label, row in zip(t.row_labels, rows))
+    return ("\t" + "\t".join(t.col_labels) + "\n" + body).encode("utf-8")
+
+
+def reference_parse_numbers(path, linenos, rows):
+    """The per-row number parser: one ``np.array(cells, dtype=float)`` per failing row."""
+    try:
+        values = np.array(rows, dtype=float)
+    except ValueError:
+        for lineno, row in zip(linenos, rows):
+            try:
+                np.array(row, dtype=float)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+        raise
+    bad = ~np.isfinite(values).all(axis=-1)
+    if bad.any():
+        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value")
+    return values
+
+
+def reference_read_tsv(path):
+    """The table reader that split every line into all of its cells."""
+    lines = tables._read_lines(path)
+    if len(lines) < 2:
+        raise ValueError(f"empty table file, no data rows: {path}")
+    col_labels = lines[0][1].split("\t")[1:]
+    linenos, row_labels, rows = [], [], []
+    for lineno, line in lines[1:]:
+        cells = line.split("\t")
+        if len(cells) != len(col_labels) + 1:
+            raise ValueError(
+                f"{path}:{lineno}: expected {len(col_labels) + 1} cells, got {len(cells)}"
+            )
+        linenos.append(lineno)
+        row_labels.append(cells[0])
+        rows.append(cells[1:])
+    tables._check_labels(path, "row", row_labels, "\t")
+    tables._check_labels(path, "column", col_labels, "\t")
+    counts = reference_parse_numbers(path, linenos, rows)
+    negative = (counts < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"{path}:{linenos[int(np.argmax(negative))]}: negative count")
+    return ContingencyTable.from_counts(counts, row_labels, col_labels)
+
+
+def reference_read_embeddings(path):
+    """The embeddings reader that split every line into all of its cells."""
+    lines = tables._read_lines(path)
+    if not lines:
+        raise ValueError(f"empty embeddings file: {path}")
+    head_line, header = lines[0]
+    head = header.split("\t")
+    where = f"{path}:{head_line}"
+    if len(head) < 4:
+        raise ValueError(
+            f"{where}: header needs n_rows, n_cols, k and a method tag, got {len(head)} fields"
+        )
+    try:
+        n_rows, n_cols, k = (int(x) for x in head[:3])
+    except ValueError:
+        raise ValueError(f"{where}: header counts {head[:3]} are not integers") from None
+    if min(n_rows, n_cols, k) < 0:
+        raise ValueError(f"{where}: header counts {head[:3]} must be nonnegative")
+    if len(head) != 4 + k:
+        raise ValueError(f"{where}: header lists {len(head) - 4} singular values, expected k={k}")
+    singular_values = reference_parse_numbers(path, [head_line], [head[4:]])[0]
+    points = {"row": ([], [], []), "col": ([], [], [])}
+    for lineno, line in lines[1:]:
+        cells = line.split("\t")
+        if len(cells) != k + 2:
+            raise ValueError(f"{path}:{lineno}: expected {k} coordinates")
+        if cells[0] not in points:
+            raise ValueError(f"{path}:{lineno}: unknown point set {cells[0]!r}")
+        labels, rows, linenos = points[cells[0]]
+        labels.append(cells[1])
+        rows.append(cells[2:])
+        linenos.append(lineno)
+    for which, (labels, _, linenos) in points.items():
+        tables._check_labels(path, which, labels, "\t", linenos)
+    (row_labels, F_rows, F_lines), (col_labels, G_rows, G_lines) = points.values()
+    if (len(F_rows), len(G_rows)) != (n_rows, n_cols):
+        raise ValueError(f"{path}: expected {n_rows} row and {n_cols} col point lines, "
+                         f"got {len(F_rows)} and {len(G_rows)}")
+    return EmbeddingSet(
+        F=reference_parse_numbers(path, F_lines, F_rows).reshape(len(F_rows), k),
+        G=reference_parse_numbers(path, G_lines, G_rows).reshape(len(G_rows), k),
+        row_labels=tuple(row_labels),
+        col_labels=tuple(col_labels),
+        singular_values=singular_values,
+        method_tag=head[3],
+    )
+
+
+def outcome(read, path):
+    """What a reader makes of ``path``: its labels and the bytes of its arrays, or its error.
+
+    A warning, which would reach a user's stderr, fails the test.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = read(path)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    if isinstance(got, ContingencyTable):
+        arrays = (got.counts,)
+        labels = (got.row_labels, got.col_labels)
+    else:
+        arrays = (got.F, got.G, got.singular_values)
+        labels = (got.row_labels, got.col_labels, got.method_tag)
+    return labels, [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+# cells the bulk parse reads as float() does, rejects, or must leave to the per-row parse
+ODD_CELLS = ["1_0", "١", " 4 ", "", "  ", "#1", "1#", '"1"', "nan", "-inf", "1e999", "-1",
+             "-0", "4\x1c", "\x1f4", "4\xa0", "4\x0c", " 4", "𝟙", "1e-400", ".5", "5.",
+             "0x10", "1,5", "abc"]
+
+TABLE_FILES = {
+    "underscore digits": "\tx\ty\na\t1_0\t2\nb\t3\t4\n",
+    "arabic-indic digit": "\tx\ty\na\t١\t2\nb\t3\t4\n",
+    "spaced cell": "\tx\ty\na\t 4 \t2\nb\t3\t4\n",
+    "blank cell": "\tx\ty\na\t\t2\nb\t3\t4\n",
+    "blank cell of a one-column table": "\tx\na\t1\nb\t\n",
+    "every cell blank": "\tx\na\t\nb\t\n",
+    "hash in a label": "\tx\t#y\n#a\t1\t2\nb#\t3\t4\n",
+    "hash in a cell": "\tx\ty\na\t1\t2#3\nb\t3\t4\n",
+    "cell opening with a hash": "\tx\ty\na\t1\t#2\nb\t3\t4\n",
+    "quoted cell": '\tx\ty\na\t"1"\t2\nb\t3\t4\n',
+    "nan cell": "\tx\ty\na\t1\t2\nb\tnan\t4\n",
+    "negative cell": "\tx\ty\na\t1\t2\nb\t-3\t4\n",
+    "negative zero": "\tx\ty\na\t-0\t2\nb\t3\t-0.0\n",
+    "nan before an unreadable cell": "\tx\ty\na\tnan\t2\nb\t3\tabc\n",
+    "short ragged row": "\tx\ty\na\t1\t2\nb\t3\n",
+    "long ragged row": "\tx\ty\na\t1\t2\t5\nb\t3\t4\n",
+    "trailing tab": "\tx\ty\na\t1\t2\t\nb\t3\t4\n",
+    "separator 0x1c after a digit": "\tx\ty\na\t1\t4\x1c\nb\t3\t4\n",
+    "unit separator before a digit": "\tx\ty\na\t1\t\x1f4\nb\t3\t4\n",
+    "no-break space": "\tx\ty\na\t1\t4\xa0\nb\t3\t4\n",
+    "no columns": "x\na\nb\n",
+    "exact floats": "\tx\ty\na\t0.1\t2.5e-300\nb\t1e+22\t4.000000000000001\n",
+}
+
+EMBEDDING_FILES = {
+    "k=0": "2\t1\t0\tlinear_ca\nrow\ta\nrow\tb\ncol\tx\n",
+    "k=0 with a cell": "1\t1\t0\tlinear_ca\nrow\ta\t1\ncol\tx\n",
+    "k=1": "2\t1\t1\tgtest\t2.5\nrow\ta\t0.5\nrow\tb\t-1e-300\ncol\tx\t3\n",
+    "k=1 blank coordinate": "1\t1\t1\tgtest\t2.5\nrow\ta\t\ncol\tx\t3\n",
+    "k=1 blank singular value": "1\t1\t1\tgtest\t\nrow\ta\t1\ncol\tx\t3\n",
+    "k=1 nan singular value": "1\t1\t1\tgtest\tnan\nrow\ta\t1\ncol\tx\t3\n",
+    "k=1 no row points": "0\t1\t1\tgtest\t2\ncol\tx\t3\n",
+    "k=2 odd cells": "1\t1\t2\tws\t2\t1\nrow\ta\t1_0\t١\ncol\tx\t 4 \t0\n",
+    "k=2 hash and quote": '1\t1\t2\tws\t2\t1\nrow\t#a\t1\t2\ncol\tx\t"3"\t0\n',
+    "k=2 separator 0x1c": "1\t1\t2\tws\t2\t1\nrow\ta\t1\t2\x1c\ncol\tx\t3\t0\n",
+    "k=2 ragged": "1\t1\t2\tws\t2\t1\nrow\ta\t1\ncol\tx\t3\t0\n",
+    "k=2 inf": "1\t1\t2\tws\t2\t1\nrow\ta\t1\t2\ncol\tx\t-inf\t0\n",
+}
+
+
+class TestCodecMatchesPerRowReference:
+    """The bulk writer and parser against the per-cell writer and per-row reader."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_tables_on_both_sides_of_the_lookup_bound(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        bound = tables._DECIMALS_BOUND
+        counts = rng.integers(0, 2 * bound, size=(40, 30)).astype(float)
+        counts[0, :3] = bound - 1, bound, bound + 1
+        counts[1, 0] = -0.0
+        counts[rng.random(counts.shape) < 0.1] = 0.0
+        t = ContingencyTable.from_counts(counts)
+        # counts changed after the checks still reach the file as str() writes them
+        t.counts[2, :2] = -1, -bound
+        write_tsv(t, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == reference_tsv_bytes(t)
+
+    @pytest.mark.parametrize("big", [2**53 - 1, 2**53, 2**53 + 2, 2**60])
+    def test_large_counts(self, tmp_path, big):
+        rng = np.random.default_rng(big % 1009)
+        counts = rng.integers(0, 2**53, size=(20, 10)).astype(float)
+        counts[:, ::2] = rng.integers(0, 9, size=(20, 5))
+        counts[3, 4] = big
+        t = ContingencyTable.from_counts(counts)
+        write_tsv(t, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == reference_tsv_bytes(t)
+        np.testing.assert_array_equal(read_tsv(tmp_path / "t.tsv").counts, t.counts)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_integer_tables(self, tmp_path, seed):
+        rng = np.random.default_rng(100 + seed)
+        counts = rng.integers(0, 50, size=(15, 12)).astype(float)
+        fractional = rng.random(counts.shape) < 0.3
+        counts[fractional] = rng.uniform(0, 1e6, size=int(fractional.sum()))
+        counts[2, 2] = rng.uniform(0, 1e-300)
+        t = ContingencyTable.from_counts(counts)
+        write_tsv(t, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == reference_tsv_bytes(t)
+        assert outcome(read_tsv, tmp_path / "t.tsv") == outcome(reference_read_tsv,
+                                                               tmp_path / "t.tsv")
+
+    @pytest.mark.parametrize("name", TABLE_FILES)
+    def test_table_reader(self, tmp_path, name):
+        path = tmp_path / "t.tsv"
+        path.write_text(TABLE_FILES[name], encoding="utf-8")
+        assert outcome(read_tsv, path) == outcome(reference_read_tsv, path)
+
+    @pytest.mark.parametrize("name", EMBEDDING_FILES)
+    def test_embeddings_reader(self, tmp_path, name):
+        path = tmp_path / "emb.tsv"
+        path.write_text(EMBEDDING_FILES[name], encoding="utf-8")
+        assert outcome(ca.read_embeddings, path) == outcome(reference_read_embeddings, path)
+
+    def test_seeded_tables_of_odd_cells(self, tmp_path):
+        rng = np.random.default_rng(53)
+        path = tmp_path / "t.tsv"
+        accepted = 0
+        for _ in range(300):
+            nr, nc = rng.integers(1, 4, size=2)
+            cells = rng.integers(0, 100, size=(nr, nc)).astype(str).astype(object)
+            odd = rng.random((nr, nc)) < 0.15
+            cells[odd] = rng.choice(ODD_CELLS, size=int(odd.sum()))
+            lines = ["\t".join(["", *(f"c{j}" for j in range(nc))])]
+            lines += ["\t".join([f"r{i}", *row]) for i, row in enumerate(cells)]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            got = outcome(read_tsv, path)
+            assert got == outcome(reference_read_tsv, path), lines
+            accepted += got[0] != "ValueError"
+        assert 50 < accepted < 250  # both outcomes are exercised
 
 
 class _Unformattable(np.ndarray):
