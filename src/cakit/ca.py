@@ -8,13 +8,16 @@ F = D(r)^{-1} U S and G = D(c)^{-1} V S used both for plotting category
 maps and as word vectors.
 
 The embedding TSV and coordinate CSV share the label checks and number
-parser of :mod:`cakit.tables`; floats are written via ``repr`` (exact).
+parser of :mod:`cakit.tables`; floats are written via ``repr`` (exact),
+each distinct magnitude formatted once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,11 +36,14 @@ class EmbeddingSet:
     """Row coordinates F, column coordinates G, and fit provenance.
 
     ``singular_values`` is the truncated, descending spectrum of the fitted
-    matrix; ``decomposition``, when present, is the full (untruncated)
-    generalized SVD of the association under the kernel metrics that the
-    coordinates were derived from.  A NaN or infinite value in F, G or the
-    singular values raises ``ValueError``, so no writer emits a file that
-    its reader rejects.
+    matrix.  ``decomposition`` is the full (untruncated) generalized SVD of
+    the association under the kernel metrics that the coordinates were
+    derived from, or None for a set that was read from a file.  A fit does
+    not keep it: it passes ``decompose``, which solves it again from the
+    fit's table and method, and the first read of ``decomposition`` calls
+    that once and keeps the result.  A NaN or infinite value in F, G or
+    the singular values raises ``ValueError``, so no writer emits a file
+    that its reader rejects.
     """
 
     F: np.ndarray
@@ -46,7 +52,7 @@ class EmbeddingSet:
     col_labels: tuple[str, ...]
     singular_values: np.ndarray
     method_tag: str
-    decomposition: Decomposition | None = field(default=None, repr=False)
+    decompose: Callable[[], Decomposition] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         k = self.singular_values.shape[0]
@@ -62,6 +68,10 @@ class EmbeddingSet:
             raise ValueError("coordinates or singular values are NaN or infinite")
         if np.any(np.diff(self.singular_values) > 0):
             raise ValueError("singular values must be sorted descending")
+
+    @functools.cached_property
+    def decomposition(self) -> Decomposition | None:
+        return None if self.decompose is None else self.decompose()
 
     @property
     def k(self) -> int:
@@ -93,10 +103,27 @@ def fit_linear_ca(t: ContingencyTable, k: int | None = None) -> EmbeddingSet:
 
 
 def _point_lines(e: EmbeddingSet, sep: str):
-    """One line per labeled point: point set ("row"/"col"), label, k coordinates via repr."""
-    for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
-        for label, row in zip(labels, coords.tolist()):
-            yield sep.join([which, label, *map(repr, row)]) + "\n"
+    """One line per labeled point: point set ("row"/"col"), label, k coordinates via repr.
+
+    ``repr`` runs once per distinct magnitude of F and G together, and a
+    coordinate whose sign bit is set is written as "-" then its
+    magnitude's text: for a finite float ``repr(-x) == "-" + repr(x)``,
+    and -0.0 gives "-0.0".  So a G that is F up to the signs of its
+    columns, as a fit of a symmetric table with equal kernels gives, needs
+    no ``repr`` of its own, and no string is built per coordinate.
+    """
+    coords = np.concatenate([e.F, e.G])
+    magnitudes, index = np.unique(np.abs(coords).ravel(), return_inverse=True)
+    texts = np.array([repr(x) for x in magnitudes.tolist()], dtype=object)
+    # before each coordinate, the separator, with the sign attached
+    cells = np.empty((len(coords), 2 * coords.shape[1]), dtype=object)
+    cells[:, 0::2] = sep
+    cells[:, 0::2][np.signbit(coords)] = sep + "-"
+    cells[:, 1::2] = texts[index.reshape(coords.shape)]
+    points = itertools.chain(zip(itertools.repeat("row"), e.row_labels),
+                             zip(itertools.repeat("col"), e.col_labels))
+    for (which, label), row in zip(points, cells.tolist()):
+        yield "".join([which, sep, label, *row, "\n"])
 
 
 def export_coordinates(e: EmbeddingSet, path) -> None:

@@ -33,6 +33,7 @@ diagonal, the kpca_cd kernel ``(1-e) I + e 11^T`` has the closed-form root
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -296,18 +297,16 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
     :func:`cakit.linalg.svd`, which takes one ``eigh`` when the sandwich is
     symmetric, and returns the coordinates ``F = K_r^{1/2} U_s S^p`` and
     ``G = K_c^{1/2} V_s S^p``.
-    ``decomposition`` holds the full generalized SVD of A under the kernel
-    metrics (see the module docstring).  ``k`` defaults to min(shape) - 1.
+    The fit keeps no V x V factor: ``decomposition``, the full generalized
+    SVD of A under the kernel metrics (see the module docstring), is solved
+    again from ``t`` and ``m`` when first read.  ``k`` defaults to
+    min(shape) - 1.
     """
     if k is None:
         k = default_dimension(t)
     if not 1 <= k <= min(t.shape):
         raise ValueError(f"dimension k={k} out of range 1..{min(t.shape)}")
-    assoc = association_matrix(t, m)
-    Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
-    Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
-    # looked up at call time, so a replacement linalg.svd reaches every fit
-    dec = linalg.svd((Lc @ (Lr @ assoc.values).T).T)
+    (Lr, _), (Lc, _), dec = _sandwich_svd(t, m)
     S = dec.S[:k]
     scale = S**m.exponent if m.exponent != 1.0 else S
     return EmbeddingSet(
@@ -317,8 +316,25 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
         col_labels=t.col_labels,
         singular_values=S.copy(),
         method_tag=m.tag,
-        decomposition=Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V),
+        decompose=functools.partial(_decomposition, t, m),
     )
+
+
+def _sandwich_svd(t: ContingencyTable, m: KcaMethod):
+    """The row and column kernel roots, each (K^{1/2}, K^{-1/2}), and the SVD of the sandwich."""
+    assoc = association_matrix(t, m)
+    Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
+    Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
+    sandwich = (Lc @ (Lr @ assoc.values).T).T
+    del assoc  # a V x V array that the solve does not read
+    # looked up at call time, so a replacement linalg.svd reaches every fit
+    return (Lr, Lr_inv), (Lc, Lc_inv), linalg.svd(sandwich)
+
+
+def _decomposition(t: ContingencyTable, m: KcaMethod) -> Decomposition:
+    """The full generalized SVD of the association under the kernel metrics."""
+    (_, Lr_inv), (_, Lc_inv), dec = _sandwich_svd(t, m)
+    return Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V)
 
 
 def build_gamma(labels, pairs, alpha: float, beta: float = 1.0) -> np.ndarray:
@@ -350,18 +366,3 @@ def fit_ws_kca(t: ContingencyTable, gamma_r, gamma_c, k: int | None = None,
     """
     m = method_from_name("ws", exponent=exponent, gamma_row=gamma_r, gamma_col=gamma_c)
     return fit_kca(t, m, k)
-
-
-def constraint_residual(e: EmbeddingSet, Kr, Kc) -> float:
-    """Max deviation of R^T K_r R K_c from the identity for a fitted model.
-
-    R is ``U V^T`` from the stored generalized SVD.  Meaningful when the
-    table has at least as many rows as columns (otherwise the constraint
-    is rank-deficient by construction).
-    """
-    dec = e.decomposition
-    if dec is None:
-        raise ValueError("embedding set carries no decomposition")
-    R = dec.U @ dec.V.T
-    lhs = R.T @ np.asarray(Kr, dtype=float) @ R @ np.asarray(Kc, dtype=float)
-    return float(np.max(np.abs(lhs - np.eye(lhs.shape[0]))))

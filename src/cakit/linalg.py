@@ -117,6 +117,7 @@ def svd(M) -> Decomposition:
             V = Vt.T
         else:
             lam, Q = np.linalg.eigh(H)
+            del H  # a V x V copy that nothing below reads
             order = np.argsort(-np.abs(lam), kind="stable")
             lam, U = lam[order], Q[:, order]
             S = np.abs(lam)

@@ -31,14 +31,21 @@ Observations = Sequence[tuple[str, str]]
 
 @dataclass(frozen=True)
 class ContingencyTable:
-    """Nonnegative count matrix with labels and strictly positive marginals."""
+    """Nonnegative count matrix with labels and strictly positive marginals.
+
+    ``counts`` is the table's own read-only float copy of the array it was
+    given, so the checks made at construction hold for as long as the table
+    does: writing into it raises ``ValueError``, and a later change to the
+    caller's array does not reach the table.
+    """
 
     counts: np.ndarray
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=float)
+        counts = np.array(self.counts, dtype=float)
+        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
@@ -101,7 +108,8 @@ class ContingencyTable:
         if not col_keep.all():
             dropped = [lbl for lbl, keep in zip(col_labels, col_keep) if not keep]
             logger.warning("dropping zero-marginal columns: %s", ", ".join(dropped))
-        counts = counts[np.ix_(row_keep, col_keep)]
+        if not (row_keep.all() and col_keep.all()):  # the table copies what it is given
+            counts = counts[np.ix_(row_keep, col_keep)]
         if counts.size == 0:
             raise ValueError("table is empty after dropping zero-marginal categories")
         return cls(

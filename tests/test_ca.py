@@ -1,6 +1,8 @@
 """Linear correspondence analysis: constraints, coordinates, file formats,
 and the metamorphic invariants of every kernel-CA method."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from cakit.ca import (
 )
 from cakit.datasets import fisher_table
 from cakit.evaluation import WordSimDataset
-from cakit.kca import KcaMethod, KernelSpec, build_gamma, fit_kca
+from cakit.kca import (
+    KcaMethod,
+    KernelSpec,
+    association_matrix,
+    build_gamma,
+    fit_kca,
+    kernel_root,
+)
 from cakit.tables import ContingencyTable, residual_matrix
 
 
@@ -460,3 +469,126 @@ class TestEmbeddingsFile:
         path.write_text("\n".join(["\t".join(head)] + lines[1:]) + "\n")
         with pytest.raises(ValueError, match=r"emb\.tsv: expected 5 row and 4 col point lines"):
             read_embeddings(path)
+
+
+def reference_point_lines(e, sep):
+    """The per-cell formatter the writers replaced: ``repr`` of every coordinate."""
+    for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
+        for label, row in zip(labels, coords.tolist()):
+            yield sep.join([which, label, *map(repr, row)]) + "\n"
+
+
+def reference_bytes(e, writer):
+    """What ``writer`` wrote through the per-cell formatter."""
+    if writer is write_embeddings:
+        sep = "\t"
+        header = [str(len(e.row_labels)), str(len(e.col_labels)), str(e.k), e.method_tag,
+                  *map(repr, e.singular_values.tolist())]
+    else:
+        sep = ","
+        header = ["point_set", "label"] + [f"dim_{i + 1}" for i in range(e.k)]
+    return "".join([sep.join(header) + "\n", *reference_point_lines(e, sep)]).encode()
+
+
+def coordinate_set(F, G):
+    k = F.shape[1]
+    return EmbeddingSet(F=F, G=G, row_labels=tuple(f"r{i}" for i in range(len(F))),
+                        col_labels=tuple(f"c{j}" for j in range(len(G))),
+                        singular_values=np.arange(k, 0, -1.0), method_tag="test")
+
+
+def _coordinate_cases():
+    rng = np.random.default_rng(29)
+    F = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-5, 5, size=(6, 4))
+    pool = np.array([0.5, 1 / 3, 2.0, 1e-7, 0.1 + 0.2])
+    repeated = rng.choice(pool, size=(7, 3)) * rng.choice([-1.0, 1.0], size=(7, 3))
+    repeated[4] = repeated[1]
+    zeros = np.array([[0.0, -0.0, 1.5], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [-1.5, 0.0, -0.0]])
+    extremes = np.array([[5e-324, -5e-324, 1e308], [-1e308, 2.2250738585072014e-308, -0.0],
+                         [1.7976931348623157e308, -1.7976931348623157e308, 4.9e-324]])
+    return {
+        # the symmetric eigh path with equal kernels: G is F up to column signs
+        "G = F signs": (F, F * np.array([1.0, -1.0, -1.0, 1.0])),
+        # kpca_cd-like: no magnitude shared between F and G
+        "unrelated G": (F, rng.normal(size=(5, 4))),
+        "repeated values": (repeated, -repeated[::-1]),
+        "zeros and -0.0": (zeros, -zeros[:2]),
+        "extremes": (extremes, extremes[::-1] * -1.0),
+        "k = 0": (np.zeros((3, 0)), np.zeros((2, 0))),
+        "empty point set": (np.zeros((0, 2)), np.array([[1.0, -0.0]])),
+    }
+
+
+class TestWritersMatchPerCellReference:
+    """The writers format each magnitude once and write the per-cell formatter's bytes."""
+
+    @pytest.mark.parametrize("writer", [write_embeddings, export_coordinates],
+                             ids=lambda w: w.__name__)
+    @pytest.mark.parametrize("case", list(_coordinate_cases()))
+    def test_coordinate_cases(self, tmp_path, writer, case):
+        e = coordinate_set(*_coordinate_cases()[case])
+        path = tmp_path / "out"
+        writer(e, path)
+        assert path.read_bytes() == reference_bytes(e, writer)
+        if writer is write_embeddings:
+            back = read_embeddings(path)
+            for got, want in ((back.F, e.F), (back.G, e.G)):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("writer", [write_embeddings, export_coordinates],
+                             ids=lambda w: w.__name__)
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_every_method_fit(self, tmp_path, writer, name):
+        for counts, labels in ((metamorphic_counts(), None), (symmetric_counts(), WORDS)):
+            e = fit_case(name, counts, labels, labels)
+            writer(e, tmp_path / "out")
+            assert (tmp_path / "out").read_bytes() == reference_bytes(e, writer), name
+
+
+def eager_decomposition(t, m):
+    """The decomposition as every fit used to build and keep it."""
+    assoc = association_matrix(t, m)
+    Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
+    Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
+    dec = linalg.svd((Lc @ (Lr @ assoc.values).T).T)
+    return linalg.Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V)
+
+
+def field_arrays(emb):
+    """The arrays an embedding set holds in its fields."""
+    values = (getattr(emb, f.name) for f in dataclasses.fields(emb))
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+class TestDecompositionOnRequest:
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_equals_the_eager_one_and_is_solved_once(self, name, monkeypatch):
+        solves = []
+
+        def counting_svd(M, svd=linalg.svd):
+            solves.append(np.shape(M))
+            return svd(M)
+
+        monkeypatch.setattr(linalg, "svd", counting_svd)
+        for counts, labels in ((metamorphic_counts(), None), (symmetric_counts(), WORDS)):
+            solves.clear()
+            t = ContingencyTable.from_counts(counts, labels, labels)
+            m = case_method(name, t)
+            emb = fit_kca(t, m, K)
+            assert len(solves) == 1
+            # the fit's fields hold F, G and the k singular values, and no V x V factor
+            assert "decomposition" not in vars(emb)
+            assert [id(a) for a in field_arrays(emb)] == [
+                id(emb.F), id(emb.G), id(emb.singular_values)]
+            dec = emb.decomposition
+            assert emb.decomposition is dec and len(solves) == 2
+            eager = eager_decomposition(t, m)
+            assert dec.U.shape == (t.shape[0], eager.S.size)
+            for got, want in ((dec.U, eager.U), (dec.S, eager.S), (dec.V, eager.V)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                           err_msg=name)
+
+    def test_a_set_read_from_a_file_has_none(self, tmp_path):
+        write_embeddings(fit_linear_ca(fisher_table(), 2), tmp_path / "emb.tsv")
+        assert read_embeddings(tmp_path / "emb.tsv").decomposition is None

@@ -14,7 +14,6 @@ from cakit.kca import (
     KernelSpec,
     association_matrix,
     build_gamma,
-    constraint_residual,
     fit_kca,
     fit_ws_kca,
     kernel_root,
@@ -73,6 +72,19 @@ def dense_fit(t, m, k):
     dec = svd(Lr @ association_matrix(t, m).values @ Lc)
     scale = dec.S[:k] ** m.exponent
     return (Lr @ dec.U[:, :k]) * scale, (Lc @ dec.V[:, :k]) * scale, dec.S[:k]
+
+
+def constraint_residual(e, Kr, Kc) -> float:
+    """Oracle: max deviation of R^T K_r R K_c from the identity for a fitted model.
+
+    R is ``U V^T`` from the fit's generalized SVD.  Meaningful when the
+    table has at least as many rows as columns (otherwise the constraint
+    is rank-deficient by construction).
+    """
+    dec = e.decomposition
+    R = dec.U @ dec.V.T
+    lhs = R.T @ np.asarray(Kr, dtype=float) @ R @ np.asarray(Kc, dtype=float)
+    return float(np.max(np.abs(lhs - np.eye(lhs.shape[0]))))
 
 
 def assert_root_matches(spec, marginal, labels):

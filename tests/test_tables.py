@@ -123,6 +123,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty"):
             ContingencyTable.from_counts(np.zeros((2, 2)))
 
+    def test_counts_are_an_owned_read_only_copy(self, tmp_path):
+        counts = np.array([[1.0, 2.0], [3.0, 0.0]])
+        t = ContingencyTable(counts, ("a", "b"), ("x", "y"))
+        counts[0, 0] = -5
+        assert t.counts.tolist() == [[1.0, 2.0], [3.0, 0.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            t.counts[0, 0] = -1
+        with pytest.raises(ValueError, match="read-only"):
+            t.counts *= 2
+        write_tsv(t, tmp_path / "t.tsv")
+        for made in (ContingencyTable.from_counts(counts.clip(0)), read_tsv(tmp_path / "t.tsv")):
+            assert not made.counts.flags.writeable
+
     def test_marginal_identities(self):
         rng = np.random.default_rng(37)
         counts = rng.integers(0, 9, size=(4, 5)) + 0.0
@@ -460,8 +473,9 @@ class TestCodecMatchesPerRowReference:
         counts[1, 0] = -0.0
         counts[rng.random(counts.shape) < 0.1] = 0.0
         t = ContingencyTable.from_counts(counts)
-        # counts changed after the checks still reach the file as str() writes them
-        t.counts[2, :2] = -1, -bound
+        # the checked counts are read-only, so no negative count reaches the writer
+        with pytest.raises(ValueError, match="read-only"):
+            t.counts[2, :2] = -1, -bound
         write_tsv(t, tmp_path / "t.tsv")
         assert (tmp_path / "t.tsv").read_bytes() == reference_tsv_bytes(t)
 
@@ -519,13 +533,6 @@ class TestCodecMatchesPerRowReference:
         assert 50 < accepted < 250  # both outcomes are exercised
 
 
-class _Unformattable(np.ndarray):
-    """Coordinates whose formatting fails, after the lines before them are written."""
-
-    def tolist(self):
-        raise RuntimeError("formatting failed")
-
-
 def _write_failing_table(path, monkeypatch):
     calls = []
 
@@ -539,11 +546,25 @@ def _write_failing_table(path, monkeypatch):
     write_tsv(ContingencyTable.from_counts(np.full((4, 4), 0.5)), path)
 
 
-def _failing_embeddings():
-    F = np.arange(6.0).reshape(3, 2)
-    return EmbeddingSet(F=F, G=(F[:2] + 1.0).view(_Unformattable), row_labels=("a", "b", "c"),
-                        col_labels=("x", "y"), singular_values=np.array([2.0, 1.0]),
-                        method_tag="linear_ca")
+def _write_failing_embeddings(write, path, monkeypatch):
+    """``write`` a fit whose coordinates fail to format, after its header line is out.
+
+    The writers format the header first, then each coordinate magnitude
+    through the module's ``repr``; the third call raises, which is a
+    coordinate for both writers (``write_embeddings`` formats the two
+    singular values in its header, ``export_coordinates`` none).
+    """
+    calls = []
+
+    def format_float(x):
+        calls.append(x)
+        if len(calls) > 2:
+            raise RuntimeError("formatting failed")
+        return repr(x)
+
+    emb = fit_linear_ca(fisher_table(), 2)
+    monkeypatch.setattr(ca, "repr", format_float, raising=False)
+    write(emb, path)
 
 
 class TestAtomicWriters:
@@ -556,7 +577,7 @@ class TestAtomicWriters:
         else:
             write = getattr(ca, writer)
             write(fit_linear_ca(fisher_table(), 2), path)
-            fail = lambda: write(_failing_embeddings(), path)  # noqa: E731
+            fail = lambda: _write_failing_embeddings(write, path, monkeypatch)  # noqa: E731
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="formatting failed"):
             fail()
