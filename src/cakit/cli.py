@@ -111,7 +111,7 @@ def _read_method_config(args) -> dict:
 
 
 def cmd_count(args) -> int:
-    with open(args.corpus, encoding="utf-8") as fh:
+    with open(args.corpus, encoding="utf-8-sig") as fh:
         text = fh.read()
     tokens = corpus.tokenize(text, lowercase=not args.keep_case)
     if args.slice is not None:
@@ -149,7 +149,7 @@ def _ws_gammas(table, scores_path, alpha, beta):
         raise ValueError(f"{scores_path}: no pair has both words among the row labels "
                          "or among the column labels")
     if alpha is None:
-        max_score = max(abs(s) for _, _, s in dataset.triples)
+        max_score = float(np.abs(dataset.scores).max())
         alpha = 0.1 / max_score if max_score > 0 else 0.0
         _err(f"config: ws_alpha defaulted to {alpha:g}")
     return (kca.build_gamma(table.row_labels, dataset, alpha, beta),

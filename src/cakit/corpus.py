@@ -105,8 +105,11 @@ def slice_tokens(tokens, percent: float) -> list[str]:
 
 
 def load_stopwords(path) -> set[str]:
-    """Newline-delimited UTF-8 word list; duplicates collapse into the set."""
-    with open(path, encoding="utf-8") as fh:
+    """Newline-delimited UTF-8 word list; duplicates collapse into the set.
+
+    A byte-order mark at the start of the file is not part of the first word.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         words = {line.strip() for line in fh if line.strip()}
     if not words:
         logger.warning("stop-word file %s is empty", path)

@@ -1,8 +1,11 @@
 """Word-similarity evaluation: dataset parsing, cosine, Spearman rank correlation.
 
-Embeddings are scored by ranking pair cosines against human similarity
-judgements.  Out-of-vocabulary pairs are skipped and counted, never
-zero-filled, so coverage is always visible next to the correlation.
+A pair file is read once; one whose lines are all three tab-separated
+cells with no repeated pair is parsed whole into word and score columns,
+any other file line by line (see :func:`load_wordsim`).  Embeddings are
+scored by ranking pair cosines against human similarity judgements.
+Out-of-vocabulary pairs are skipped and counted, never zero-filled, so
+coverage is always visible next to the correlation.
 Pairs touching a zero vector score cosine 0, with one warning per
 evaluation that counts them; a pair of identical nonzero vectors scores
 exactly 1, so such pairs tie in the ranking.  NaN and infinite scores are
@@ -15,25 +18,44 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
 from .ca import EmbeddingSet
 
 
-@dataclass(frozen=True)
 class WordSimDataset:
-    """(word_a, word_b, human score) triples, unordered duplicates averaged."""
+    """Word pairs and their human scores, as three columns.
 
-    triples: tuple[tuple[str, str, float], ...]
+    ``words_a`` and ``words_b`` are tuples of words and ``scores`` a
+    read-only float array, one entry per pair.  ``WordSimDataset(triples)``
+    builds one from (word_a, word_b, score) triples, and :attr:`triples`
+    gives them back; :func:`load_wordsim` builds one from its columns.
+    """
 
-    def __post_init__(self):
-        if not self.triples:
+    def __init__(self, triples):
+        self._set(*(tuple(zip(*triples)) or ((), (), ())))
+
+    @classmethod
+    def from_columns(cls, words_a, words_b, scores) -> WordSimDataset:
+        """The dataset of pair ``i`` = (``words_a[i]``, ``words_b[i]``, ``scores[i]``)."""
+        dataset = cls.__new__(cls)
+        dataset._set(words_a, words_b, scores)
+        return dataset
+
+    def _set(self, words_a, words_b, scores) -> None:
+        if not words_a:
             raise ValueError("word-similarity dataset is empty")
+        self.words_a, self.words_b = tuple(words_a), tuple(words_b)
+        self.scores = np.array(scores, dtype=float)
+        self.scores.setflags(write=False)
+
+    @property
+    def triples(self) -> tuple[tuple[str, str, float], ...]:
+        return tuple(zip(self.words_a, self.words_b, self.scores.tolist()))
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.words_a)
 
     def lookup(self, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Label indices ``ia``, ``ib`` and the score of each pair whose words are both labels.
@@ -42,11 +64,10 @@ class WordSimDataset:
         label is left out.  The one place that matches pair words to labels.
         """
         index = {lbl: i for i, lbl in enumerate(labels)}
-        words_a, words_b, scores = (map(itemgetter(k), self.triples) for k in range(3))
         ia, ib = (np.fromiter(map(index.get, words, repeat(-1)), dtype=np.intp, count=len(self))
-                  for words in (words_a, words_b))
+                  for words in (self.words_a, self.words_b))
         keep = (ia >= 0) & (ib >= 0)
-        return ia[keep], ib[keep], np.fromiter(scores, dtype=float, count=len(self))[keep]
+        return ia[keep], ib[keep], self.scores[keep]
 
 
 @dataclass(frozen=True)
@@ -70,27 +91,69 @@ def load_wordsim(path) -> WordSimDataset:
     Words are lowercased to match corpus tokenization.  A first line whose
     score field is not numeric is treated as a header; any other malformed
     line, and any NaN or infinite score, raises with its line number.
-    Duplicate unordered pairs are averaged.
+    Duplicate unordered pairs are averaged.  A leading byte-order mark is
+    ignored.
+
+    A file whose every non-empty line holds three tab-separated cells and
+    no repeated pair is parsed whole, column by column (see
+    :func:`_tab_columns`); any other file goes through the per-line loop,
+    which decides every error and the line it names.
     """
+    with open(path, encoding="utf-8-sig") as fh:
+        text = fh.read()
+    dataset = _tab_columns(text)
+    return dataset if dataset is not None else _parse_lines(path, text)
+
+
+def _tab_columns(text: str) -> WordSimDataset | None:
+    """The dataset of a file of three-cell tab lines, or None for the per-line loop.
+
+    One split of the joined lines gives every cell; the word cells are
+    stripped and lowercased, the score cells read by ``float``, and each
+    pair ordered with ``min``/``max``, as the loop does one line at a time.
+    A file with no line, a line with other than two tabs, a score ``float``
+    rejects or that is not finite, or a repeated unordered pair returns
+    None: the loop skips a header, splits other separators, averages
+    repeats and names the bad line.
+    """
+    lines = list(filter(None, map(str.strip, text.split("\n"))))
+    if not lines or set(map(str.count, lines, repeat("\t"))) != {2}:
+        return None
+    cells = list(map(str.strip, "\t".join(lines).split("\t")))
+    try:
+        scores = np.fromiter(map(float, cells[2::3]), dtype=float, count=len(lines))
+    except ValueError:
+        return None
+    if not np.isfinite(scores).all():
+        return None
+    scores += 0.0  # -0.0 to 0.0: the loop averages with fsum, and fsum([-0.0]) is 0.0
+    words_a, words_b = (list(map(str.lower, cells[k::3])) for k in (0, 1))
+    lo, hi = list(map(min, words_a, words_b)), list(map(max, words_a, words_b))
+    if len(set(map("\t".join, zip(lo, hi)))) < len(lines):
+        return None
+    return WordSimDataset.from_columns(lo, hi, scores)
+
+
+def _parse_lines(path, text: str) -> WordSimDataset:
+    """The per-line parse of :func:`load_wordsim`, for any file."""
     scores: dict[tuple[str, str], list[float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        cells = _split_line(line)
+        if len(cells) < 3:
+            raise ValueError(f"{path}:{lineno}: expected 'word_a word_b score'")
+        try:
+            value = float(cells[2])
+        except ValueError:
+            if lineno == 1:  # header row
                 continue
-            cells = _split_line(line)
-            if len(cells) < 3:
-                raise ValueError(f"{path}:{lineno}: expected 'word_a word_b score'")
-            try:
-                value = float(cells[2])
-            except ValueError:
-                if lineno == 1:  # header row
-                    continue
-                raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not a number")
-            if not math.isfinite(value):
-                raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not finite")
-            a, b = cells[0].lower(), cells[1].lower()
-            scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
+            raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not a number")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not finite")
+        a, b = cells[0].lower(), cells[1].lower()
+        scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
     if not scores:
         raise ValueError(f"no usable lines in {path}")
     return WordSimDataset(tuple((a, b, math.fsum(vs) / len(vs))

@@ -43,6 +43,16 @@ class TestCount:
         t = tables.read_tsv(out)  # first 2 tokens: a b
         assert t.n == 2
 
+    def test_leading_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        outs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            corpus = tmp_path / f"{encoding}.txt"
+            corpus.write_text("cat dog cat sun\n", encoding=encoding)
+            outs.append(tmp_path / f"{encoding}.tsv")
+            assert main(["count", str(corpus), "--window", "1", "--out", str(outs[-1])]) == 0
+        assert tables.read_tsv(outs[1]).row_labels == ("cat", "dog", "sun")
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_missing_file_fails_with_message(self, tmp_path, capsys):
         rc = main(["count", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "t.tsv")])
         assert rc != 0
@@ -134,6 +144,20 @@ class TestFit:
         ])
         assert rc == 0
         assert ca.read_embeddings(out).method_tag == "ws"
+
+    @pytest.mark.parametrize("text", ["blue light 8.0\nmedium dark -12.5\n",
+                                      "blue\tlight\t8.0\nmedium\tdark\t-12.5\n"],
+                             ids=["space", "tab"])
+    def test_ws_alpha_default_is_a_tenth_over_the_largest_absolute_score(
+            self, fisher_tsv, tmp_path, capsys, text):
+        scores = tmp_path / "scores.txt"
+        scores.write_text(text)
+        out = tmp_path / "emb.tsv"
+        assert main(["fit", fisher_tsv, "--method", "ws", "--dim", "2",
+                     "--ws-scores", str(scores), "--out", str(out)]) == 0
+        max_score = max(abs(s) for _, _, s in evaluation.load_wordsim(scores).triples)
+        assert f"config: ws_alpha defaulted to {0.1 / max_score:g}\n" in capsys.readouterr().err
+        assert f"{0.1 / max_score:g}" == "0.008"
 
     def test_ws_fit_applies_stopword_kernel(self, fisher_tsv, tmp_path):
         scores = tmp_path / "scores.txt"

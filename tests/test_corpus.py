@@ -214,6 +214,12 @@ class TestLoadStopwords:
         path.write_text("the\nthe\nof\n")
         assert load_stopwords(path) == {"the", "of"}
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "sw.txt"
+        path.write_text("the\nof\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_stopwords(path) == {"the", "of"}
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_stopwords(tmp_path / "nope.txt")

@@ -1,5 +1,6 @@
 """Dataset parsing, the pair lookup, cosine similarity, and rank correlation."""
 
+import gc
 import itertools
 import math
 import warnings
@@ -15,6 +16,8 @@ from cakit.evaluation import (
     EvalReport,
     WordSimDataset,
     _ranks,
+    _split_line,
+    _tab_columns,
     cosine,
     evaluate,
     load_wordsim,
@@ -65,6 +68,35 @@ def reference_evaluate(e, which, d) -> EvalReport:
             sims.append(cosine(coords[index[a]], coords[index[b]]))
             human.append(score)
     return EvalReport(reference_spearman(sims, human), len(sims), skipped)
+
+
+# The per-line loop load_wordsim ran before it parsed a tab file whole,
+# kept as the reference for every file: the same pairs in the same order
+# with bit-equal scores, and the same error text.
+def reference_load_wordsim(path) -> WordSimDataset:
+    scores: dict[tuple[str, str], list[float]] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            cells = _split_line(line)
+            if len(cells) < 3:
+                raise ValueError(f"{path}:{lineno}: expected 'word_a word_b score'")
+            try:
+                value = float(cells[2])
+            except ValueError:
+                if lineno == 1:  # header row
+                    continue
+                raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not a number")
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not finite")
+            a, b = cells[0].lower(), cells[1].lower()
+            scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
+    if not scores:
+        raise ValueError(f"no usable lines in {path}")
+    return WordSimDataset(tuple((a, b, math.fsum(vs) / len(vs))
+                                for (a, b), vs in scores.items()))
 
 
 class TestLoadWordsim:
@@ -128,6 +160,196 @@ class TestLoadWordsim:
 def d0(dataset):
     a, b, _ = dataset.triples[0]
     return (a, b)
+
+
+# Cells the two parses must read alike: mixed case and non-ASCII words
+# (İ lowers to two characters, a final Σ to ς, the Kelvin sign to k), an
+# empty word, padding str.strip removes, and scores float reads, rejects or
+# reads as non-finite ("-0" averages to 0.0 in the loop).
+WORDS = ("cat", "Cat", "CAT", "dog", "DOG", "İstanbul", "i̇stanbul", "ΟΔΟΣ", "οδος", "ΑΣ.",
+         "straße", "STRASSE", "\u212a", "k", "a b", "")
+PADS = ("", "", " ", "  ", "\x0b", "\x1c", "\x85", "\u2028", "\xa0")
+GOOD_SCORES = ("5", "7.25", "-0", "-0.0", "0", "+2", "1e3", "1_0", "\u0663", ".5", "-3.125")
+BAD_SCORES = ("nan", "NaN", "inf", "-Infinity", "Bad", "x1", "1,5", "")
+ENDINGS = ("\n", "\r\n", "\r")
+
+
+def pad(rng, cell):
+    return rng.choice(PADS) + cell + rng.choice(PADS)
+
+
+def tab_line(rng, a, b, score):
+    return "\t".join(pad(rng, c) for c in (a, b, score))
+
+
+def mixed_lines(rng):
+    """Up to a dozen lines of the kinds the loop reads or skips, at most one it rejects.
+
+    Words with a space or none, which a space-separated line or a stripped
+    tab line may read as another number of cells, are drawn rarely.
+    """
+    rare = np.array([" " in w or not w for w in WORDS])
+    p = np.where(rare, 0.1, 1.0) / np.where(rare, 0.1, 1.0).sum()
+    lines, seen = [], []
+    for _ in range(int(rng.integers(0, 12))):
+        a, b = rng.choice(WORDS, size=2, p=p)
+        if seen and rng.random() < 0.2:  # a repeat, in either order
+            a, b = seen[rng.integers(len(seen))][:: rng.choice([1, -1])]
+        seen.append((a, b))
+        score = rng.choice(GOOD_SCORES)
+        lines.append(rng.choice([
+            tab_line(rng, a, b, score),
+            "\t" + tab_line(rng, a, b, score),  # a leading tab
+            tab_line(rng, a, b, score) + "\t" + rng.choice(["", "extra"]),
+            ",".join((a, b, score)),
+            " ".join((a, b, score)),
+            rng.choice(["", " ", "\t", " \t "]),  # blank
+        ]))
+    if rng.random() < 0.3:
+        lines.insert(0, rng.choice(["Word 1\tWord 2\tHuman (mean)", "w1,w2,score", "a b c"]))
+    if rng.random() < 0.5:
+        a, b = rng.choice(WORDS, size=2)
+        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice([
+            tab_line(rng, a, b, rng.choice(BAD_SCORES)),
+            " ".join((a, b, rng.choice(BAD_SCORES))),
+            f"{a}\t{rng.choice(GOOD_SCORES)}",  # a short line
+            "Word 1\tWord 2\tHuman (mean)",  # a header, wherever it falls
+        ]))
+    return lines
+
+
+def write_lines(path, rng, lines):
+    path.write_bytes("".join(line + rng.choice(ENDINGS) for line in lines).encode("utf-8"))
+
+
+def outcome(load, path, labels):
+    """The pairs, bit-exact scores and lookup arrays of a load, or its error text."""
+    try:
+        d = load(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    ia, ib, scores = d.lookup(labels)
+    return (d.triples, [s.hex() for _, _, s in d.triples],
+            ia.tolist(), ib.tolist(), [s.hex() for s in scores.tolist()])
+
+
+# every word the files can hold, and one they cannot, in no sorted order
+LABELS = tuple(np.random.default_rng(227).permutation(
+    sorted({w.strip().lower() for w in WORDS} | {"oov"})).tolist())
+
+
+class TestLoadMatchesPerLineReference:
+    def test_clean_tab_files_take_the_column_parse(self, tmp_path):
+        rng = np.random.default_rng(233)
+        words = [w.strip().lower() for w in WORDS]
+        picks = [(WORDS[a], WORDS[b]) for a, b in itertools.combinations(range(len(WORDS)), 2)
+                 if words[a] != words[b]]
+        for i in range(40):
+            # distinct unordered pairs after lowering, listed in either order
+            seen, lines = set(), []
+            for j in rng.permutation(len(picks))[: int(rng.integers(1, 40))]:
+                a, b = picks[j][:: rng.choice([1, -1])]
+                if not a:  # an empty first cell strips away with the line's padding
+                    a, b = b, a
+                key = tuple(sorted((a.strip().lower(), b.strip().lower())))
+                if key in seen:
+                    continue
+                seen.add(key)
+                lines.append(tab_line(rng, a, b, rng.choice(GOOD_SCORES)))
+                if rng.random() < 0.1:
+                    lines.append(rng.choice(["", "  ", "\t", "\t\t"]))
+            path = tmp_path / f"clean{i}.tsv"
+            write_lines(path, rng, lines)
+            with open(path, encoding="utf-8") as fh:
+                assert _tab_columns(fh.read()) is not None
+            assert outcome(load_wordsim, path, LABELS) == outcome(reference_load_wordsim, path,
+                                                                  LABELS)
+
+    def test_generated_files_load_alike(self, tmp_path):
+        rng = np.random.default_rng(239)
+        for i in range(400):
+            lines = mixed_lines(rng)
+            path = tmp_path / f"mixed{i}.txt"
+            write_lines(path, rng, lines)
+            assert outcome(load_wordsim, path, LABELS) == outcome(reference_load_wordsim, path,
+                                                                  LABELS), lines
+
+    @pytest.mark.parametrize("text", [
+        "Word 1\tWord 2\tScore\ncat\tdog\t5\n",
+        "cat,dog,5\nsun\tmoon\t3\n",
+        "cat dog 5\nsun\tmoon\t3\n",
+        "cat\tdog\t5\tx\nsun\tmoon\t3\n",
+        "cat\tdog\t5\nsun\tmoon\tBad\n",
+        "cat\tdog\t5\nsun\tmoon\tNaN\n",
+        "cat\tdog\t5\nsun\tmoon\t-inf\n",
+        "cat\tdog\t5\nDog\tCat\t6\n",
+        "cat\tdog\t5\nsun\t3\n",
+        "",
+        " \n\t\n",
+    ], ids=["header", "comma", "space", "extra-cell", "bad-score", "nan", "inf",
+            "repeat", "short", "empty", "blank"])
+    def test_other_files_go_to_the_loop(self, tmp_path, text):
+        assert _tab_columns(text) is None
+        path = tmp_path / "ws.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(load_wordsim, path, LABELS) == outcome(reference_load_wordsim, path,
+                                                              LABELS)
+
+    def test_column_parse_makes_no_object_per_pair_for_the_cyclic_gc(self, tmp_path):
+        # the loop's dict of lists, keyed by tuples, sets off a young
+        # collection every few hundred pairs; columns of strings set off none
+        path = tmp_path / "ws.tsv"
+        path.write_text("".join(f"w{i}\tw{i + 1}\t{i % 7}\n" for i in range(20_000)))
+
+        def collections(load):
+            starts = []
+
+            def count(phase, info):
+                if phase == "start":
+                    starts.append(info["generation"])
+
+            gc.collect()
+            gc.callbacks.append(count)
+            try:
+                load(path)
+            finally:
+                gc.callbacks.remove(count)
+            return len(starts)
+
+        assert collections(load_wordsim) <= 1
+        assert collections(reference_load_wordsim) >= 10
+
+
+def test_leading_byte_order_mark_is_ignored(tmp_path):
+    for name, text in (("tab", "Cat\tdog\t5\nsun\tmoon\t3\n"),
+                       ("header", "w1,w2,score\nCat,dog,5\nsun,moon,3\n")):
+        plain, marked = tmp_path / f"{name}.txt", tmp_path / f"{name}.bom.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_wordsim(marked).triples == load_wordsim(plain).triples == (
+            ("cat", "dog", 5.0), ("moon", "sun", 3.0))
+
+
+class TestDatasetColumns:
+    def test_triples_round_trip_through_the_columns(self):
+        d = WordSimDataset(LOOKUP_TRIPLES)
+        assert d.triples == LOOKUP_TRIPLES
+        assert d.words_a == tuple(a for a, _, _ in LOOKUP_TRIPLES)
+        assert d.words_b == tuple(b for _, b, _ in LOOKUP_TRIPLES)
+        assert d.scores.tolist() == [s for _, _, s in LOOKUP_TRIPLES]
+        assert WordSimDataset(iter(LOOKUP_TRIPLES)).triples == LOOKUP_TRIPLES
+        assert not d.scores.flags.writeable
+
+    def test_from_columns_matches_the_triples_constructor(self):
+        scores = np.array([s for _, _, s in LOOKUP_TRIPLES])
+        d = WordSimDataset.from_columns([a for a, _, _ in LOOKUP_TRIPLES],
+                                        [b for _, b, _ in LOOKUP_TRIPLES], scores)
+        assert d.triples == WordSimDataset(LOOKUP_TRIPLES).triples
+        scores[0] = -1.0  # the dataset holds its own copy
+        assert d.scores[0] == LOOKUP_TRIPLES[0][2]
+        with pytest.raises(ValueError, match="empty"):
+            WordSimDataset.from_columns([], [], [])
 
 
 class TestCosine:
