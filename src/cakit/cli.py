@@ -93,7 +93,7 @@ def _read_method_config(args) -> dict:
     """
     given = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(args.config, encoding="utf-8-sig") as fh:
             given.update(parse_method_config(fh.read(), f"{args.config}:"))
     given.update((k, v) for k, v in vars(args).items() if k in FIT_OPTIONS and v is not None)
     config = {key: given.get(key, default) for key, (_, default, _, _) in FIT_OPTIONS.items()}

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import logging
 import string
-from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -49,35 +47,35 @@ def count_cooccurrences(tokens, cfg: CooccurrenceConfig) -> ContingencyTable:
     """Count word/context pairs within the symmetric window into a square table.
 
     For every position i and offset d with 1 <= |d| <= window and i+d in
-    range, the (word_i, word_{i+d}) cell is incremented, provided both
-    tokens survive the vocabulary filter.  Rows and columns share the
-    sorted vocabulary.
+    range, the (word_i, word_{i+d}) cell is incremented if both tokens pass
+    the vocabulary filter.  Rows and columns share the sorted vocabulary.
 
-    Tokens are mapped to vocabulary ids once, with -1 for filtered words.
-    For each forward offset d the pairs (ids[i], ids[i+d]) are encoded as
-    flat cell indices ``ids[i] * V + ids[i+d]``, pairs with a filtered side
-    are dropped, and ``np.bincount`` adds them into one V*V int64
-    accumulator.  Adding the transpose once at the end counts the backward
-    offsets and doubles the diagonal, exactly as incrementing both (a, b)
-    and (b, a) per pair does.  Offsets are accumulated one at a time, so
-    memory beyond the token ids is the accumulator plus one offset's codes
-    and bincount (O(len(tokens) + V^2)), not the codes of every offset at
-    once.
+    Each token is looked up once, in a dict of the sorted distinct words,
+    and the frequencies are the bincount of those ids.  ``min_count``, then
+    ``max_vocab`` (most frequent first, ties in word order), drop words; one
+    int array remaps the ids, -1 for a dropped word.  Per forward offset d,
+    the bincount of the codes ``ids[i] * V + ids[i+d]`` of pairs with no
+    dropped side is added into the first offset's; adding the transpose
+    counts the backward offsets and doubles the diagonal.  Memory beyond
+    the ids is O(len(tokens) + V^2).  A list is read as given.
     """
-    tokens = list(tokens)
+    tokens = tokens if isinstance(tokens, list) else list(tokens)
     if not tokens:
         raise ValueError("token stream is empty")
-    freq = Counter(tokens)
-    vocab = {w for w, count in freq.items() if count >= cfg.min_count}
-    if cfg.max_vocab is not None and len(vocab) > cfg.max_vocab:
-        ranked = sorted(vocab, key=lambda w: (-freq[w], w))
-        vocab = set(ranked[: cfg.max_vocab])
-    if not vocab:
+    types = sorted(set(tokens))
+    index = dict(zip(types, range(len(types))))
+    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
+    freq = np.bincount(ids, minlength=len(types))
+    keep = freq >= cfg.min_count
+    if cfg.max_vocab is not None and keep.sum() > cfg.max_vocab:  # kept words rank first
+        keep[np.argsort(-freq, kind="stable")[cfg.max_vocab:]] = False  # ties in word order
+    if not keep.any():
         raise ValueError("vocabulary is empty after filtering")
-    labels = sorted(vocab)
-    index = {w: i for i, w in enumerate(labels)}
-    ids = np.fromiter(map(index.get, tokens, repeat(-1)), dtype=np.int64, count=len(tokens))
-    counts = _window_counts(ids, len(labels), cfg.window, masked=len(vocab) < len(freq))
+    masked = not keep.all()
+    if masked:
+        ids = np.where(keep, np.cumsum(keep) - 1, -1)[ids]
+    labels = [word for word, kept in zip(types, keep.tolist()) if kept]
+    counts = _window_counts(ids, len(labels), cfg.window, masked)
     if counts.sum() == 0:
         raise ValueError("no co-occurrence pairs within the window")
     return ContingencyTable.from_counts(counts, labels, labels)
@@ -85,14 +83,15 @@ def count_cooccurrences(tokens, cfg: CooccurrenceConfig) -> ContingencyTable:
 
 def _window_counts(ids: np.ndarray, V: int, window: int, masked: bool) -> np.ndarray:
     """Symmetric V x V float counts of id pairs at offsets 1..window (see above)."""
-    acc = np.zeros(V * V, dtype=np.int64)
-    for d in range(1, min(window, len(ids) - 1) + 1):
+    def offset_counts(d):
         left, right = ids[:-d], ids[d:]
         code = left * V + right
-        if masked:
-            code = code[(left >= 0) & (right >= 0)]
-        acc += np.bincount(code, minlength=V * V)
-    acc = acc.reshape(V, V)
+        code = code[(left >= 0) & (right >= 0)] if masked else code
+        return np.bincount(code, minlength=V * V).reshape(V, V)
+
+    acc = offset_counts(1)  # the accumulator; a one-token stream has no pair here either
+    for d in range(2, min(window, len(ids) - 1) + 1):
+        acc += offset_counts(d)
     return np.add(acc, acc.T, dtype=float)
 
 
@@ -100,7 +99,7 @@ def slice_tokens(tokens, percent: float) -> list[str]:
     """First ``percent`` % of the token stream (floor)."""
     if not 0 < percent <= 100:
         raise ValueError(f"slice percentage must be in (0, 100], got {percent}")
-    tokens = list(tokens)
+    tokens = tokens if isinstance(tokens, list) else list(tokens)
     return tokens[: int(len(tokens) * percent / 100.0)]
 
 

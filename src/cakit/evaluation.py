@@ -90,7 +90,8 @@ def load_wordsim(path) -> WordSimDataset:
 
     Words are lowercased to match corpus tokenization.  A first line whose
     score field is not numeric is treated as a header; any other malformed
-    line, and any NaN or infinite score, raises with its line number.
+    line, an empty word, and any NaN or infinite score, raises with its
+    line number.
     Duplicate unordered pairs are averaged.  A leading byte-order mark is
     ignored.
 
@@ -112,9 +113,9 @@ def _tab_columns(text: str) -> WordSimDataset | None:
     stripped and lowercased, the score cells read by ``float``, and each
     pair ordered with ``min``/``max``, as the loop does one line at a time.
     A file with no line, a line with other than two tabs, a score ``float``
-    rejects or that is not finite, or a repeated unordered pair returns
-    None: the loop skips a header, splits other separators, averages
-    repeats and names the bad line.
+    rejects or that is not finite, an empty word or a repeated unordered
+    pair returns None: the loop skips a header, splits other separators,
+    averages repeats and names the bad line.
     """
     lines = list(filter(None, map(str.strip, text.split("\n"))))
     if not lines or set(map(str.count, lines, repeat("\t"))) != {2}:
@@ -129,7 +130,7 @@ def _tab_columns(text: str) -> WordSimDataset | None:
     scores += 0.0  # -0.0 to 0.0: the loop averages with fsum, and fsum([-0.0]) is 0.0
     words_a, words_b = (list(map(str.lower, cells[k::3])) for k in (0, 1))
     lo, hi = list(map(min, words_a, words_b)), list(map(max, words_a, words_b))
-    if len(set(map("\t".join, zip(lo, hi)))) < len(lines):
+    if "" in lo or len(set(map("\t".join, zip(lo, hi)))) < len(lines):
         return None
     return WordSimDataset.from_columns(lo, hi, scores)
 
@@ -152,6 +153,8 @@ def _parse_lines(path, text: str) -> WordSimDataset:
             raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not a number")
         if not math.isfinite(value):
             raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not finite")
+        if not (cells[0] and cells[1]):
+            raise ValueError(f"{path}:{lineno}: empty word")
         a, b = cells[0].lower(), cells[1].lower()
         scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
     if not scores:

@@ -216,9 +216,13 @@ def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
             raise ValueError(f"{axis} pair-score matrix shape {gamma.shape}, expected {(size, size)}")
     N = t.counts
     GN = gamma_r @ N
-    cross = GN * (N @ gamma_c)
+    # a symmetric table under one symmetric gamma: N gamma = (gamma N)^T, and one
+    # marginal serves both axes, so the two kernels agree bit for bit
+    shared = (t.row_labels == t.col_labels and np.array_equal(gamma_r, gamma_c)
+              and np.array_equal(gamma_r, gamma_r.T) and np.array_equal(N, N.T))
+    cross = GN * (GN.T if shared else N @ gamma_c)
     r_mod = cross.sum(axis=1)
-    c_mod = cross.sum(axis=0)
+    c_mod = r_mod if shared else cross.sum(axis=0)
     for axis, labels, marginal in (("row", t.row_labels, r_mod), ("column", t.col_labels, c_mod)):
         if np.any(marginal <= 0):
             bad = [lbl for lbl, v in zip(labels, marginal) if v <= 0]

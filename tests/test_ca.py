@@ -297,6 +297,16 @@ class TestSymmetricTable:
             np.testing.assert_allclose(fast_X[:, determined], oracle_X[:, determined], rtol=0,
                                        atol=1e-9 * scale, err_msg=name)
 
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_SANDWICH - {"kpca_cd"}))
+    def test_equal_kernels_give_g_equal_to_f_times_column_signs(self, name):
+        # ws included: its row and column kernels divide by one shared marginal
+        t = ContingencyTable.from_counts(symmetric_counts(), WORDS, WORDS)
+        emb = fit_kca(t, case_method(name, t), 6)
+        top = np.abs(emb.F).argmax(axis=0), np.arange(6)
+        signs = np.sign(emb.G[top] / emb.F[top])
+        assert set(signs) <= {-1.0, 1.0}, (name, signs)
+        assert (emb.F * signs).tobytes() == emb.G.tobytes(), name
+
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_SANDWICH))
     def test_permutation_equivariance(self, name):
         # one permutation of the shared vocabulary keeps the table symmetric

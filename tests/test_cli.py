@@ -454,6 +454,19 @@ class TestFitOptions:
         assert flag_echo == cfg_echo
         assert flag_bytes == cfg_bytes
 
+    def test_config_file_behind_a_byte_order_mark_fits_like_the_flag(self, fisher_tsv,
+                                                                      tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("method=linear\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        runs = []
+        for name, extra in (("flag", ["--method", "linear"]), ("cfg", ["--config", str(cfg)])):
+            out = tmp_path / f"{name}.tsv"
+            assert main(["fit", fisher_tsv, *extra, "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().err, out.read_bytes()))
+        assert runs[0] == runs[1]
+        assert "config: method=linear\n" in runs[1][0]
+
     @pytest.mark.parametrize("line, message", [
         ("method linear", "expected key=value"),
         ("methd=linear", "unknown configuration key 'methd'"),

@@ -108,6 +108,77 @@ class TestMatchesLoopReference:
         np.testing.assert_array_equal(t.counts, [[6]])
 
 
+class TestVocabulary:
+    """The filters, label order and inputs of the one-lookup-per-token count."""
+
+    assert_same = TestMatchesLoopReference.assert_same
+
+    def test_ties_at_the_max_vocab_cut_keep_word_order(self):
+        # frequencies: e 5, then a, b and d 3 each, then c 2 and f 1
+        tokens = list("ebdaebdaebdaeecfc")
+        for mv, kept in [(1, "e"), (2, "ae"), (3, "abe"), (4, "abde"), (5, "abcde")]:
+            t = count_cooccurrences(tokens, CooccurrenceConfig(window=2, max_vocab=mv))
+            assert t.row_labels == tuple(kept), mv
+            self.assert_same(tokens, CooccurrenceConfig(window=2, max_vocab=mv))
+        rng = np.random.default_rng(241)
+        tokens = [f"w{r}" for r in rng.permutation(np.repeat(np.arange(12), 4))]  # all tied
+        for mv in (1, 5, 11):  # a window over the whole stream pairs every kept word
+            t = count_cooccurrences(tokens, CooccurrenceConfig(window=48, max_vocab=mv))
+            assert t.row_labels == tuple(sorted(set(tokens)))[:mv]
+            self.assert_same(tokens, CooccurrenceConfig(window=48, max_vocab=mv))
+
+    def test_min_count_leaving_fewer_types_than_max_vocab(self):
+        rng = np.random.default_rng(251)
+        tokens = [f"w{r}" for r in rng.zipf(1.4, size=700) % 50]
+        freq = Counter(tokens)
+        cfg = CooccurrenceConfig(window=2, min_count=10, max_vocab=40)
+        t = count_cooccurrences(tokens, cfg)
+        assert t.row_labels == tuple(sorted(w for w, c in freq.items() if c >= 10))
+        assert len(t.row_labels) < 40
+        self.assert_same(tokens, cfg)
+
+    def test_every_type_filtered_keeps_the_error_text(self):
+        with pytest.raises(ValueError) as info:
+            count_cooccurrences(["a", "b", "a"], CooccurrenceConfig(min_count=3))
+        assert str(info.value) == "vocabulary is empty after filtering"
+        with pytest.raises(ValueError) as info:
+            count_cooccurrences([], CooccurrenceConfig())
+        assert str(info.value) == "token stream is empty"
+        with pytest.raises(ValueError) as info:  # one kept word, never next to itself
+            count_cooccurrences(["a", "b", "a"], CooccurrenceConfig(window=1, min_count=2))
+        assert str(info.value) == "no co-occurrence pairs within the window"
+
+    def test_case_distinct_and_non_ascii_labels_in_str_order(self):
+        words = ["b", "B", "a", "A", "é", "E", "z", "Ω", "ω", "日本", "straße", "STRASSE", "İ"]
+        rng = np.random.default_rng(257)
+        tokens = [words[i] for i in rng.integers(0, len(words), size=400)]
+        for cfg in (CooccurrenceConfig(window=2), CooccurrenceConfig(window=3, max_vocab=6)):
+            t = count_cooccurrences(tokens, cfg)
+            assert list(t.row_labels) == sorted(t.row_labels)
+            self.assert_same(tokens, cfg)
+        assert count_cooccurrences(tokens, CooccurrenceConfig()).row_labels == tuple(sorted(words))
+
+    def test_generator_and_tuple_inputs_count_like_a_list(self):
+        rng = np.random.default_rng(263)
+        tokens = [f"w{r}" for r in rng.integers(0, 9, size=200)]
+        cfg = CooccurrenceConfig(window=2, min_count=20)
+        want = count_cooccurrences(tokens, cfg)
+        for given in (tuple(tokens), iter(tokens), (tok for tok in tokens)):
+            got = count_cooccurrences(given, cfg)
+            assert got.row_labels == want.row_labels
+            np.testing.assert_array_equal(got.counts, want.counts)
+        for given in (tuple(tokens), iter(tokens)):
+            assert slice_tokens(given, 30) == tokens[:60]
+
+    def test_the_callers_list_is_left_unchanged(self):
+        tokens = ["b", "a", "c", "a", "b", "x"]
+        count_cooccurrences(tokens, CooccurrenceConfig(window=2, min_count=2, max_vocab=1))
+        assert tokens == ["b", "a", "c", "a", "b", "x"]
+        head = slice_tokens(tokens, 50)
+        head.append("y")
+        assert tokens == ["b", "a", "c", "a", "b", "x"]
+
+
 class TestCountCooccurrences:
     def test_three_token_window_one(self):
         t = count_cooccurrences(["a", "b", "a"], CooccurrenceConfig(window=1))

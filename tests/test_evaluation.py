@@ -91,6 +91,8 @@ def reference_load_wordsim(path) -> WordSimDataset:
                 raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not a number")
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: score {cells[2]!r} is not finite")
+            if not (cells[0] and cells[1]):
+                raise ValueError(f"{path}:{lineno}: empty word")
             a, b = cells[0].lower(), cells[1].lower()
             scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
     if not scores:
@@ -136,6 +138,14 @@ class TestLoadWordsim:
         path.write_text("cat dog 5\nbird fish notanumber\n")
         with pytest.raises(ValueError, match=":2"):
             load_wordsim(path)
+
+    @pytest.mark.parametrize("line", ["cat\t\t5", "cat\t \t5", "cat,,5", " , cat,5"])
+    def test_empty_word_on_either_side_rejected(self, tmp_path, line):
+        path = tmp_path / "ws.txt"
+        path.write_text(f"sun\tmoon\t3\n{line}\n")
+        with pytest.raises(ValueError) as info:
+            load_wordsim(path)
+        assert str(info.value) == f"{path}:2: empty word"
 
     def test_short_line_rejected(self, tmp_path):
         path = tmp_path / "ws.txt"
@@ -242,15 +252,14 @@ class TestLoadMatchesPerLineReference:
     def test_clean_tab_files_take_the_column_parse(self, tmp_path):
         rng = np.random.default_rng(233)
         words = [w.strip().lower() for w in WORDS]
+        # an empty word goes to the loop, which rejects it
         picks = [(WORDS[a], WORDS[b]) for a, b in itertools.combinations(range(len(WORDS)), 2)
-                 if words[a] != words[b]]
+                 if words[a] != words[b] and words[a] and words[b]]
         for i in range(40):
             # distinct unordered pairs after lowering, listed in either order
             seen, lines = set(), []
             for j in rng.permutation(len(picks))[: int(rng.integers(1, 40))]:
                 a, b = picks[j][:: rng.choice([1, -1])]
-                if not a:  # an empty first cell strips away with the line's padding
-                    a, b = b, a
                 key = tuple(sorted((a.strip().lower(), b.strip().lower())))
                 if key in seen:
                     continue
@@ -284,10 +293,11 @@ class TestLoadMatchesPerLineReference:
         "cat\tdog\t5\nsun\tmoon\t-inf\n",
         "cat\tdog\t5\nDog\tCat\t6\n",
         "cat\tdog\t5\nsun\t3\n",
+        "cat\tdog\t5\nsun\t \t3\n",
         "",
         " \n\t\n",
     ], ids=["header", "comma", "space", "extra-cell", "bad-score", "nan", "inf",
-            "repeat", "short", "empty", "blank"])
+            "repeat", "short", "empty-word", "empty", "blank"])
     def test_other_files_go_to_the_loop(self, tmp_path, text):
         assert _tab_columns(text) is None
         path = tmp_path / "ws.txt"

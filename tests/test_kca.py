@@ -513,6 +513,30 @@ class TestWsKernelFit:
         assert eigh_shapes == [t.shape]
         assert np.all(np.isfinite(emb.F)) and emb.k == 50
 
+    def test_symmetric_table_and_gamma_give_g_equal_to_f_times_column_signs(self):
+        # summed along each axis, the modified marginals differ by roundoff at this size
+        rng = np.random.default_rng(40)
+        upper = np.triu(rng.integers(0, 30, size=(40, 40)) + 0.0)
+        upper[upper < 5] = 0.0
+        words = [f"w{i}" for i in range(40)]
+        t = ContingencyTable.from_counts(upper + np.triu(upper, 1).T, words, words)
+        a, b = rng.integers(0, 40, size=(2, 80))
+        pairs = WordSimDataset(tuple((words[i], words[j], float(rng.uniform(0, 10)))
+                                     for i, j in zip(a, b) if i != j))
+        gamma = build_gamma(t.row_labels, pairs, alpha=0.1)
+        assoc = association_matrix(t, method_from_name("ws", gamma_row=gamma, gamma_col=gamma))
+        assert assoc.r.tobytes() == assoc.c.tobytes()
+        emb = fit_ws_kca(t, gamma, gamma, 10)
+        top = np.abs(emb.F).argmax(axis=0), np.arange(10)
+        signs = np.sign(emb.G[top] / emb.F[top])
+        assert set(signs) <= {-1.0, 1.0}
+        assert (emb.F * signs).tobytes() == emb.G.tobytes()
+        # the shared marginal is either axis's sum of the general product, to roundoff
+        N = t.counts
+        cross = (gamma @ N) * (N @ gamma)
+        for marginal in (cross.sum(axis=1), cross.sum(axis=0)):
+            np.testing.assert_allclose(assoc.r, marginal, rtol=1e-13)
+
     def test_build_gamma_matches_the_dict_loop_bit_for_bit(self):
         rng = np.random.default_rng(233)
         pool = [f"w{i}" for i in range(30)]
