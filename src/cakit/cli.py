@@ -141,7 +141,7 @@ def _stopwords(table, config) -> set:
 
 
 def _ws_gammas(table, scores_path, alpha, beta):
-    """The row and column pair-score matrices of a ws fit."""
+    """The row and column pair-score matrices of a ws fit; one array when the labels agree."""
     if not scores_path:
         raise ValueError("method=ws needs a pair-score file (--ws-scores)")
     dataset = evaluation.load_wordsim(scores_path)
@@ -152,8 +152,10 @@ def _ws_gammas(table, scores_path, alpha, beta):
         max_score = float(np.abs(dataset.scores).max())
         alpha = 0.1 / max_score if max_score > 0 else 0.0
         _err(f"config: ws_alpha defaulted to {alpha:g}")
-    return (kca.build_gamma(table.row_labels, dataset, alpha, beta),
-            kca.build_gamma(table.col_labels, dataset, alpha, beta))
+    gamma_row = kca.build_gamma(table.row_labels, dataset, alpha, beta)
+    if table.col_labels == table.row_labels:
+        return gamma_row, gamma_row
+    return gamma_row, kca.build_gamma(table.col_labels, dataset, alpha, beta)
 
 
 def cmd_fit(args) -> int:

@@ -164,15 +164,24 @@ def _parse_lines(path, text: str) -> WordSimDataset:
 
 
 def cosine(u, v) -> float:
-    """u.v / (|u| |v|); zero vectors compare as 0 with a warning."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+    """u.v / (|u| |v|), as :func:`evaluate` scores a pair; a zero vector gives 0 with a warning."""
+    sims, touched = _pair_cosines(np.array([u, v], dtype=float), [0], [1])
+    if touched:
         warnings.warn("cosine of a zero vector is defined as 0", stacklevel=2)
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
+    return float(sims[0])
+
+
+def _pair_cosines(coords: np.ndarray, ia, ib) -> tuple[np.ndarray, int]:
+    """Cosines of rows ``ia[p]`` and ``ib[p]`` of ``coords``; the count of pairs with a zero row.
+
+    Such a pair scores 0; two identical nonzero rows score exactly 1, not 1 +- rounding.
+    """
+    norms = np.linalg.norm(coords, axis=1)
+    zero = norms == 0.0
+    unit = coords / np.where(zero, 1.0, norms)[:, None]
+    sims = np.einsum("ij,ij->i", unit[ia], unit[ib])
+    sims[(coords[ia] == coords[ib]).all(axis=1) & ~zero[ia]] = 1.0
+    return sims, int(np.count_nonzero(zero[ia] | zero[ib]))
 
 
 def _ranks(x: np.ndarray) -> np.ndarray:
@@ -219,13 +228,7 @@ def evaluate(e: EmbeddingSet, which: str, d: WordSimDataset) -> EvalReport:
     ia, ib, human = d.lookup(labels)
     if not len(ia):
         raise ValueError("zero usable pairs: every dataset word is out of vocabulary")
-    norms = np.linalg.norm(coords, axis=1)
-    zero = norms == 0.0
-    unit = coords / np.where(zero, 1.0, norms)[:, None]
-    sims = np.einsum("ij,ij->i", unit[ia], unit[ib])
-    # two identical nonzero rows (a self pair too) score exactly 1, not 1 +- rounding
-    sims[(coords[ia] == coords[ib]).all(axis=1) & ~zero[ia]] = 1.0
-    touched = int(np.count_nonzero(zero[ia] | zero[ib]))
+    sims, touched = _pair_cosines(coords, ia, ib)
     if touched:
         warnings.warn(f"{touched} of {len(sims)} pairs involve a zero vector; "
                       "their cosine is 0", stacklevel=2)

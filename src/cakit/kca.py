@@ -178,34 +178,31 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
     """The matrix the chosen method factorizes.
 
     linear / gini / kpca_cd: the centered frequencies N/n - r c^T/n^2.
-    gtest: cellwise (n_ij/n) * log(n_ij n / (r_i c_j)), with the 0*log(0)=0
-    convention on empty cells.
+    gtest: cellwise (n_ij/n) * log(n_ij n / (r_i c_j)).
     sgns: shifted PMI, log(n_ij n / (r_i c_j)) - log(shift_k), clamped at 0
-    by default (empty cells fall to the clamp or to ``sgns_floor``).
+    by default.
+    Both take the log ratio on the nonzero cells of N only; an empty cell
+    holds 0 (gtest's 0*log(0)=0 convention, or the clamp), or ``sgns_floor``
+    for unclamped sgns.
     ws: see :func:`fit_ws_kca`; its marginals are the modified ones.
     Every other association comes with the table's marginals.
     """
     if m.association == "ws":
         return _ws_association(t, m.gamma_row, m.gamma_col)
-    N = t.counts
-    n = t.n
     if m.association in ("linear", "gini", "kpca_cd"):
         return AssociationMatrix(residual_matrix(t), t.r, t.c)
-    expected = np.outer(t.r, t.c) / n  # E_ij = r_i c_j / n
-    positive = N > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(positive, np.log(np.where(positive, N, 1.0) / expected), 0.0)
+    i, j = np.nonzero(t.counts)
+    N = t.counts[i, j]
+    log_ratio = np.log(N / (t.r[i] * t.c[j] / t.n))  # E_ij = r_i c_j / n
     if m.association == "gtest":
-        A = np.where(positive, (N / n) * log_ratio, 0.0)
-        return AssociationMatrix(A, t.r, t.c)
-    if m.association == "sgns":
-        shifted = log_ratio - math.log(m.shift_k)
-        if m.sgns_clamp:
-            A = np.where(positive, np.maximum(shifted, 0.0), 0.0)
-        else:
-            A = np.where(positive, shifted, m.sgns_floor)
-        return AssociationMatrix(A, t.r, t.c)
-    raise ValueError(f"unknown association {m.association!r}")
+        values, fill = (N / t.n) * log_ratio, 0.0
+    elif m.sgns_clamp:
+        values, fill = np.maximum(log_ratio - math.log(m.shift_k), 0.0), 0.0
+    else:
+        values, fill = log_ratio - math.log(m.shift_k), m.sgns_floor
+    A = np.full(t.shape, fill)
+    A[i, j] = values
+    return AssociationMatrix(A, t.r, t.c)
 
 
 def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
@@ -347,7 +344,8 @@ def build_gamma(labels, pairs, alpha: float, beta: float = 1.0) -> np.ndarray:
     ``pairs`` is a :class:`cakit.evaluation.WordSimDataset`; the pairs its
     ``lookup`` matches to the labels set both gamma_ij and gamma_ji, a later
     listing of a pair over an earlier one, so gamma is symmetric.  Other
-    entries are just ``beta``.
+    entries are just ``beta``.  For ``beta != 0`` this is ``beta`` times the
+    gamma of ``(alpha / beta, 1)``: only ``alpha / beta`` moves a ws cosine.
     """
     gamma = np.full((len(labels), len(labels)), beta, dtype=float)
     ia, ib, scores = pairs.lookup(labels)
@@ -366,7 +364,9 @@ def fit_ws_kca(t: ContingencyTable, gamma_r, gamma_c, k: int | None = None,
     original grand total), under inverse-marginal kernels built from the
     modified marginals ``r' = ((G_r N) o (N G_c)) 1`` and its transpose
     analogue.  All-ones pair-score matrices reduce to linear CA up to a
-    global positive scale.
+    global positive scale.  Scaling both by ``c != 0`` scales the association
+    and both modified marginals by ``c**2``, which leaves the sandwich, S and
+    every cosine unchanged and divides F and G by ``|c|``.
     """
     m = method_from_name("ws", exponent=exponent, gamma_row=gamma_r, gamma_col=gamma_c)
     return fit_kca(t, m, k)

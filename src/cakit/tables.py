@@ -18,7 +18,7 @@ import contextlib
 import itertools
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,17 +36,20 @@ class ContingencyTable:
     ``counts`` is the table's own read-only float copy of the array it was
     given, so the checks made at construction hold for as long as the table
     does: writing into it raises ``ValueError``, and a later change to the
-    caller's array does not reach the table.
+    caller's array does not reach the table.  The marginals ``r = counts @ 1``
+    and ``c = counts.T @ 1`` and the total ``n`` are computed once, with the
+    zero-marginal check, and kept read-only beside the counts.
     """
 
     counts: np.ndarray
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
+    r: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    n: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=float)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "col_labels", tuple(self.col_labels))
         if counts.ndim != 2:
@@ -60,26 +63,16 @@ class ContingencyTable:
             raise ValueError("counts contain NaN or Inf")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if np.any(counts.sum(axis=1) <= 0) or np.any(counts.sum(axis=0) <= 0):
+        r, c = counts.sum(axis=1), counts.sum(axis=0)
+        if np.any(r <= 0) or np.any(c <= 0):
             raise ValueError(
                 "table has a zero marginal; construct via from_counts() to drop "
                 "empty categories"
             )
-
-    @property
-    def r(self) -> np.ndarray:
-        """Row marginals, counts @ 1."""
-        return self.counts.sum(axis=1)
-
-    @property
-    def c(self) -> np.ndarray:
-        """Column marginals, counts.T @ 1."""
-        return self.counts.sum(axis=0)
-
-    @property
-    def n(self) -> float:
-        """Grand total."""
-        return float(self.counts.sum())
+        for name, array in (("counts", counts), ("r", r), ("c", c)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "n", float(counts.sum()))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -152,17 +145,17 @@ _DECIMALS = np.array([str(i) for i in range(_DECIMALS_BOUND)], dtype=object)
 
 
 def _decimal_cells(row: np.ndarray) -> list[str]:
-    """The decimal strings of an int64 row, looked up below the bound, else ``str``."""
-    small = (row >= 0) & (row < _DECIMALS_BOUND)
-    cells = _DECIMALS[np.where(small, row, 0)]
+    """The cells of a finite row: integers below the bound looked up, others ``_format_count``."""
+    index = np.minimum(np.maximum(row, 0), _DECIMALS_BOUND - 1).astype(np.intp)
+    small = index == row  # the integers 0 .. bound - 1, and -0.0
+    cells = _DECIMALS[index]
     if not small.all():
-        cells[~small] = [str(x) for x in row[~small].tolist()]
+        cells[~small] = list(map(_format_count, row[~small].tolist()))
     return cells.tolist()
 
 
 def _format_count(x: float) -> str:
     # integers round-trip as integers; everything else via repr (exact)
-    x = float(x)
     if x == int(x) and abs(x) < 2**53:
         return str(int(x))
     return repr(x)
@@ -257,19 +250,15 @@ def _write_atomic(path, lines) -> None:
 def write_tsv(t: ContingencyTable, path) -> None:
     """Write the TSV table format: header of column labels, one labeled row per line.
 
-    Cells holding integers below 2**53 are written as integers, all others
-    via ``repr``, so :func:`read_tsv` reads back the exact counts.  Labels
+    One row formatter writes integers below 2**53 as integers and all other
+    cells via ``repr``, so :func:`read_tsv` reads back the exact counts.  Labels
     that :func:`read_tsv` would split or reject (tab, newline or carriage
     return, or a duplicate) raise ``ValueError`` before the file is opened.
     """
     _check_labels(path, "row", t.row_labels, "\t")
     _check_labels(path, "column", t.col_labels, "\t")
-    counts = t.counts
-    if np.all((counts == np.trunc(counts)) & (np.abs(counts) < 2**53)):
-        rows = map(_decimal_cells, counts.astype(np.int64))
-    else:
-        rows = [map(_format_count, row) for row in counts.tolist()]
-    body = (label + "\t" + "\t".join(row) + "\n" for label, row in zip(t.row_labels, rows))
+    body = (label + "\t" + "\t".join(_decimal_cells(row)) + "\n"
+            for label, row in zip(t.row_labels, t.counts))
     _write_atomic(path, itertools.chain(["\t" + "\t".join(t.col_labels) + "\n"], body))
 
 

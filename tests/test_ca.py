@@ -2,6 +2,7 @@
 and the metamorphic invariants of every kernel-CA method."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -317,6 +318,58 @@ class TestSymmetricTable:
         assert_same_spectrum(permuted.singular_values, base.singular_values, name)
         assert_same_coordinates(permuted.F, base.F[p], name)
         assert_same_coordinates(permuted.G, base.G[p], name)
+
+
+def dense_log_ratio_association(t, m):
+    """gtest and sgns as they were computed over every cell: the log of a
+    placeholder 1 in each empty cell, masked out afterwards."""
+    N, n = t.counts, t.n
+    expected = np.outer(t.r, t.c) / n
+    positive = N > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(positive, np.log(np.where(positive, N, 1.0) / expected), 0.0)
+    if m.association == "gtest":
+        return np.where(positive, (N / n) * log_ratio, 0.0)
+    shifted = log_ratio - math.log(m.shift_k)
+    if m.sgns_clamp:
+        return np.where(positive, np.maximum(shifted, 0.0), 0.0)
+    return np.where(positive, shifted, m.sgns_floor)
+
+
+def support_tables():
+    """The tables the METHOD_CASES fits run on, a fractional one, and seeded ones;
+    each has empty cells."""
+    counts = metamorphic_counts()
+    pr, pc = np.array([3, 0, 6, 4, 1, 5, 2]), np.array([2, 5, 0, 4, 1, 3])
+    tables = {
+        "metamorphic": ContingencyTable.from_counts(counts),
+        "transposed": ContingencyTable.from_counts(counts.T),
+        "scaled": ContingencyTable.from_counts(3.0 * counts),
+        "permuted": ContingencyTable.from_counts(counts[np.ix_(pr, pc)]),
+        "symmetric": ContingencyTable.from_counts(symmetric_counts(), WORDS, WORDS),
+        "fractional": ContingencyTable.from_counts(counts / 7.0),
+    }
+    rng = np.random.default_rng(97)
+    for i in range(6):
+        seeded = rng.integers(0, 9, size=rng.integers(3, 12, size=2)) * rng.uniform(0.5, 40.0)
+        seeded[seeded < 3] = 0.0
+        seeded[0, 0] += 1.0
+        tables[f"seeded {i}"] = ContingencyTable.from_counts(seeded)
+    assert all((t.counts == 0).any() for t in tables.values())
+    return tables
+
+
+class TestLogRatioOnTheSupport:
+    """gtest and sgns, taken on the nonzero cells only, against the dense computation."""
+
+    @pytest.mark.parametrize("table", list(support_tables()))
+    @pytest.mark.parametrize("name", ["gtest", "sgns", "sgns_unclamped"])
+    def test_bit_equal_to_the_dense_association(self, name, table):
+        t = support_tables()[table]
+        m = case_method(name, t)
+        got = association_matrix(t, m)
+        assert got.values.tobytes() == dense_log_ratio_association(t, m).tobytes()
+        assert got.r is t.r and got.c is t.c
 
 
 class TestCoordinateExport:

@@ -1,5 +1,6 @@
 """Command-line pipeline: count -> fit -> eval, plus the demo subcommand."""
 
+import dataclasses
 import os
 import shlex
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cakit import ca, evaluation, tables
+from cakit import ca, evaluation, kca, tables
 from cakit.cli import FIT_OPTIONS, _read_method_config, build_parser, main, parse_method_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -144,6 +145,35 @@ class TestFit:
         ])
         assert rc == 0
         assert ca.read_embeddings(out).method_tag == "ws"
+
+    def test_ws_fit_builds_one_pair_score_matrix_for_shared_labels(
+            self, fisher_tsv, tmp_path, monkeypatch):
+        corpus, table = tmp_path / "c.txt", tmp_path / "table.tsv"
+        corpus.write_text("a b c a d b c a b d c a " * 5)
+        assert main(["count", str(corpus), "--window", "2", "--out", str(table)]) == 0
+        scores = tmp_path / "scores.txt"
+        scores.write_text("a b 8.0\nc d 6.5\nblue light 3\nfair red 2\n")
+        methods = []
+
+        def fit_kca(t, m, k):
+            methods.append(m)
+            return fit(t, m, k)
+
+        fit = kca.fit_kca
+        monkeypatch.setattr(kca, "fit_kca", fit_kca)
+        for path in (str(table), fisher_tsv):
+            assert main(["fit", path, "--method", "ws", "--dim", "2", "--ws-scores", str(scores),
+                         "--out", str(tmp_path / "emb.tsv")]) == 0
+        shared, fisher = methods
+        assert shared.gamma_row is shared.gamma_col
+        assert fisher.gamma_row is not fisher.gamma_col
+        assert (fisher.gamma_row.shape, fisher.gamma_col.shape) == ((4, 4), (5, 5))
+        # the one array fits as two equal arrays do, byte for byte
+        t = tables.read_tsv(table)
+        two = dataclasses.replace(shared, gamma_col=shared.gamma_row.copy())
+        for m, out in ((shared, "one.tsv"), (two, "two.tsv")):
+            ca.write_embeddings(fit(t, m, 2), tmp_path / out)
+        assert (tmp_path / "one.tsv").read_bytes() == (tmp_path / "two.tsv").read_bytes()
 
     @pytest.mark.parametrize("text", ["blue light 8.0\nmedium dark -12.5\n",
                                       "blue\tlight\t8.0\nmedium\tdark\t-12.5\n"],

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cakit import tables
+from cakit import evaluation, tables
 from cakit.ca import EmbeddingSet
 from cakit.cli import main
 from cakit.evaluation import (
@@ -375,6 +375,33 @@ class TestCosine:
     def test_zero_vector_warns_and_returns_zero(self):
         with pytest.warns(UserWarning, match="zero vector"):
             assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+
+    def test_a_vector_with_itself_is_exactly_one(self):
+        # u.u / (|u| |u|) rounds to 1.0000000000000002 for about half of these
+        for u in np.random.default_rng(0).normal(size=(2000, 5)):
+            assert cosine(u, u) == 1.0
+            assert cosine(u, u.copy()) == 1.0
+
+    def test_bit_equal_to_the_cosines_evaluate_ranks(self, monkeypatch):
+        rng = np.random.default_rng(223)
+        labels = tuple(f"w{i}" for i in range(80))
+        F = rng.normal(size=(80, 7)) * rng.uniform(0.01, 100.0, size=(80, 1))
+        F[70:] = F[:10]
+        F[[30, 31]] = 0.0
+        emb = EmbeddingSet(F=F, G=F, row_labels=labels, col_labels=labels,
+                           singular_values=np.ones(7), method_tag="x")
+        idx, jdx = rng.integers(80, size=(2, 400))
+        idx[:10], jdx[:10] = np.arange(10), np.arange(70, 80)
+        d = WordSimDataset(tuple((labels[a], labels[b], float(rng.integers(10)))
+                                 for a, b in zip(idx, jdx)))
+        ranked = []
+        monkeypatch.setattr(evaluation, "spearman", lambda sims, human: ranked.append(sims) or 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            evaluate(emb, "F", d)
+            want = np.array([cosine(F[a], F[b]) for a, b in zip(idx, jdx)])
+        assert ranked[0].tobytes() == want.tobytes()
+        assert (want[:10] == 1.0).all()
 
 
 class TestSpearman:

@@ -357,6 +357,33 @@ class TestFitKca:
         np.testing.assert_allclose(kpca.F, a2 * gini.F, rtol=0, atol=1e-15)
         np.testing.assert_allclose(kpca.G, math.sqrt(a2) * gini.G, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("beta", [2.0, 0.5, -3.0])
+    def test_ws_beta_rescales_the_ws_fit(self, beta):
+        # gamma = alpha S + beta 11^T is beta times the gamma of (alpha/beta, 1):
+        # the association and both modified marginals scale by beta^2, so the
+        # sandwich does not change, and the coordinates scale by 1/|beta|
+        t = random_table(np.random.default_rng(113), nr=8, nc=6, hi=20)
+        rng = np.random.default_rng(127)
+        pairs = WordSimDataset(tuple(
+            (labels[i], labels[j], float(rng.uniform(0, 10)))
+            for labels in (t.row_labels, t.col_labels)
+            for i, j in rng.integers(len(labels), size=(6, 2)) if i != j))
+
+        def fit(alpha, b):
+            return fit_ws_kca(t, build_gamma(t.row_labels, pairs, alpha, b),
+                              build_gamma(t.col_labels, pairs, alpha, b), 4)
+
+        base, scaled = fit(0.3 / beta, 1.0), fit(0.3, beta)
+        S = base.singular_values
+        assert np.all(-np.diff(S) > 1e-3 * S[0]), S
+        if math.log2(abs(beta)).is_integer():  # a power of two scales exactly
+            assert scaled.singular_values.tobytes() == S.tobytes()
+            assert scaled.F.tobytes() == (base.F / abs(beta)).tobytes()
+            assert scaled.G.tobytes() == (base.G / abs(beta)).tobytes()
+        np.testing.assert_allclose(scaled.singular_values, S, rtol=0, atol=1e-14 * S[0])
+        for X, Y in ((scaled.F, base.F), (scaled.G, base.G)):
+            np.testing.assert_allclose(X * abs(beta), Y, rtol=0, atol=1e-12 * np.abs(Y).max())
+
     def test_constraint_satisfied_for_all_methods(self):
         rng = np.random.default_rng(107)
         methods = [

@@ -8,6 +8,7 @@ import pytest
 
 from cakit import ca, tables
 from cakit.ca import EmbeddingSet, fit_linear_ca
+from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import FISHER_COL_LABELS, FISHER_COUNTS, FISHER_ROW_LABELS, fisher_table
 from cakit.tables import (
     ContingencyTable,
@@ -145,6 +146,33 @@ class TestConstruction:
         np.testing.assert_array_equal(t.c, t.counts.sum(axis=0))
         assert t.n == t.r.sum() == t.c.sum()
 
+    @pytest.mark.parametrize("made_by", ["from_counts", "read_tsv", "observations", "corpus"])
+    def test_marginals_are_stored_read_only_axis_sums(self, tmp_path, made_by):
+        rng = np.random.default_rng(42)
+        if made_by == "observations":
+            t = contingency_from_observations(
+                [(f"a{i}", f"b{j}") for i, j in rng.integers(0, 6, size=(80, 2))])
+        elif made_by == "corpus":
+            t = count_cooccurrences([f"w{i}" for i in rng.integers(0, 9, size=300)],
+                                    CooccurrenceConfig(window=2))
+        else:  # fractional, so the total of all cells differs from the sums of r and of c
+            counts = rng.uniform(0, 1e3, size=(40, 30)) * rng.uniform(0, 1e-3, size=(40, 1))
+            counts[rng.random(counts.shape) < 0.3] = 0.0
+            t = ContingencyTable.from_counts(counts)
+            assert float(t.r.sum()) != t.n != float(t.c.sum())
+            if made_by == "read_tsv":
+                write_tsv(t, tmp_path / "t.tsv")
+                t = read_tsv(tmp_path / "t.tsv")
+        np.testing.assert_array_equal(t.r, t.counts.sum(axis=1))
+        np.testing.assert_array_equal(t.c, t.counts.sum(axis=0))
+        assert t.n == float(t.counts.sum())
+        assert t.r is t.r and t.c is t.c  # computed once, at construction
+        for marginal in (t.r, t.c):
+            with pytest.raises(ValueError, match="read-only"):
+                marginal[0] = -1.0
+        with pytest.raises(AttributeError):
+            t.n = 1.0
+
     def test_normalized_total_is_one(self):
         counts = np.array([[2.0, 3.0], [5.0, 7.0]])
         t = ContingencyTable.from_counts(counts / counts.sum())
@@ -252,18 +280,18 @@ class TestTsvRoundTrip:
             read_tsv(path)
 
 
-def cell_by_cell_tsv(t):
+def reference_cell(x):
     """The per-cell reference formatter: integers below 2**53 as ints, else repr."""
+    x = float(x)
+    if x == int(x) and abs(x) < 2**53:
+        return str(int(x))
+    return repr(x)
 
-    def cell(x):
-        x = float(x)
-        if x == int(x) and abs(x) < 2**53:
-            return str(int(x))
-        return repr(x)
 
+def cell_by_cell_tsv(t):
     lines = ["\t" + "\t".join(t.col_labels)]
     for label, row in zip(t.row_labels, t.counts):
-        lines.append(label + "\t" + "\t".join(cell(x) for x in row))
+        lines.append(label + "\t" + "\t".join(reference_cell(x) for x in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -294,12 +322,13 @@ class TestTsvGoldenBytes:
 
 
 def reference_tsv_bytes(t):
-    """The bytes the per-row writer wrote: ``str`` of each int, else ``_format_count``."""
+    """The bytes the two-branch writer wrote: a table of integers below 2**53
+    as ``str`` of each int, any other table cell by cell through ``reference_cell``."""
     counts = t.counts
     if np.all((counts == np.trunc(counts)) & (np.abs(counts) < 2**53)):
         rows = counts.astype(np.int64).tolist()
     else:
-        rows = [map(tables._format_count, row) for row in counts.tolist()]
+        rows = [map(reference_cell, row) for row in counts.tolist()]
     body = "".join(label + "\t" + "\t".join(map(str, row)) + "\n"
                    for label, row in zip(t.row_labels, rows))
     return ("\t" + "\t".join(t.col_labels) + "\n" + body).encode("utf-8")
@@ -502,6 +531,38 @@ class TestCodecMatchesPerRowReference:
         assert (tmp_path / "t.tsv").read_bytes() == reference_tsv_bytes(t)
         assert outcome(read_tsv, tmp_path / "t.tsv") == outcome(reference_read_tsv,
                                                                tmp_path / "t.tsv")
+
+    # the cells at the edges of the lookup, of int and of exact integers, in
+    # tables that the two-branch writer sent down either branch
+    @pytest.mark.parametrize("kind", ["integer", "large integer", "non-integer", "mixed"])
+    def test_one_row_formatter_writes_the_two_branch_bytes(self, tmp_path, kind):
+        rng = np.random.default_rng(59)
+        counts = rng.integers(0, 2 * tables._DECIMALS_BOUND, size=(30, 20)).astype(float)
+        counts[rng.random(counts.shape) < 0.2] = 0.0
+        edges = {"integer": [-0.0, 4095, 4096, 2**53 - 1],
+                 "large integer": [-0.0, 4095, 4096, 2**53, 1e300],
+                 "non-integer": [0.5, 4095.5, 1e-300, 0.1],
+                 "mixed": [0.5, -0.0, 4095, 4096, 2**53, 1e300]}[kind]
+        if kind == "non-integer":
+            counts += rng.uniform(0.01, 0.99, size=counts.shape)
+        counts[1, :len(edges)] = edges
+        counts[2:6, 2:6] = edges[:4]
+        t = ContingencyTable.from_counts(counts)
+        write_tsv(t, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == reference_tsv_bytes(t)
+        assert read_tsv(tmp_path / "t.tsv").counts.tobytes() == (t.counts + 0.0).tobytes()
+
+    def test_cells_below_the_bound_are_looked_up(self, tmp_path, monkeypatch):
+        counts = np.arange(tables._DECIMALS_BOUND, dtype=float).reshape(64, 64)
+        counts[0, :2] = 0.0, -0.0
+
+        def format_count(x):
+            raise AssertionError(f"{x!r} is below the lookup bound")
+
+        monkeypatch.setattr(tables, "_format_count", format_count)
+        t = ContingencyTable.from_counts(counts)
+        write_tsv(t, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == reference_tsv_bytes(t)
 
     @pytest.mark.parametrize("name", TABLE_FILES)
     def test_table_reader(self, tmp_path, name):
