@@ -93,8 +93,7 @@ def _read_method_config(args) -> dict:
     """
     given = {}
     if args.config:
-        with open(args.config, encoding="utf-8-sig") as fh:
-            given.update(parse_method_config(fh.read(), f"{args.config}:"))
+        given.update(parse_method_config(tables._read_text(args.config), f"{args.config}:"))
     given.update((k, v) for k, v in vars(args).items() if k in FIT_OPTIONS and v is not None)
     config = {key: given.get(key, default) for key, (_, default, _, _) in FIT_OPTIONS.items()}
     unread: dict = {}
@@ -111,9 +110,7 @@ def _read_method_config(args) -> dict:
 
 
 def cmd_count(args) -> int:
-    with open(args.corpus, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    tokens = corpus.tokenize(text, lowercase=not args.keep_case)
+    tokens = corpus.tokenize(tables._read_text(args.corpus), lowercase=not args.keep_case)
     if args.slice is not None:
         tokens = corpus.slice_tokens(tokens, args.slice)
     cfg = corpus.CooccurrenceConfig(window=args.window, min_count=args.min_count)

@@ -1,9 +1,9 @@
 """Text ingestion: tokenization, vocabulary, windowed co-occurrence counting.
 
 Counting uses a fixed symmetric window over token positions.  Words below
-the frequency threshold stay in place but are masked out, so removing rare
-words never creates new adjacencies; every retained count can only shrink
-as the threshold rises.
+the frequency threshold stay in place, counted into a sink category that is
+cut off, so removing rare words never creates new adjacencies; every
+retained count can only shrink as the threshold rises.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tables import ContingencyTable
+from .tables import ContingencyTable, _read_text
 
 logger = logging.getLogger(__name__)
 
@@ -53,11 +53,10 @@ def count_cooccurrences(tokens, cfg: CooccurrenceConfig) -> ContingencyTable:
     Each token is looked up once, in a dict of the sorted distinct words,
     and the frequencies are the bincount of those ids.  ``min_count``, then
     ``max_vocab`` (most frequent first, ties in word order), drop words; one
-    int array remaps the ids, -1 for a dropped word.  Per forward offset d,
-    the bincount of the codes ``ids[i] * V + ids[i+d]`` of pairs with no
-    dropped side is added into the first offset's; adding the transpose
-    counts the backward offsets and doubles the diagonal.  Memory beyond
-    the ids is O(len(tokens) + V^2).  A list is read as given.
+    int array remaps the ids, V (one past the last kept word) for a dropped
+    word.  :func:`_window_counts` counts every pair, the dropped ones into
+    row and column V, which it cuts off.  Memory beyond the ids is
+    O(len(tokens) + V^2).  A list is read as given.
     """
     tokens = tokens if isinstance(tokens, list) else list(tokens)
     if not tokens:
@@ -71,27 +70,33 @@ def count_cooccurrences(tokens, cfg: CooccurrenceConfig) -> ContingencyTable:
         keep[np.argsort(-freq, kind="stable")[cfg.max_vocab:]] = False  # ties in word order
     if not keep.any():
         raise ValueError("vocabulary is empty after filtering")
-    masked = not keep.all()
-    if masked:
-        ids = np.where(keep, np.cumsum(keep) - 1, -1)[ids]
     labels = [word for word, kept in zip(types, keep.tolist()) if kept]
-    counts = _window_counts(ids, len(labels), cfg.window, masked)
+    if len(labels) < len(types):
+        ids = np.where(keep, np.cumsum(keep) - 1, len(labels))[ids]
+    counts = _window_counts(ids, len(labels), cfg.window)
     if counts.sum() == 0:
         raise ValueError("no co-occurrence pairs within the window")
-    return ContingencyTable.from_counts(counts, labels, labels)
+    return ContingencyTable(counts, labels, labels)
 
 
-def _window_counts(ids: np.ndarray, V: int, window: int, masked: bool) -> np.ndarray:
-    """Symmetric V x V float counts of id pairs at offsets 1..window (see above)."""
+def _window_counts(ids: np.ndarray, V: int, window: int) -> np.ndarray:
+    """Symmetric V x V float counts of id pairs at offsets 1..window; id V is cut off.
+
+    Per forward offset d, the bincount of the codes ``ids[i] * (V+1) +
+    ids[i+d]`` is added into the first offset's (V+1) x (V+1) accumulator.
+    Row and column V, the pairs with a dropped word on either side, are cut
+    off, and adding the transpose counts the backward offsets and doubles
+    the diagonal.
+    """
+    W = V + 1
+
     def offset_counts(d):
-        left, right = ids[:-d], ids[d:]
-        code = left * V + right
-        code = code[(left >= 0) & (right >= 0)] if masked else code
-        return np.bincount(code, minlength=V * V).reshape(V, V)
+        return np.bincount(ids[:-d] * W + ids[d:], minlength=W * W)
 
     acc = offset_counts(1)  # the accumulator; a one-token stream has no pair here either
     for d in range(2, min(window, len(ids) - 1) + 1):
         acc += offset_counts(d)
+    acc = acc.reshape(W, W)[:V, :V]
     return np.add(acc, acc.T, dtype=float)
 
 
@@ -108,8 +113,7 @@ def load_stopwords(path) -> set[str]:
 
     A byte-order mark at the start of the file is not part of the first word.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        words = {line.strip() for line in fh if line.strip()}
+    words = {word for word in map(str.strip, _read_text(path).split("\n")) if word}
     if not words:
         logger.warning("stop-word file %s is empty", path)
     return words

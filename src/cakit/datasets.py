@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-import numpy as np
-
 from .tables import ContingencyTable
 
 # Caithness eye-colour x hair-colour survey (n = 5387).
@@ -21,11 +19,7 @@ FISHER_COUNTS = (
 
 def fisher_table() -> ContingencyTable:
     """The eye-colour (rows) by hair-colour (columns) table."""
-    return ContingencyTable.from_counts(
-        np.array(FISHER_COUNTS, dtype=float),
-        row_labels=FISHER_ROW_LABELS,
-        col_labels=FISHER_COL_LABELS,
-    )
+    return ContingencyTable(FISHER_COUNTS, FISHER_ROW_LABELS, FISHER_COL_LABELS)
 
 
 def bundled_stopwords_path() -> str:

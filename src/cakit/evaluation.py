@@ -22,6 +22,7 @@ from itertools import repeat
 import numpy as np
 
 from .ca import EmbeddingSet
+from .tables import _read_text
 
 
 class WordSimDataset:
@@ -100,8 +101,7 @@ def load_wordsim(path) -> WordSimDataset:
     :func:`_tab_columns`); any other file goes through the per-line loop,
     which decides every error and the line it names.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
+    text = _read_text(path)
     dataset = _tab_columns(text)
     return dataset if dataset is not None else _parse_lines(path, text)
 

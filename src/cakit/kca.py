@@ -309,7 +309,7 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
         raise ValueError(f"dimension k={k} out of range 1..{min(t.shape)}")
     (Lr, _), (Lc, _), dec = _sandwich_svd(t, m)
     S = dec.S[:k]
-    scale = S**m.exponent if m.exponent != 1.0 else S
+    scale = S**m.exponent
     return EmbeddingSet(
         F=(Lr @ dec.U[:, :k]) * scale,
         G=(Lc @ dec.V[:, :k]) * scale,

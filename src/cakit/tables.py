@@ -2,8 +2,8 @@
 
 A table holds a nonnegative count matrix together with row/column category
 labels.  Marginals are always strictly positive: categories whose marginal
-is zero are dropped (with a logged warning) at construction time, because
-every downstream fit divides by them.
+is zero are dropped (with a logged warning) by the constructor, however
+the table is made, because every downstream fit divides by them.
 
 This module also owns the text-file policy of the package (the table TSV
 here, the embedding and coordinate files of :mod:`cakit.ca`): a writer
@@ -33,12 +33,17 @@ Observations = Sequence[tuple[str, str]]
 class ContingencyTable:
     """Nonnegative count matrix with labels and strictly positive marginals.
 
+    The constructor is the one place that decides empty categories: after
+    the shape, NaN/Inf and sign checks, each row or column whose marginal
+    is zero is dropped with a logged warning, and a table left with no cell
+    raises.  :meth:`from_counts` only supplies default labels.
+
     ``counts`` is the table's own read-only float copy of the array it was
     given, so the checks made at construction hold for as long as the table
     does: writing into it raises ``ValueError``, and a later change to the
     caller's array does not reach the table.  The marginals ``r = counts @ 1``
-    and ``c = counts.T @ 1`` and the total ``n`` are computed once, with the
-    zero-marginal check, and kept read-only beside the counts.
+    and ``c = counts.T @ 1`` and the total ``n`` are computed once, over the
+    cells kept, and kept read-only beside the counts.
     """
 
     counts: np.ndarray
@@ -50,25 +55,35 @@ class ContingencyTable:
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=float)
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
-        object.__setattr__(self, "col_labels", tuple(self.col_labels))
+        rows, cols = tuple(self.row_labels), tuple(self.col_labels)
         if counts.ndim != 2:
             raise ValueError(f"counts must be 2-dimensional, got shape {counts.shape}")
-        if counts.shape != (len(self.row_labels), len(self.col_labels)):
+        if counts.shape != (len(rows), len(cols)):
             raise ValueError(
                 f"counts shape {counts.shape} does not match "
-                f"{len(self.row_labels)} row / {len(self.col_labels)} column labels"
+                f"{len(rows)} row / {len(cols)} column labels"
             )
         if not np.all(np.isfinite(counts)):
             raise ValueError("counts contain NaN or Inf")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         r, c = counts.sum(axis=1), counts.sum(axis=0)
-        if np.any(r <= 0) or np.any(c <= 0):
-            raise ValueError(
-                "table has a zero marginal; construct via from_counts() to drop "
-                "empty categories"
-            )
+        row_keep, col_keep = r != 0, c != 0
+        if not (row_keep.all() and col_keep.all()):
+            for axis, labels, keep in (("rows", rows, row_keep), ("columns", cols, col_keep)):
+                if not keep.all():
+                    dropped = itertools.compress(labels, (~keep).tolist())
+                    logger.warning("dropping zero-marginal %s: %s", axis, ", ".join(dropped))
+            counts = counts[np.ix_(row_keep, col_keep)]
+            rows = tuple(itertools.compress(rows, row_keep.tolist()))
+            cols = tuple(itertools.compress(cols, col_keep.tolist()))
+            # summed again: a slice of the sums over the dropped zeros is not
+            # bit-equal to the sums over the cells kept
+            r, c = counts.sum(axis=1), counts.sum(axis=0)
+        if counts.size == 0:
+            raise ValueError("table is empty after dropping zero-marginal categories")
+        object.__setattr__(self, "row_labels", rows)
+        object.__setattr__(self, "col_labels", cols)
         for name, array in (("counts", counts), ("r", r), ("c", c)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -80,36 +95,14 @@ class ContingencyTable:
 
     @classmethod
     def from_counts(cls, counts, row_labels=None, col_labels=None) -> "ContingencyTable":
-        """Build a table, dropping all-zero rows/columns with a warning.
-
-        The counts left are checked as any table's are, so a NaN or a
-        negative count raises even in a row or column that sums to zero.
-        """
+        """A table whose axes given no labels are labelled ``r{i}`` and ``c{j}``."""
         counts = np.asarray(counts, dtype=float)
-        if counts.ndim != 2:
-            raise ValueError(f"counts must be 2-dimensional, got shape {counts.shape}")
-        nr, nc = counts.shape
+        nr, nc = counts.shape if counts.ndim == 2 else (0, 0)  # the constructor rejects the rest
         if row_labels is None:
             row_labels = [f"r{i}" for i in range(nr)]
         if col_labels is None:
             col_labels = [f"c{j}" for j in range(nc)]
-        row_keep = (counts != 0).any(axis=1)
-        col_keep = (counts != 0).any(axis=0)
-        if not row_keep.all():
-            dropped = [lbl for lbl, keep in zip(row_labels, row_keep) if not keep]
-            logger.warning("dropping zero-marginal rows: %s", ", ".join(dropped))
-        if not col_keep.all():
-            dropped = [lbl for lbl, keep in zip(col_labels, col_keep) if not keep]
-            logger.warning("dropping zero-marginal columns: %s", ", ".join(dropped))
-        if not (row_keep.all() and col_keep.all()):  # the table copies what it is given
-            counts = counts[np.ix_(row_keep, col_keep)]
-        if counts.size == 0:
-            raise ValueError("table is empty after dropping zero-marginal categories")
-        return cls(
-            counts=counts,
-            row_labels=tuple(l for l, k in zip(row_labels, row_keep) if k),
-            col_labels=tuple(l for l, k in zip(col_labels, col_keep) if k),
-        )
+        return cls(counts, row_labels, col_labels)
 
 
 def contingency_from_observations(obs: Observations) -> ContingencyTable:
@@ -128,7 +121,7 @@ def contingency_from_observations(obs: Observations) -> ContingencyTable:
     counts = np.zeros((len(row_labels), len(col_labels)))
     for a, b in obs:
         counts[row_index[a], col_index[b]] += 1.0
-    return ContingencyTable.from_counts(counts, row_labels, col_labels)
+    return ContingencyTable(counts, row_labels, col_labels)
 
 
 def residual_matrix(t: ContingencyTable) -> np.ndarray:
@@ -161,10 +154,15 @@ def _format_count(x: float) -> str:
     return repr(x)
 
 
+def _read_text(path) -> str:
+    """The text of a UTF-8 file, without a leading byte-order mark; every reader's one open."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
 def _read_lines(path) -> list[tuple[int, str]]:
     """Numbered lines of a text file without their terminators; empty lines skipped."""
-    with open(path, encoding="utf-8") as fh:
-        return [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1) if line != "\n"]
+    return [(n, line) for n, line in enumerate(_read_text(path).split("\n"), start=1) if line]
 
 
 def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
@@ -292,4 +290,4 @@ def read_tsv(path) -> ContingencyTable:
     negative = (counts < 0).any(axis=1)
     if negative.any():
         raise ValueError(f"{path}:{linenos[int(np.argmax(negative))]}: negative count")
-    return ContingencyTable.from_counts(counts, row_labels, col_labels)
+    return ContingencyTable(counts, row_labels, col_labels)

@@ -107,6 +107,24 @@ class TestMatchesLoopReference:
         t = count_cooccurrences(["a", "a", "a"], CooccurrenceConfig(window=2))
         np.testing.assert_array_equal(t.counts, [[6]])
 
+    # dropped words count into a sink row and column one past the kept words
+    @pytest.mark.parametrize("tokens, cfg", [
+        pytest.param("x a b c a b c a b y".split(), CooccurrenceConfig(window=2, min_count=2),
+                     id="dropped first and last token"),
+        pytest.param("a b x y c a b c x y a c b".split(),
+                     CooccurrenceConfig(window=3, min_count=3),
+                     id="two dropped words side by side"),
+        pytest.param("a a b c a d a a e a".split(), CooccurrenceConfig(window=2, min_count=2),
+                     id="every word but one dropped"),
+        pytest.param("c d a b e c a c b d c e a c f".split(),
+                     CooccurrenceConfig(window=2, min_count=2, max_vocab=3),
+                     id="min_count and max_vocab"),
+    ])
+    def test_dropped_words(self, tokens, cfg):
+        kept = count_cooccurrences(tokens, cfg).row_labels
+        assert 0 < len(kept) < len(set(tokens))
+        self.assert_same(tokens, cfg)
+
 
 class TestVocabulary:
     """The filters, label order and inputs of the one-lookup-per-token count."""

@@ -1,5 +1,6 @@
 """Contingency-table construction, residuals, the TSV format and the atomic writers."""
 
+import codecs
 import logging
 import warnings
 
@@ -123,6 +124,50 @@ class TestConstruction:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ContingencyTable.from_counts(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("empty", ["rows", "columns", "both"])
+    def test_direct_construction_drops_empty_categories_like_from_counts(self, caplog, empty):
+        rng = np.random.default_rng(61)
+        counts = rng.uniform(0.1, 9.0, size=(5, 12))
+        row_keep, col_keep = np.ones(5, bool), np.ones(12, bool)
+        if empty != "columns":
+            row_keep[[0, 3]] = False
+        if empty != "rows":
+            col_keep[[2, 11]] = False
+        counts[~row_keep], counts[:, ~col_keep] = 0.0, 0.0
+        rows, cols = [f"a{i}" for i in range(5)], [f"b{j}" for j in range(12)]
+        made = []
+        for build in (ContingencyTable, ContingencyTable.from_counts):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="cakit.tables"):
+                t = build(counts, rows, cols)
+            made.append((t.row_labels, t.col_labels, t.counts.tobytes(), t.r.tobytes(),
+                         t.c.tobytes(), t.n, caplog.messages))
+        assert made[0] == made[1]
+        labels, kept_cols, cells, _, _, _, messages = made[0]
+        assert labels == tuple(np.array(rows)[row_keep])
+        assert kept_cols == tuple(np.array(cols)[col_keep])
+        assert cells == counts[np.ix_(row_keep, col_keep)].tobytes()
+        assert messages == {"rows": ["dropping zero-marginal rows: a0, a3"],
+                            "columns": ["dropping zero-marginal columns: b2, b11"],
+                            "both": ["dropping zero-marginal rows: a0, a3",
+                                     "dropping zero-marginal columns: b2, b11"]}[empty]
+
+    def test_marginals_after_a_drop_are_sums_of_the_kept_cells(self):
+        # a slice of the sums over every cell differs in the last bit: numpy
+        # sums a row of more than 8 cells pairwise, and a dropped zero moves
+        # the cells after it to other partial sums
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            nr, nc = rng.integers(3, 12), rng.integers(10, 60)
+            counts = rng.uniform(0, 1, size=(nr, nc)) * 10.0 ** rng.integers(-3, 4, size=(nr, 1))
+            counts[rng.integers(nr)] = 0.0
+            counts[:, rng.integers(nc)] = 0.0
+            t = ContingencyTable.from_counts(counts)
+            assert t.shape == (nr - 1, nc - 1)
+            assert t.r.tobytes() == t.counts.sum(axis=1).tobytes()
+            assert t.c.tobytes() == t.counts.sum(axis=0).tobytes()
+            assert t.n == float(t.counts.sum())
 
     def test_counts_are_an_owned_read_only_copy(self, tmp_path):
         counts = np.array([[1.0, 2.0], [3.0, 0.0]])
@@ -592,6 +637,21 @@ class TestCodecMatchesPerRowReference:
             assert got == outcome(reference_read_tsv, path), lines
             accepted += got[0] != "ValueError"
         assert 50 < accepted < 250  # both outcomes are exercised
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", ["table", "embeddings"])
+    def test_a_marked_copy_reads_back_like_the_plain_file(self, tmp_path, kind):
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        if kind == "table":
+            write_tsv(fisher_table(), plain)
+            read = read_tsv
+        else:
+            ca.write_embeddings(fit_linear_ca(fisher_table(), 3), plain)
+            read = ca.read_embeddings
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert outcome(read, marked) == outcome(read, plain)
+        assert outcome(read, plain)[0] != "ValueError"
 
 
 def _write_failing_table(path, monkeypatch):
