@@ -9,14 +9,13 @@ factors ``U = K_r^{-1/2} U_s`` and ``V = K_c^{-1/2} V_s`` satisfy
 ``U^T K_r U = I``, ``V^T K_c V = I`` and ``U S V^T = A``, and the
 coordinates are ``F = K_r U S^p`` and ``G = K_c V S^p``.
 
-A symmetric table with the same labels on both axes, as ``cakit count``
-writes, makes the sandwich symmetric for every method whose two kernels
-agree: linear, gini, gtest, sgns, ws (its two pair-score matrices are
-then equal), and stop-word kernels with equal alphas.  kpca_cd is
-symmetric too: the ``e 11^T`` part of its row kernel annihilates the
-centered residual, whose columns sum to zero, so its sandwich is gini's
-times sqrt(1-e).  The SVD of a symmetric sandwich is one symmetric
-eigendecomposition.
+:func:`_sandwich_svd` is the one place that decides whether the sandwich
+is symmetric, from the table (its ``symmetric``, as ``cakit count`` writes)
+and the method: the association must be symmetric (ws's under one
+symmetric pair-score matrix), and either the two kernels are equal, or the
+association is the centered residual and each kernel is identity or
+kpca_cd, whose ``e 11^T`` part annihilates it.  Such a sandwich is
+symmetrised, which removes only roundoff, and decomposed by one ``eigh``.
 
 Specializations recover linear CA (inverse-marginal kernels), the plain
 categorical covariance, the G-test association, shifted-positive-PMI
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -47,6 +46,14 @@ from .tables import ContingencyTable, residual_matrix
 
 ASSOCIATIONS = ("linear", "gini", "gtest", "sgns", "kpca_cd", "ws")
 KERNEL_KINDS = ("identity", "inverse_marginal", "stopword", "kpca_cd", "explicit")
+_CENTERED = ("linear", "gini", "kpca_cd")  # the associations N/n - r c^T/n^2
+
+
+def _equal_fields(self, other) -> bool:
+    """``==`` by value over every dataclass field, arrays included, so it never raises."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,8 @@ class KernelSpec:
     alpha: float = 0.0
     words: frozenset = frozenset()
     matrix: np.ndarray | None = field(default=None, repr=False)
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -95,6 +104,8 @@ class KcaMethod:
     gamma_row: np.ndarray | None = field(default=None, repr=False)
     gamma_col: np.ndarray | None = field(default=None, repr=False)
 
+    __eq__ = _equal_fields
+
     def __post_init__(self):
         if self.association not in ASSOCIATIONS:
             raise ValueError(f"unknown association {self.association!r}")
@@ -118,12 +129,13 @@ class KcaMethod:
 
 @dataclass(frozen=True)
 class AssociationMatrix:
-    """The matrix a method factorizes, and the row and column marginals that
-    its inverse-marginal and stop-word kernels divide by."""
+    """The matrix a method factorizes, the marginals its inverse-marginal and
+    stop-word kernels divide by, and whether all are symmetric (to roundoff)."""
 
     values: np.ndarray
     r: np.ndarray
     c: np.ndarray
+    symmetric: bool
 
 
 def method_from_name(
@@ -185,12 +197,12 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
     holds 0 (gtest's 0*log(0)=0 convention, or the clamp), or ``sgns_floor``
     for unclamped sgns.
     ws: see :func:`fit_ws_kca`; its marginals are the modified ones.
-    Every other association comes with the table's marginals.
+    Every other association comes with the table's marginals and symmetry.
     """
     if m.association == "ws":
         return _ws_association(t, m.gamma_row, m.gamma_col)
-    if m.association in ("linear", "gini", "kpca_cd"):
-        return AssociationMatrix(residual_matrix(t), t.r, t.c)
+    if m.association in _CENTERED:
+        return AssociationMatrix(residual_matrix(t), t.r, t.c, t.symmetric)
     i, j = np.nonzero(t.counts)
     N = t.counts[i, j]
     log_ratio = np.log(N / (t.r[i] * t.c[j] / t.n))  # E_ij = r_i c_j / n
@@ -202,7 +214,7 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
         values, fill = log_ratio - math.log(m.shift_k), m.sgns_floor
     A = np.full(t.shape, fill)
     A[i, j] = values
-    return AssociationMatrix(A, t.r, t.c)
+    return AssociationMatrix(A, t.r, t.c, t.symmetric)
 
 
 def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
@@ -215,8 +227,7 @@ def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
     GN = gamma_r @ N
     # a symmetric table under one symmetric gamma: N gamma = (gamma N)^T, and one
     # marginal serves both axes, so the two kernels agree bit for bit
-    shared = (t.row_labels == t.col_labels and np.array_equal(gamma_r, gamma_c)
-              and np.array_equal(gamma_r, gamma_r.T) and np.array_equal(N, N.T))
+    shared = t.symmetric and np.array_equal(gamma_r, gamma_c) and np.array_equal(gamma_r, gamma_r.T)
     cross = GN * (GN.T if shared else N @ gamma_c)
     r_mod = cross.sum(axis=1)
     c_mod = r_mod if shared else cross.sum(axis=0)
@@ -225,7 +236,7 @@ def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
             bad = [lbl for lbl, v in zip(labels, marginal) if v <= 0]
             raise ValueError(f"nonpositive modified {axis} marginal for: {', '.join(bad)}")
     A = (N * (GN @ gamma_c) - cross) / (t.n * t.n)
-    return AssociationMatrix(A, r_mod, c_mod)
+    return AssociationMatrix(A, r_mod, c_mod, shared)
 
 
 @dataclass(frozen=True)
@@ -321,12 +332,21 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
     )
 
 
+def _symmetric_sandwich(assoc: AssociationMatrix, m: KcaMethod) -> bool:
+    """Whether the sandwich is symmetric, by the rule of the module docstring."""
+    return assoc.symmetric and (m.row_kernel == m.col_kernel or m.association in _CENTERED
+                                and {m.row_kernel.kind, m.col_kernel.kind} <= {"identity", "kpca_cd"})
+
+
 def _sandwich_svd(t: ContingencyTable, m: KcaMethod):
     """The row and column kernel roots, each (K^{1/2}, K^{-1/2}), and the SVD of the sandwich."""
     assoc = association_matrix(t, m)
     Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
     Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
     sandwich = (Lc @ (Lr @ assoc.values).T).T
+    if _symmetric_sandwich(assoc, m):  # in place: no second V x V array during the eigh
+        sandwich += sandwich.T
+        sandwich *= 0.5
     del assoc  # a V x V array that the solve does not read
     # looked up at call time, so a replacement linalg.svd reaches every fit
     return (Lr, Lr_inv), (Lc, Lc_inv), linalg.svd(sandwich)

@@ -2,10 +2,10 @@
 
 Every fit in this package reduces to one :func:`svd`; the kernel-CA fit
 (:mod:`cakit.kca`) scales the factors back into the generalized SVD under
-its kernel metrics.  A square matrix that is symmetric to roundoff, as
-every fit of a symmetric co-occurrence table gives, is decomposed by one
-symmetric eigendecomposition, a fraction of the cost of a general SVD;
-every other matrix by the general SVD.  Matrices are plain
+its kernel metrics.  A square matrix equal to its transpose is decomposed
+by one symmetric eigendecomposition, a fraction of the cost of a general
+SVD, any other by the general SVD; a fit symmetrises its sandwich first
+when its table and method make it symmetric.  Matrices are plain
 ``numpy.ndarray`` (float64, dense); inputs are validated for finiteness
 and the decompositions carry a deterministic sign convention so repeated
 runs produce identical output.
@@ -13,7 +13,6 @@ runs produce identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,36 +69,13 @@ def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np
     return U, V
 
 
-def _symmetric_part(A: np.ndarray) -> np.ndarray | None:
-    """``(A + A.T) / 2`` if A is square and symmetric to roundoff (see :func:`svd`), else None."""
-    n = A.shape[0]
-    if A.shape[1] != n:
-        return None
-    H = A - A.T
-    sigma1_floor = max(float(np.abs(A).max()), float(np.linalg.norm(A)) / math.sqrt(n))
-    if np.linalg.norm(H) > 2.0 * n * np.finfo(float).eps * sigma1_floor:
-        return None
-    H *= -0.5
-    H += A
-    return H
-
-
 def svd(M) -> Decomposition:
     """Thin SVD with identity metrics and the fixed sign convention.
 
-    A square M that is symmetric to roundoff is decomposed by one
-    ``eigh`` of ``H = (M + M^T)/2 = Q diag(lam) Q^T``: ``S = |lam|``
-    (stably sorted descending), ``U = Q`` and ``V = Q sign(lam)`` with
-    sign(0) = +1.  M counts as symmetric when
-    ``||M - M^T||_F <= 2 n eps max(max|M_ij|, ||M||_F / sqrt(n))``.
-    Both terms of the max are lower bounds of S_1, and by Weyl's inequality
-    replacing M by H moves every singular value by at most
-    ``||M - M^T||_2 / 2 <= ||M - M^T||_F / 2``, so the shift stays within
-    ``n eps S_1``, the error bound ``p(n) eps S_1`` of a dense SVD's
-    singular values with p(n) = n.  The sandwiches of symmetric tables sit
-    well inside it: at n = 500 the ws sandwich, the least symmetric,
-    reaches a quarter of it, and the kpca_cd one a tenth.  Any other
-    matrix takes the general SVD; none is symmetrised.
+    A square M equal to its transpose, bit for bit, is decomposed by one
+    ``eigh``, ``M = Q diag(lam) Q^T``: ``S = |lam|`` (stably sorted
+    descending), ``U = Q`` and ``V = Q sign(lam)`` with sign(0) = +1.
+    Any other matrix takes the general SVD; none is symmetrised.
 
     On the rows where M is all zero, U is exactly 0 for every triplet above
     the :attr:`Decomposition.flagged_small` threshold (U = M V S^-1 there),
@@ -110,18 +86,16 @@ def svd(M) -> Decomposition:
     not converge; never returns unconverged output.
     """
     A = _as_matrix(M)
-    H = _symmetric_part(A)
     try:
-        if H is None:
-            U, S, Vt = np.linalg.svd(A, full_matrices=False)
-            V = Vt.T
-        else:
-            lam, Q = np.linalg.eigh(H)
-            del H  # a V x V copy that nothing below reads
+        if A.shape[0] == A.shape[1] and np.array_equal(A, A.T):
+            lam, Q = np.linalg.eigh(A)
             order = np.argsort(-np.abs(lam), kind="stable")
             lam, U = lam[order], Q[:, order]
             S = np.abs(lam)
             V = U * np.where(lam < 0, -1.0, 1.0)
+        else:
+            U, S, Vt = np.linalg.svd(A, full_matrices=False)
+            V = Vt.T
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD did not converge: {exc}") from exc
     kept = ~Decomposition(U=U, S=S, V=V).flagged_small

@@ -15,6 +15,7 @@ malformed line or value naming ``path:line``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import logging
 import os
@@ -92,6 +93,11 @@ class ContingencyTable:
     @property
     def shape(self) -> tuple[int, int]:
         return self.counts.shape
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        """Equal labels on both axes and ``counts == counts.T`` exactly; computed on first read."""
+        return self.row_labels == self.col_labels and np.array_equal(self.counts, self.counts.T)
 
     @classmethod
     def from_counts(cls, counts, row_labels=None, col_labels=None) -> "ContingencyTable":

@@ -1,5 +1,6 @@
 """Categorical variance and the rotated-covariance optimum vs. its oracles."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cakit.datasets import fisher_table
 from cakit.gini import brute_force_covariance, gini_variance, rotated_covariance
+from cakit.kca import KcaMethod, KernelSpec, fit_kca, kernel_root, method_from_name
 from cakit.linalg import nuclear_norm
 from cakit.tables import ContingencyTable, contingency_from_observations, residual_matrix
 
@@ -147,3 +149,76 @@ class TestRotatedCovariance:
         for _ in range(100):
             Q = np.linalg.qr(rng.normal(size=(5, 4)))[0]
             assert best >= abs(0.5 * float(np.trace(Q.T @ xi))) - 1e-12
+
+
+def random_spd(rng, m):
+    """SPD matrix with eigenvalues in [0.5, 2]."""
+    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
+    return (Q * rng.uniform(0.5, 2.0, size=m)) @ Q.T
+
+
+def kernel_methods(t, rng):
+    """The fits whose association is the centered residual, by name."""
+    return {
+        "linear": method_from_name("linear"),
+        "gini": method_from_name("gini"),
+        "kpca_cd": method_from_name("kpca_cd", kpca_alpha=-0.3),
+        "linear+sw": method_from_name("linear", stopwords={"r0", "c1"},
+                                      sw_alpha_row=-0.5, sw_alpha_col=0.7),
+        "explicit": KcaMethod("linear", KernelSpec("explicit", matrix=random_spd(rng, t.shape[0])),
+                              KernelSpec("explicit", matrix=random_spd(rng, t.shape[1]))),
+    }
+
+
+def encoded_covariance(X, Y, R):
+    """The literal double sum over observation pairs p, q of
+    ``(x_p - x_q)^T R (y_p - y_q) / (4 n^2)``, one row of X and Y per observation."""
+    n = len(X)
+    terms = [float(np.sum(((X[p] - X) @ R) * (Y[p] - Y))) for p in range(n)]
+    return math.fsum(terms) / (4.0 * n * n)
+
+
+class TestKernelGiniCovariance:
+    """The abstract's first claim, for every kernel: encode observation (a, b)
+    as ``(K_r^{1/2} e_a, K_c^{1/2} e_b)`` (for linear CA ``e_a / sqrt(r_a)``);
+    the Gini covariance of the encoded pairs at ``R* = U_s V_s^T``, the rotation
+    of the fit's sandwich, is half the sum of the fit's full spectrum, and no
+    other orthogonal rotation scores above it.
+
+    The double sum is ``tr(R^T K_r^{1/2} P K_c^{1/2}) / 2`` with P the centered
+    residual, so it covers the fits whose association is P.  gtest and sgns
+    factorize a log ratio of the cells, and ws a Hadamard product of the table
+    with itself; none is a covariance of the encoded observations.
+    """
+
+    @staticmethod
+    def encode(obs, t, m):
+        """Per observation, the encoded row and column points, and R* of the fit."""
+        dec = fit_kca(t, m).decomposition
+        Lr, _ = kernel_root(m.row_kernel, t.r, t.row_labels)
+        Lc, _ = kernel_root(m.col_kernel, t.c, t.col_labels)
+        Er, Ec = Lr @ np.eye(t.shape[0]), Lc @ np.eye(t.shape[1])  # columns K^{1/2} e_a
+        rows = [t.row_labels.index(a) for a, _ in obs]
+        cols = [t.col_labels.index(b) for _, b in obs]
+        return Er[:, rows].T, Ec[:, cols].T, (Lr @ dec.U) @ (Lc @ dec.V).T, dec.S
+
+    @pytest.mark.parametrize("name", ["linear", "gini", "kpca_cd", "linear+sw", "explicit"])
+    def test_optimum_is_half_the_spectrum(self, name):
+        rng = np.random.default_rng(67)
+        for _ in range(8):
+            obs = random_observations(rng, rng.integers(2, 7), rng.integers(2, 7),
+                                      rng.integers(20, 151))
+            t = contingency_from_observations(obs)
+            X, Y, R_star, S = self.encode(obs, t, kernel_methods(t, rng)[name])
+            assert encoded_covariance(X, Y, R_star) == pytest.approx(0.5 * S.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["linear", "gini", "kpca_cd", "linear+sw", "explicit"])
+    def test_no_orthogonal_rotation_scores_above_the_optimum(self, name):
+        rng = np.random.default_rng(71)
+        obs = random_observations(rng, 5, 4, 60)
+        t = contingency_from_observations(obs)
+        X, Y, R_star, _ = self.encode(obs, t, kernel_methods(t, rng)[name])
+        best = encoded_covariance(X, Y, R_star)
+        for _ in range(50):
+            R = np.linalg.qr(rng.normal(size=R_star.shape))[0]
+            assert encoded_covariance(X, Y, R) <= best * (1 + 1e-12)

@@ -1,10 +1,15 @@
 """Kernel fits: association matrices, structured kernel roots, reductions."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cakit
 from cakit.ca import fit_linear_ca
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import fisher_table
@@ -225,6 +230,30 @@ class TestAssociationMatrix:
     def test_unknown_association_rejected(self):
         with pytest.raises(ValueError, match="association"):
             KcaMethod("chi2")
+
+
+class TestEquality:
+    """``==`` on kernel specs and methods compares array fields by value and never raises."""
+
+    def test_explicit_kernels_with_equal_matrices_are_equal(self):
+        a, b = (KernelSpec("explicit", matrix=np.eye(3)) for _ in range(2))
+        assert a == b and not a != b
+
+    def test_explicit_kernels_with_different_matrices_are_not(self):
+        a = KernelSpec("explicit", matrix=np.eye(3))
+        assert a != KernelSpec("explicit", matrix=2.0 * np.eye(3))
+        assert a != KernelSpec("explicit", matrix=np.eye(2))
+        assert a != KernelSpec("identity") and a != "explicit"
+
+    def test_ws_methods_from_equal_gamma_copies_are_equal(self):
+        gamma = build_gamma(("a", "b", "c"), WordSimDataset((("a", "c", 4.0),)), 0.1)
+        first = method_from_name("ws", gamma_row=gamma, gamma_col=gamma)
+        second = method_from_name("ws", gamma_row=gamma.copy(), gamma_col=gamma.copy())
+        assert first == second
+        other = gamma.copy()
+        other[0, 2] = other[2, 0] = 9.0
+        assert first != method_from_name("ws", gamma_row=other, gamma_col=other)
+        assert first != method_from_name("linear")
 
 
 class TestMaterializeKernel:
@@ -517,6 +546,42 @@ class TestFitKca:
         assert fit_kca(t, m, 2).method_tag == "gtest+sw"
 
 
+# A linear fit of a symmetric Zipf table over 300 types, saved to argv[1].
+THREADED_FIT = """
+import sys
+import numpy as np
+from cakit.corpus import CooccurrenceConfig, count_cooccurrences
+from cakit.kca import fit_kca, method_from_name
+rng = np.random.default_rng(139)
+p = 1.0 / np.arange(1, 301) ** 1.1
+ids = rng.choice(300, size=30_000, p=p / p.sum())
+t = count_cooccurrences([f"w{i:03d}" for i in ids], CooccurrenceConfig(window=2))
+assert t.symmetric
+emb = fit_kca(t, method_from_name("linear"), 5)
+np.savez(sys.argv[1], S=emb.singular_values, F=emb.F, G=emb.G)
+"""
+
+
+def test_fit_agrees_across_blas_thread_counts(tmp_path):
+    # roundoff may differ with the thread count, so only agreement is asked,
+    # with no column's sign flipped
+    src = str(Path(cakit.__file__).resolve().parents[1])
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", THREADED_FIT, str(out)], env=env, check=True,
+                       timeout=120)
+        fits.append(np.load(out))
+    one, two = fits
+    S1 = one["S"][0]
+    for name in ("S", "F", "G"):
+        np.testing.assert_allclose(two[name], one[name], rtol=0, atol=1e-10 * S1, err_msg=name)
+    for name in ("F", "G"):
+        assert np.all(np.sum(one[name] * two[name], axis=0) > 0), name
+
+
 class TestWsKernelFit:
     def test_sandwich_of_a_symmetric_table_takes_eigh(self, monkeypatch, record_calls):
         # a Zipf corpus over 500 types, counted as `cakit count` does
@@ -563,6 +628,28 @@ class TestWsKernelFit:
         cross = (gamma @ N) * (N @ gamma)
         for marginal in (cross.sum(axis=1), cross.sum(axis=0)):
             np.testing.assert_allclose(assoc.r, marginal, rtol=1e-13)
+
+    def test_symmetric_table_under_unequal_or_asymmetric_gammas_is_not_shared(self):
+        # the shared shortcut N gamma = (gamma N)^T needs one symmetric gamma on both axes
+        rng = np.random.default_rng(41)
+        upper = np.triu(rng.integers(0, 30, size=(12, 12)) + 0.0)
+        words = [f"w{i}" for i in range(12)]
+        t = ContingencyTable.from_counts(upper + np.triu(upper, 1).T, words, words)
+        gamma = build_gamma(words, WordSimDataset((("w0", "w3", 9.0), ("w2", "w5", 4.0))), 0.1)
+        other = build_gamma(words, WordSimDataset((("w1", "w7", 6.0),)), 0.1)
+        skewed = gamma.copy()
+        skewed[0, 3] += 0.5
+        N = t.counts
+        assert t.symmetric
+        for gamma_r, gamma_c in ((gamma, other), (skewed, skewed)):
+            assoc = association_matrix(t, method_from_name("ws", gamma_row=gamma_r,
+                                                           gamma_col=gamma_c))
+            cross = (gamma_r @ N) * (N @ gamma_c)
+            expected = (N * (gamma_r @ N @ gamma_c) - cross) / (t.n * t.n)
+            assert not assoc.symmetric
+            np.testing.assert_allclose(assoc.values, expected, rtol=0,
+                                       atol=1e-14 * np.abs(expected).max())
+            np.testing.assert_allclose(assoc.c, cross.sum(axis=0), rtol=1e-14)
 
     def test_build_gamma_matches_the_dict_loop_bit_for_bit(self):
         rng = np.random.default_rng(233)

@@ -194,15 +194,13 @@ class TestSymmetricPath:
             dec = svd(A)
             np.testing.assert_allclose(dec.reconstruct(), A, atol=1e-12)
 
-    def test_asymmetry_at_roundoff_takes_eigh(self, eigh_calls):
-        rng = np.random.default_rng(47)
-        M = symmetric_with_spectrum(rng, np.linspace(-1.0, 2.0, 30))
-        noisy = M * (1.0 + 4 * np.finfo(float).eps * rng.uniform(-1, 1, size=M.shape))
-        assert np.any(noisy != noisy.T)
-        dec = svd(noisy)
-        assert eigh_calls == [(30, 30)]
-        np.testing.assert_allclose(dec.S, np.linalg.svd(noisy, compute_uv=False),
-                                   rtol=0, atol=1e-14 * dec.S[0])
+    def test_one_ulp_from_symmetric_takes_the_general_svd(self, eigh_calls, record_calls):
+        general_svd_calls = record_calls(np.linalg, "svd")
+        M = symmetric_with_spectrum(np.random.default_rng(47), np.linspace(-1.0, 2.0, 30))
+        M[3, 7] = np.nextafter(M[3, 7], np.inf)
+        dec = svd(M)
+        assert eigh_calls == [] and general_svd_calls == [(30, 30)]
+        np.testing.assert_allclose(dec.reconstruct(), M, rtol=0, atol=1e-14 * dec.S[0])
 
     def test_two_runs_are_bit_identical(self):
         rng = np.random.default_rng(53)

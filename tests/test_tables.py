@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cakit import ca, tables
+from cakit import ca, cli, tables
 from cakit.ca import EmbeddingSet, fit_linear_ca
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import FISHER_COL_LABELS, FISHER_COUNTS, FISHER_ROW_LABELS, fisher_table
@@ -222,6 +222,46 @@ class TestConstruction:
         counts = np.array([[2.0, 3.0], [5.0, 7.0]])
         t = ContingencyTable.from_counts(counts / counts.sum())
         assert t.n == pytest.approx(1.0, abs=1e-15)
+
+
+class TestSymmetric:
+    """``symmetric``: equal labels on both axes and ``counts == counts.T`` exactly."""
+
+    COUNTS = np.array([[4.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 3.0]])
+
+    def test_a_counted_table_read_back_is_symmetric(self, tmp_path):
+        rng = np.random.default_rng(7)
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "table.tsv"
+        corpus.write_text(" ".join(rng.choice(["a", "b", "c", "d", "e"], size=400)) + "\n")
+        assert cli.main(["count", str(corpus), "--window", "2", "--out", str(out)]) == 0
+        assert read_tsv(out).symmetric
+
+    def test_permuted_column_labels_are_not(self):
+        words = ["a", "b", "c"]
+        assert ContingencyTable(self.COUNTS, words, words).symmetric
+        assert not ContingencyTable(self.COUNTS, words, ["b", "a", "c"]).symmetric
+
+    def test_equal_labels_with_asymmetric_counts_are_not(self):
+        counts = self.COUNTS.copy()
+        counts[0, 1] = np.nextafter(1.0, 2.0)
+        assert not ContingencyTable(counts, ["a", "b", "c"], ["a", "b", "c"]).symmetric
+
+    def test_a_non_square_table_is_not(self):
+        assert not ContingencyTable(self.COUNTS[:, :2], ["a", "b", "c"], ["a", "b"]).symmetric
+
+    def test_dropping_a_zero_marginal_word_keeps_it_symmetric(self, caplog):
+        counts = np.zeros((4, 4))
+        counts[np.ix_([0, 1, 3], [0, 1, 3])] = self.COUNTS
+        with caplog.at_level(logging.WARNING, logger="cakit.tables"):
+            t = ContingencyTable(counts, ["a", "b", "x", "c"], ["a", "b", "x", "c"])
+        assert "x" in caplog.text and t.row_labels == ("a", "b", "c") and t.symmetric
+
+    def test_is_computed_once(self, record_calls):
+        t = ContingencyTable(self.COUNTS, ["a", "b", "c"], ["a", "b", "c"])
+        comparisons = record_calls(np, "array_equal")
+        assert "symmetric" not in vars(t)
+        assert t.symmetric and t.symmetric
+        assert comparisons == [(3, 3)]
 
 
 class TestTsvRoundTrip:
