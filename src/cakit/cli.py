@@ -110,11 +110,9 @@ def _read_method_config(args) -> dict:
 
 
 def cmd_count(args) -> int:
-    tokens = corpus.tokenize(tables._read_text(args.corpus), lowercase=not args.keep_case)
-    if args.slice is not None:
-        tokens = corpus.slice_tokens(tokens, args.slice)
+    text = tables._read_text(args.corpus)
     cfg = corpus.CooccurrenceConfig(window=args.window, min_count=args.min_count)
-    table = corpus.count_cooccurrences(tokens, cfg)
+    table = corpus._count_text(text, cfg, lowercase=not args.keep_case, percent=args.slice)
     _err(
         f"counted {int(table.n)} pairs over {len(table.row_labels)} words "
         f"(window={args.window}, min_count={args.min_count})"

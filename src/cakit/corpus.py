@@ -1,5 +1,15 @@
 """Text ingestion: tokenization, vocabulary, windowed co-occurrence counting.
 
+Every count goes through one id step (:func:`_token_ids`, which also
+encodes the words of a pair file): the tokens are looked up in one growing
+dict, a list of them at a time, and the ids are remapped once to
+sorted-vocabulary order.  :func:`count_cooccurrences` takes its token list
+as one such list.  ``cakit count`` reads a text a
+chunk at a time (:func:`_count_text`): each chunk ends at a whitespace
+character, so no token spans two chunks, and lowercasing sees every word
+in the same context as in the whole text; only one chunk's tokens exist as
+strings at once.
+
 Counting uses a fixed symmetric window over token positions.  Words below
 the frequency threshold stay in place, counted into a sink category that is
 cut off, so removing rare words never creates new adjacencies; every
@@ -8,7 +18,9 @@ retained count can only shrink as the threshold rises.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import re
 import string
 from dataclasses import dataclass
 
@@ -19,6 +31,7 @@ from .tables import ContingencyTable, _read_text
 logger = logging.getLogger(__name__)
 
 _PUNCT_TO_SPACE = str.maketrans({ch: " " for ch in string.punctuation})
+_CHUNK = 1 << 18  # characters of text per chunk, before the cut at whitespace
 
 
 @dataclass(frozen=True)
@@ -50,22 +63,73 @@ def count_cooccurrences(tokens, cfg: CooccurrenceConfig) -> ContingencyTable:
     range, the (word_i, word_{i+d}) cell is incremented if both tokens pass
     the vocabulary filter.  Rows and columns share the sorted vocabulary.
 
-    Each token is looked up once, in a dict of the sorted distinct words,
-    and the frequencies are the bincount of those ids.  ``min_count``, then
-    ``max_vocab`` (most frequent first, ties in word order), drop words; one
-    int array remaps the ids, V (one past the last kept word) for a dropped
-    word.  :func:`_window_counts` counts every pair, the dropped ones into
-    row and column V, which it cuts off.  Memory beyond the ids is
-    O(len(tokens) + V^2).  A list is read as given.
+    The tokens take the id step of the module docstring as one list, and
+    :func:`_count_ids` counts the ids.  A list is read as given.
     """
     tokens = tokens if isinstance(tokens, list) else list(tokens)
-    if not tokens:
+    return _count_ids(*_token_ids([tokens]), cfg)
+
+
+def _count_text(text: str, cfg: CooccurrenceConfig, lowercase: bool = True,
+                percent: float | None = None) -> ContingencyTable:
+    """The table of ``count_cooccurrences(tokenize(text, lowercase), cfg)``, a chunk at a time.
+
+    Each chunk of :func:`_chunks` is tokenized on its own, and the chunks
+    share the id step.  ``percent`` keeps the first ``percent`` % of the
+    ids, as :func:`slice_tokens` cuts a token list, so the vocabulary is the
+    words of the slice before ``min_count`` filters it.
+    """
+    types, ids = _token_ids(tokenize(chunk, lowercase) for chunk in _chunks(text))
+    if percent is not None:
+        ids = slice_tokens(ids, percent)
+    return _count_ids(types, ids, cfg)
+
+
+def _chunks(text: str):
+    """Consecutive pieces of ``text``, each cut just after the first ``str.isspace``
+    character at least ``_CHUNK`` characters past its start; a text with no such
+    character past that point ends the last piece."""
+    space = re.compile(r"\s")  # a str pattern's \s is str.isspace
+    start = 0
+    while start < len(text):
+        cut = space.search(text, start + _CHUNK)
+        end = cut.end() if cut else len(text)
+        yield text[start:end]
+        start = end
+
+
+def _token_ids(token_lists) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct tokens of the lists, and the index of every token in them.
+
+    Each list's new words join one dict, numbered in the order they join;
+    each list becomes one int32 array through it, and one gather maps the
+    concatenated ids to sorted-vocabulary order.
+    """
+    index: dict[str, int] = {}
+    parts = [np.empty(0, np.int32)]  # an empty text has no list
+    for tokens in token_lists:
+        index.update(zip(set(tokens).difference(index), itertools.count(len(index))))
+        parts.append(np.fromiter(map(index.__getitem__, tokens), np.int32, len(tokens)))
+    types = sorted(index)
+    rank = np.empty(len(types), np.intp)
+    rank[np.fromiter(map(index.__getitem__, types), np.intp, len(types))] = np.arange(len(types))
+    return types, rank[np.concatenate(parts)]
+
+
+def _count_ids(types: list[str], ids: np.ndarray, cfg: CooccurrenceConfig) -> ContingencyTable:
+    """The table of :func:`count_cooccurrences` from the sorted ``types`` and the token ids.
+
+    The frequencies are the bincount of the ids.  A word with none (left
+    out of a slice), then ``min_count``, then ``max_vocab`` (most frequent
+    first, ties in word order), drop words; one int array remaps the ids,
+    V (one past the last kept word) for a dropped word.
+    :func:`_window_counts` counts every pair, the dropped ones into row and
+    column V, which it cuts off.  Memory beyond the ids is O(V^2).
+    """
+    if not len(ids):
         raise ValueError("token stream is empty")
-    types = sorted(set(tokens))
-    index = dict(zip(types, range(len(types))))
-    ids = np.fromiter(map(index.__getitem__, tokens), np.int64, len(tokens))
     freq = np.bincount(ids, minlength=len(types))
-    keep = freq >= cfg.min_count
+    keep = freq >= max(cfg.min_count, 1)
     if cfg.max_vocab is not None and keep.sum() > cfg.max_vocab:  # kept words rank first
         keep[np.argsort(-freq, kind="stable")[cfg.max_vocab:]] = False  # ties in word order
     if not keep.any():
@@ -100,11 +164,11 @@ def _window_counts(ids: np.ndarray, V: int, window: int) -> np.ndarray:
     return np.add(acc, acc.T, dtype=float)
 
 
-def slice_tokens(tokens, percent: float) -> list[str]:
-    """First ``percent`` % of the token stream (floor)."""
+def slice_tokens(tokens, percent: float):
+    """First ``percent`` % (floor) of a token list or id array; other iterables become a list."""
     if not 0 < percent <= 100:
         raise ValueError(f"slice percentage must be in (0, 100], got {percent}")
-    tokens = tokens if isinstance(tokens, list) else list(tokens)
+    tokens = tokens if isinstance(tokens, (list, np.ndarray)) else list(tokens)
     return tokens[: int(len(tokens) * percent / 100.0)]
 
 

@@ -1,11 +1,13 @@
 """Word-similarity evaluation: dataset parsing, cosine, Spearman rank correlation.
 
 A pair file is read once; one whose lines are all three tab-separated
-cells with no repeated pair is parsed whole into word and score columns,
-any other file line by line (see :func:`load_wordsim`).  Embeddings are
-scored by ranking pair cosines against human similarity judgements.
-Out-of-vocabulary pairs are skipped and counted, never zero-filled, so
-coverage is always visible next to the correlation.
+cells with no repeated pair is parsed whole, any other file line by line
+(see :func:`load_wordsim`).  Either way the dataset is dictionary-encoded
+once: its sorted vocabulary, an (n, 2) array of word ids and the scores,
+so matching pairs to embedding labels looks up each distinct word once.
+Embeddings are scored by ranking pair cosines against human similarity
+judgements.  Out-of-vocabulary pairs are skipped and counted, never
+zero-filled, so coverage is always visible next to the correlation.
 Pairs touching a zero vector score cosine 0, with one warning per
 evaluation that counts them; a pair of identical nonzero vectors scores
 exactly 1, so such pairs tie in the ranking.  NaN and infinite scores are
@@ -22,53 +24,71 @@ from itertools import repeat
 import numpy as np
 
 from .ca import EmbeddingSet
+from .corpus import _token_ids
 from .tables import _read_text
 
 
 class WordSimDataset:
-    """Word pairs and their human scores, as three columns.
+    """Word pairs and their human scores, dictionary-encoded.
 
-    ``words_a`` and ``words_b`` are tuples of words and ``scores`` a
-    read-only float array, one entry per pair.  ``WordSimDataset(triples)``
-    builds one from (word_a, word_b, score) triples, and :attr:`triples`
-    gives them back; :func:`load_wordsim` builds one from its columns.
+    ``vocab`` is the tuple of the distinct pair words in sorted order,
+    ``ids`` a read-only (n, 2) int array whose row ``i`` holds the
+    vocabulary indices of pair ``i``'s two words, and ``scores`` a read-only
+    float array, one entry per pair.  ``words_a``, ``words_b`` and
+    :attr:`triples` are derived from them.  ``WordSimDataset(triples)``
+    builds one from (word_a, word_b, score) triples, each pair in the word
+    order given; :func:`load_wordsim` builds one from a file.
     """
 
     def __init__(self, triples):
-        self._set(*(tuple(zip(*triples)) or ((), (), ())))
+        words_a, words_b, scores = tuple(zip(*triples)) or ((), (), ())
+        vocab, ids = _token_ids([words_a, words_b])
+        self._set(vocab, ids.reshape(2, -1).T, scores)
 
     @classmethod
-    def from_columns(cls, words_a, words_b, scores) -> WordSimDataset:
-        """The dataset of pair ``i`` = (``words_a[i]``, ``words_b[i]``, ``scores[i]``)."""
+    def _from_ids(cls, vocab, ids, scores) -> WordSimDataset:
+        """The dataset whose pair ``i`` is ``vocab[ids[i, 0]]``, ``vocab[ids[i, 1]]``,
+        scored ``scores[i]``."""
         dataset = cls.__new__(cls)
-        dataset._set(words_a, words_b, scores)
+        dataset._set(vocab, ids, scores)
         return dataset
 
-    def _set(self, words_a, words_b, scores) -> None:
-        if not words_a:
+    def _set(self, vocab, ids, scores) -> None:
+        if not len(ids):
             raise ValueError("word-similarity dataset is empty")
-        self.words_a, self.words_b = tuple(words_a), tuple(words_b)
+        self.vocab = tuple(vocab)
+        self.ids = np.array(ids, dtype=np.intp)
         self.scores = np.array(scores, dtype=float)
-        self.scores.setflags(write=False)
+        for array in (self.ids, self.scores):
+            array.setflags(write=False)
+
+    @property
+    def words_a(self) -> tuple[str, ...]:
+        return tuple(map(self.vocab.__getitem__, self.ids[:, 0].tolist()))
+
+    @property
+    def words_b(self) -> tuple[str, ...]:
+        return tuple(map(self.vocab.__getitem__, self.ids[:, 1].tolist()))
 
     @property
     def triples(self) -> tuple[tuple[str, str, float], ...]:
         return tuple(zip(self.words_a, self.words_b, self.scores.tolist()))
 
     def __len__(self) -> int:
-        return len(self.words_a)
+        return len(self.ids)
 
     def lookup(self, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Label indices ``ia``, ``ib`` and the score of each pair whose words are both labels.
 
         Pairs keep their dataset order; a pair with a word that is not a
-        label is left out.  The one place that matches pair words to labels.
+        label is left out.  Each vocabulary word is looked up once.  The one
+        place that matches pair words to labels.
         """
         index = {lbl: i for i, lbl in enumerate(labels)}
-        ia, ib = (np.fromiter(map(index.get, words, repeat(-1)), dtype=np.intp, count=len(self))
-                  for words in (self.words_a, self.words_b))
-        keep = (ia >= 0) & (ib >= 0)
-        return ia[keep], ib[keep], self.scores[keep]
+        at = np.fromiter(map(index.get, self.vocab, repeat(-1)), dtype=np.intp,
+                         count=len(self.vocab))[self.ids]
+        keep = (at >= 0).all(axis=1)
+        return at[keep, 0], at[keep, 1], self.scores[keep]
 
 
 @dataclass(frozen=True)
@@ -109,18 +129,20 @@ def load_wordsim(path) -> WordSimDataset:
 def _tab_columns(text: str) -> WordSimDataset | None:
     """The dataset of a file of three-cell tab lines, or None for the per-line loop.
 
-    One split of the joined lines gives every cell; the word cells are
-    stripped and lowercased, the score cells read by ``float``, and each
-    pair ordered with ``min``/``max``, as the loop does one line at a time.
-    A file with no line, a line with other than two tabs, a score ``float``
-    rejects or that is not finite, an empty word or a repeated unordered
-    pair returns None: the loop skips a header, splits other separators,
-    averages repeats and names the bad line.
+    One split of the joined, lowercased lines gives every cell; the cells
+    are stripped, the score cells read by ``float``, and the word cells
+    encoded against their sorted distinct words.  Each pair is ordered by
+    its smaller and larger id, as the loop's ``a <= b`` orders it, since id
+    order is word order.  A file with no line, a line with other than two
+    tabs, a score ``float`` rejects or that is not finite, an empty word (it
+    sorts first) or a repeated unordered pair (equal neighbours among the
+    sorted pair codes) returns None: the loop skips a header, splits other
+    separators, averages repeats and names the bad line.
     """
     lines = list(filter(None, map(str.strip, text.split("\n"))))
     if not lines or set(map(str.count, lines, repeat("\t"))) != {2}:
         return None
-    cells = list(map(str.strip, "\t".join(lines).split("\t")))
+    cells = list(map(str.strip, "\t".join(lines).lower().split("\t")))
     try:
         scores = np.fromiter(map(float, cells[2::3]), dtype=float, count=len(lines))
     except ValueError:
@@ -128,11 +150,16 @@ def _tab_columns(text: str) -> WordSimDataset | None:
     if not np.isfinite(scores).all():
         return None
     scores += 0.0  # -0.0 to 0.0: the loop averages with fsum, and fsum([-0.0]) is 0.0
-    words_a, words_b = (list(map(str.lower, cells[k::3])) for k in (0, 1))
-    lo, hi = list(map(min, words_a, words_b)), list(map(max, words_a, words_b))
-    if "" in lo or len(set(map("\t".join, zip(lo, hi)))) < len(lines):
+    vocab, ids = _token_ids([cells[0::3], cells[1::3]])
+    a, b = ids.reshape(2, -1)
+    if vocab[0] == "":
         return None
-    return WordSimDataset.from_columns(lo, hi, scores)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    codes = lo * len(vocab) + hi
+    codes.sort()
+    if (codes[1:] == codes[:-1]).any():
+        return None
+    return WordSimDataset._from_ids(vocab, np.stack((lo, hi), axis=1), scores)
 
 
 def _parse_lines(path, text: str) -> WordSimDataset:
@@ -165,7 +192,7 @@ def _parse_lines(path, text: str) -> WordSimDataset:
 
 def cosine(u, v) -> float:
     """u.v / (|u| |v|), as :func:`evaluate` scores a pair; a zero vector gives 0 with a warning."""
-    sims, touched = _pair_cosines(np.array([u, v], dtype=float), [0], [1])
+    sims, touched = _pair_cosines(np.array([u, v], dtype=float), np.array([0]), np.array([1]))
     if touched:
         warnings.warn("cosine of a zero vector is defined as 0", stacklevel=2)
     return float(sims[0])
@@ -180,13 +207,14 @@ def _pair_cosines(coords: np.ndarray, ia, ib) -> tuple[np.ndarray, int]:
     zero = norms == 0.0
     unit = coords / np.where(zero, 1.0, norms)[:, None]
     sims = np.einsum("ij,ij->i", unit[ia], unit[ib])
-    sims[(coords[ia] == coords[ib]).all(axis=1) & ~zero[ia]] = 1.0
+    near = np.flatnonzero(sims > 0.5)  # identical nonzero rows, and no zero row, among them
+    sims[near[(coords[ia[near]] == coords[ib[near]]).all(axis=1)]] = 1.0
     return sims, int(np.count_nonzero(zero[ia] | zero[ib]))
 
 
 def _ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; each run of equal values shares the mean of its ranks."""
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)  # not stable: the members of a run share one rank
     starts = np.flatnonzero(np.r_[True, np.diff(x[order]) != 0])  # x is finite
     ends = np.r_[starts[1:], len(x)]
     ranks = np.empty(len(x))
@@ -209,12 +237,24 @@ def spearman(xs, ys) -> float:
         raise ValueError("rank correlation is undefined for non-finite values")
     if x.min() == x.max() or y.min() == y.max():
         raise ValueError("rank correlation is undefined for a constant list")
-    mean = (len(x) + 1) / 2.0  # both rank lists average to this
-    # the deviations are half-integers, so their products are exact
-    dx, dy = _ranks(x) - mean, _ranks(y) - mean
-    num = math.fsum((dx * dy).tolist())
-    den = math.sqrt(math.fsum((dx * dx).tolist()) * math.fsum((dy * dy).tolist()))
-    return num / den
+    n = len(x)
+    # twice each rank's deviation from the mean rank (n + 1) / 2: an integer of
+    # magnitude at most n - 1, so a block of (2^63 - 1) // (n - 1)^2 products
+    # sums in int64 exactly
+    dx, dy = ((2.0 * _ranks(v) - (n + 1)).astype(np.int64) for v in (x, y))
+    block = (2**63 - 1) // (n - 1) ** 2
+    sxy, sxx, syy = (_int_dot(a, b, block) / 4 for a, b in ((dx, dy), (dx, dx), (dy, dy)))
+    return sxy / math.sqrt(sxx * syy)
+
+
+def _int_dot(a: np.ndarray, b: np.ndarray, block: int) -> int:
+    """The dot product of two int64 arrays as a Python int: int64 sums of ``block``
+    terms each, which the caller keeps short enough not to overflow, added exactly.
+
+    :func:`spearman` divides each such sum by 4, which rounds it once, as
+    ``math.fsum`` rounds the sum of the half-integer deviations' products.
+    """
+    return sum(int(a[i:i + block] @ b[i:i + block]) for i in range(0, len(a), block))
 
 
 def evaluate(e: EmbeddingSet, which: str, d: WordSimDataset) -> EvalReport:

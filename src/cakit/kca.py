@@ -12,10 +12,13 @@ coordinates are ``F = K_r U S^p`` and ``G = K_c V S^p``.
 :func:`_sandwich_svd` is the one place that decides whether the sandwich
 is symmetric, from the table (its ``symmetric``, as ``cakit count`` writes)
 and the method: the association must be symmetric (ws's under one
-symmetric pair-score matrix), and either the two kernels are equal, or the
-association is the centered residual and each kernel is identity or
-kpca_cd, whose ``e 11^T`` part annihilates it.  Such a sandwich is
-symmetrised, which removes only roundoff, and decomposed by one ``eigh``.
+symmetric pair-score matrix), and either the two kernels are equal, or
+each kernel is identity or kpca_cd, whose ``e 11^T`` part annihilates an
+association that sums to zero along both axes.  The centered residual
+does, and so does a symmetric ws association: with ``Gamma`` symmetric,
+``sum_j N_ij (Gamma N Gamma)_ij = sum_j (Gamma N)_ij (N Gamma)_ij``.  Such
+a sandwich is symmetrised, which removes only roundoff, and decomposed by
+one ``eigh``.
 
 Specializations recover linear CA (inverse-marginal kernels), the plain
 categorical covariance, the G-test association, shifted-positive-PMI
@@ -47,6 +50,7 @@ from .tables import ContingencyTable, residual_matrix
 ASSOCIATIONS = ("linear", "gini", "gtest", "sgns", "kpca_cd", "ws")
 KERNEL_KINDS = ("identity", "inverse_marginal", "stopword", "kpca_cd", "explicit")
 _CENTERED = ("linear", "gini", "kpca_cd")  # the associations N/n - r c^T/n^2
+_ZERO_SUM = (*_CENTERED, "ws")  # those whose symmetric form sums to zero along both axes
 
 
 def _equal_fields(self, other) -> bool:
@@ -334,7 +338,7 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
 
 def _symmetric_sandwich(assoc: AssociationMatrix, m: KcaMethod) -> bool:
     """Whether the sandwich is symmetric, by the rule of the module docstring."""
-    return assoc.symmetric and (m.row_kernel == m.col_kernel or m.association in _CENTERED
+    return assoc.symmetric and (m.row_kernel == m.col_kernel or m.association in _ZERO_SUM
                                 and {m.row_kernel.kind, m.col_kernel.kind} <= {"identity", "kpca_cd"})
 
 

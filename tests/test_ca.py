@@ -355,11 +355,6 @@ class TestSymmetricTable:
 # one case per kernel kind, the same on both axes
 KIND_CASES = {"identity": ID, "inverse_marginal": IM, "stopword": SW_ROW,
               "kpca_cd": _kernel("kpca_cd", alpha=-0.4), "explicit": _explicit_kernel}
-# Under symmetric pair scores the ws association sums to zero along both axes
-# too, so a kpca_cd kernel facing an identity one leaves its sandwich
-# symmetric.  The rule names only the centered residual and sends these
-# pairings, which no CLI method builds, to the general SVD.
-RULE_MISSES = {("ws", "identity", "kpca_cd"), ("ws", "kpca_cd", "identity")}
 
 
 class TestSymmetryRule:
@@ -374,12 +369,9 @@ class TestSymmetryRule:
                 m = build_method(association, row, col, {}, t)
                 assoc, _, _, sandwich = build_sandwich(t, m)
                 case = (association, row_kind, col_kind)
-                numeric = symmetric_to_roundoff(sandwich)
-                # sound everywhere; complete but for the misses named above
-                expected = numeric and case not in RULE_MISSES
-                assert kca._symmetric_sandwich(assoc, m) == expected, case
-                if t.symmetric and case in RULE_MISSES:
-                    assert numeric, case
+                # sound and complete: ws under a kpca_cd kernel facing an identity
+                # one included, whose symmetric association sums to zero too
+                assert kca._symmetric_sandwich(assoc, m) == symmetric_to_roundoff(sandwich), case
 
     @pytest.mark.parametrize("name", list(METHOD_CASES))
     def test_rule_oracle_and_cases_agree(self, name):

@@ -1,10 +1,13 @@
 """Tokenization and windowed co-occurrence counting."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from cakit import corpus
+from cakit.cli import main
 from cakit.corpus import (
     CooccurrenceConfig,
     count_cooccurrences,
@@ -13,7 +16,7 @@ from cakit.corpus import (
     tokenize,
 )
 from cakit.datasets import bundled_stopwords_path
-from cakit.tables import ContingencyTable
+from cakit.tables import ContingencyTable, write_tsv
 
 
 class TestTokenize:
@@ -290,6 +293,108 @@ class TestSliceTokens:
             slice_tokens(["a"], 0)
         with pytest.raises(ValueError, match="percentage"):
             slice_tokens(["a"], 150)
+
+
+# Texts whose tokens, counts and stderr must not depend on where a chunk ends:
+# Greek capital sigma, which lowers to final ς at a word's end, soft hyphens
+# (case-ignorable) before it, CRLF line ends, punctuation glued to words, and
+# U+3000 and \x1c, which str.split splits on.
+CHUNK_TEXTS = {
+    "final-sigma": "ΟΔΟΣ ΑΣ\nΣΑ ΟΔΟΣ Σ ΑΣ\u00adΣ ΑΣ.\nΑ\u00ad\u00adΣ ΟΔΟΣ\n" * 3,
+    "crlf": "one two\r\nthree one\r\n\r\ntwo three one\r\ntwo\r\n" * 3,
+    "punctuation": "one,two. three;one!\n(two) three--one two's.\nthree...one\n" * 3,
+    "unicode-separators": "one\u3000two\x1cthree one\u3000\u3000two\x1c\nthree one\x1ctwo" * 3,
+}
+
+
+class TestChunkedCount:
+    """``cakit count`` reads a text a chunk at a time; the cut never shows."""
+
+    @pytest.fixture(autouse=True)
+    def streams(self, tmp_path, capsys, caplog):
+        self.tmp_path, self.capsys, self.caplog = tmp_path, capsys, caplog
+
+    def token_list_count(self, text, window=2, min_count=0, percent=None, keep_case=False):
+        """What ``cakit count`` made of ``text`` when it tokenized the whole text
+        into one token list: the tokens, the table file's bytes, and the stderr
+        line after any logged warning."""
+        self.caplog.clear()
+        tokens = tokenize(text, lowercase=not keep_case)
+        if percent is not None:
+            tokens = slice_tokens(tokens, percent)
+        t = count_cooccurrences(tokens, CooccurrenceConfig(window=window, min_count=min_count))
+        write_tsv(t, self.tmp_path / "ref.tsv")
+        return tokens, (self.tmp_path / "ref.tsv").read_bytes(), self.caplog.text + (
+            f"counted {int(t.n)} pairs over {len(t.row_labels)} words "
+            f"(window={window}, min_count={min_count})\n")
+
+    def count_in_chunks(self, text, args):
+        """The table file's bytes and the stderr of ``cakit count``, logged warnings first."""
+        path, out = self.tmp_path / "c.txt", self.tmp_path / "chunked.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        self.caplog.clear()
+        assert main(["count", str(path), *args, "--out", str(out)]) == 0
+        return out.read_bytes(), self.caplog.text + self.capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(CHUNK_TEXTS))
+    @pytest.mark.parametrize("keep_case", [False, True])
+    def test_every_cut_counts_as_the_token_list(self, monkeypatch, name, keep_case):
+        text = CHUNK_TEXTS[name]
+        tokens, table, err = self.token_list_count(text, keep_case=keep_case)
+        args = ["--window", "2", *(["--keep-case"] if keep_case else [])]
+        cut_after = set()
+        for size in range(1, 24):  # a cut at every whitespace character of the first lines
+            monkeypatch.setattr(corpus, "_CHUNK", size)
+            chunks = list(corpus._chunks(text))
+            assert "".join(chunks) == text and len(chunks) > 3, size
+            cut_after.update(chunk[-1] for chunk in chunks[:-1])
+            chunked = itertools.chain.from_iterable(
+                tokenize(chunk, lowercase=not keep_case) for chunk in chunks)
+            assert list(chunked) == tokens, size
+            assert self.count_in_chunks(text, args) == (table, err), size
+        assert cut_after == set(filter(str.isspace, text))  # \r of \r\n, U+3000 and \x1c too
+
+    def test_text_without_whitespace_is_one_chunk(self, monkeypatch):
+        text = "one,two.three;one!two(three)one--two" * 5
+        monkeypatch.setattr(corpus, "_CHUNK", 3)
+        assert list(corpus._chunks(text)) == [text]
+        _, table, err = self.token_list_count(text)
+        assert self.count_in_chunks(text, ["--window", "2"]) == (table, err)
+
+    @pytest.mark.parametrize("args", [
+        dict(window=2, min_count=20, percent=40.0),  # a slice, then min_count
+        dict(window=3, min_count=0, percent=7.5),  # a slice that leaves words out
+        dict(window=2, min_count=50),
+        dict(window=3, min_count=400),
+    ], ids=["slice-min-count", "slice", "min-count-50", "min-count-400"])
+    def test_slice_and_min_count_count_as_the_token_list(self, monkeypatch, args):
+        rng = np.random.default_rng(281)
+        words = np.array([f"W{i}," if i % 7 == 0 else f"w{i}" for i in range(60)])
+        text = " ".join(words[rng.zipf(1.3, size=6000) % 60]) + "\r\n"
+        _, table, err = self.token_list_count(text, **args)
+        flags = ["--window", str(args["window"]), "--min-count", str(args["min_count"])]
+        if "percent" in args:
+            flags += ["--slice", str(args["percent"])]
+        for size in (1, 97, 4096, len(text)):
+            monkeypatch.setattr(corpus, "_CHUNK", size)
+            assert self.count_in_chunks(text, flags) == (table, err), size
+        kept = int(err.split(" over ")[1].split()[0])  # the filters keep some words only
+        assert 0 < kept < len(set(tokenize(text))), err
+
+    def test_slice_vocabulary_is_the_words_the_slice_holds(self):
+        # c and d, which the slice leaves out, are no words of the table: no
+        # zero-marginal category is dropped with a logged warning
+        text = "a b a b a b c d c d\n"
+        _, table, err = self.token_list_count(text, window=1, percent=60)
+        assert err == "counted 10 pairs over 2 words (window=1, min_count=0)\n"
+        assert self.count_in_chunks(text, ["--window", "1", "--slice", "60"]) == (table, err)
+
+    def test_empty_text_and_empty_slice_keep_their_errors(self):
+        path = self.tmp_path / "c.txt"
+        for text, flags in (("", []), (" \r\n\t", []), ("a b c\n", ["--slice", "10"])):
+            path.write_text(text, encoding="utf-8")
+            assert main(["count", str(path), *flags, "--out", str(self.tmp_path / "t.tsv")]) == 1
+            assert self.capsys.readouterr().err == "error: token stream is empty\n"
 
 
 class TestLoadStopwords:

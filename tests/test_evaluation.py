@@ -3,6 +3,7 @@
 import gc
 import itertools
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from cakit.cli import main
 from cakit.evaluation import (
     EvalReport,
     WordSimDataset,
+    _int_dot,
     _ranks,
     _split_line,
     _tab_columns,
@@ -351,15 +353,102 @@ class TestDatasetColumns:
         assert WordSimDataset(iter(LOOKUP_TRIPLES)).triples == LOOKUP_TRIPLES
         assert not d.scores.flags.writeable
 
-    def test_from_columns_matches_the_triples_constructor(self):
-        scores = np.array([s for _, _, s in LOOKUP_TRIPLES])
-        d = WordSimDataset.from_columns([a for a, _, _ in LOOKUP_TRIPLES],
-                                        [b for _, b, _ in LOOKUP_TRIPLES], scores)
-        assert d.triples == WordSimDataset(LOOKUP_TRIPLES).triples
-        scores[0] = -1.0  # the dataset holds its own copy
-        assert d.scores[0] == LOOKUP_TRIPLES[0][2]
+    def test_from_ids_matches_the_triples_constructor(self):
+        given = WordSimDataset(LOOKUP_TRIPLES)
+        ids, scores = given.ids.copy(), given.scores.copy()
+        d = WordSimDataset._from_ids(given.vocab, ids, scores)
+        assert d.triples == LOOKUP_TRIPLES
+        ids[0], scores[0] = 0, -1.0  # the dataset holds its own copies
+        assert d.triples == LOOKUP_TRIPLES
+        assert not d.ids.flags.writeable
         with pytest.raises(ValueError, match="empty"):
-            WordSimDataset.from_columns([], [], [])
+            WordSimDataset._from_ids((), np.empty((0, 2), dtype=int), [])
+
+    def test_triples_keep_the_word_order_given(self):
+        triples = (("b", "a", 1.0), ("a", "b", 2.0), ("c", "c", 3.0), ("zz", "b", 4.0))
+        d = WordSimDataset(triples)
+        assert d.vocab == ("a", "b", "c", "zz")
+        assert d.ids.tolist() == [[1, 0], [0, 1], [2, 2], [3, 1]]
+        assert d.triples == triples
+        assert (d.words_a, d.words_b) == (("b", "a", "c", "zz"), ("a", "b", "c", "b"))
+
+
+# every str.isspace character: what str.strip removes and str.split splits on
+SPACES = tuple(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+
+
+def reference_lookup(d, labels):
+    """The lookup before the dataset was encoded: one dict lookup per pair word."""
+    index = {lbl: i for i, lbl in enumerate(labels)}
+    ia = np.array([index.get(w, -1) for w in d.words_a], dtype=np.intp)
+    ib = np.array([index.get(w, -1) for w in d.words_b], dtype=np.intp)
+    keep = (ia >= 0) & (ib >= 0)
+    return ia[keep], ib[keep], d.scores[keep]
+
+
+class TestEncoding:
+    """The pair file lowercased once and encoded as word ids, against per-cell
+    and per-word references."""
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda c: f"U+{ord(c):04X}")
+    def test_lowering_the_joined_cells_lowers_each_cell(self, space):
+        # Σ lowers to ς at a word's end; a whitespace character is neither cased
+        # nor case-ignorable, so padding hides a neighbour as a cell's end does
+        cells = [f"ΑΣ{space}", f"{space}ΣΑ", f"Σ{space}Α", f"Α{space}Σ{space}", f"{space}ΑΣ",
+                 "Σ", f"Α\u00adΣ{space}", f"{space}Σ{space}", "ΟΔΟΣ"]
+        text = "\t".join(cells)
+        assert ([c.strip() for c in text.lower().split("\t")]
+                == [c.strip().lower() for c in text.split("\t")])
+
+    @pytest.mark.parametrize("space", [c for c in SPACES if c not in "\r\n"],
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_sigma_next_to_whitespace_loads_as_the_loop_reads_it(self, tmp_path, space):
+        path = tmp_path / "ws.tsv"
+        path.write_text(f"{space}ΑΣ{space}\t{space}ΣΑ{space}\t1\nΑ{space}Σ\tΟΔΟΣ\t2\n"
+                        f"Σ\tα{space}σ\t3\n", encoding="utf-8")
+        assert (_tab_columns(path.read_text(encoding="utf-8")) is None) == (space == "\t")
+        assert outcome(load_wordsim, path, LABELS) == outcome(reference_load_wordsim, path,
+                                                              LABELS)
+
+    @pytest.mark.parametrize("text", [
+        "cat\tdog\t5\nCAT\tDOG\t6\n",
+        "cat\tdog\t5\nsun\tmoon\t1\nDOG\tCat\t6\n",
+        "ΟΔΟΣ\tx\t1\nοδος\tX\t2\n",
+        "\u212a\tb\t1\nk\tB\t2\n",  # the Kelvin sign lowers to k
+    ], ids=["same-order", "swapped", "final-sigma", "kelvin"])
+    def test_repeats_that_differ_only_in_case_go_to_the_loop(self, tmp_path, text):
+        assert _tab_columns(text) is None
+        path = tmp_path / "ws.tsv"
+        path.write_text(text, encoding="utf-8")
+        assert len(load_wordsim(path)) == text.count("\n") - 1
+        assert outcome(load_wordsim, path, LABELS) == outcome(reference_load_wordsim, path,
+                                                              LABELS)
+
+    def test_lookup_matches_the_per_word_reference(self):
+        rng = np.random.default_rng(271)
+        words = [f"w{i}" for i in range(30)]
+        for _ in range(50):
+            pairs = [tuple(rng.choice(words, size=2)) for _ in range(int(rng.integers(1, 60)))]
+            pairs += [(b, a) for a, b in pairs[: len(pairs) // 3]]  # listed in both orders
+            d = WordSimDataset(tuple((a, b, float(rng.integers(10))) for a, b in pairs))
+            labels = tuple(rng.permutation(words)[: int(rng.integers(1, 30))].tolist())
+            got, want = d.lookup(labels), reference_lookup(d, labels)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tolist() == w.tolist()
+        assert all(len(x) == 0 for x in d.lookup(("oov",)))
+
+    def test_integer_rank_sums_are_bit_equal_to_fsum_in_any_block(self):
+        rng = np.random.default_rng(277)
+        for n in (2, 3, 10, 101, 1000):
+            x, y = rng.integers(4, size=n), rng.normal(size=n)
+            dx, dy = ((2.0 * _ranks(v) - (n + 1)).astype(np.int64) for v in (x, y))
+            for a, b in ((dx, dy), (dx, dx), (dy, dy)):
+                want = math.fsum(((a / 2.0) * (b / 2.0)).tolist())
+                for block in (1, 2, 3, 7, n):
+                    assert _int_dot(a, b, block) / 4 == want, (n, block)
+        # blocks of one term where two int64 terms would overflow their sum
+        big = np.full(8, 3_037_000_499, dtype=np.int64)  # its square is just below 2**63
+        assert _int_dot(big, big, 1) == 8 * 3_037_000_499**2
 
 
 class TestCosine:
