@@ -25,19 +25,21 @@ def _err(msg: str) -> None:
 # by, extra argparse keywords).  Each is a --flag (dashes for underscores) and
 # a config file key, converted and checked alike; a None default leaves it
 # unset.  "Read by" names the methods whose fit reads the option, except for
-# the stop-word list, which is read once either stop-word alpha is set.
+# the stop-word list, which is read once either stop-word alpha is set.  No
+# stop-word kernel replaces a kpca_cd kernel.
 EVERY_FIT = kca.ASSOCIATIONS
+SW_ROW_FITS = tuple(m for m, (row, _) in kca.KERNELS.items() if row.kind != "kpca_cd")
 SW_ALPHAS = ("sw_alpha_row", "sw_alpha_col")
 FIT_OPTIONS = {
     "method": (str, "linear", EVERY_FIT, {"choices": kca.ASSOCIATIONS}),
     "dim": (int, None, EVERY_FIT, {}),
     "shift_k": (float, 1.0, ("sgns",), {}),
-    "sw_alpha_row": (float, None, EVERY_FIT, {}),
+    "sw_alpha_row": (float, None, SW_ROW_FITS, {}),
     "sw_alpha_col": (float, None, EVERY_FIT, {}),
     "ws_alpha": (float, None, ("ws",), {}),
     "ws_beta": (float, 1.0, ("ws",), {}),
     "exponent": (float, 1.0, EVERY_FIT, {}),
-    "kpca_alpha": (float, -0.5, ("kpca_cd",), {}),
+    "kpca_alpha": (float, kca.KERNELS["kpca_cd"][0].alpha, ("kpca_cd",), {}),
     "stopwords": (str, None, SW_ALPHAS, {"help": "stop-word list for the stop-word kernel"}),
     "ws_scores": (str, None, ("ws",),
                   {"help": "pair-score file for the pair-score kernel (method=ws)"}),
@@ -128,7 +130,7 @@ def _stopwords(table, config) -> set:
     if not path:
         raise ValueError("stop-word alphas need a stop-word list (--stopwords)")
     words = corpus.load_stopwords(path)
-    for axis, labels, alpha in (("row", table.row_labels, config["sw_alpha_row"]),
+    for axis, labels, alpha in (("row", table.row_labels, config.get("sw_alpha_row")),
                                 ("column", table.col_labels, config["sw_alpha_col"])):
         if alpha is not None and words.isdisjoint(labels):
             raise ValueError(f"{path}: no stop word is a {axis} label")

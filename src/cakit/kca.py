@@ -25,7 +25,8 @@ categorical covariance, the G-test association, shifted-positive-PMI
 factorization, an exponential one-hot-distance kernel, plus two
 text-oriented variants: diagonal stop-word reweighting, and the
 pair-score (ws) association that folds external word similarity scores
-into the table and its marginals through Hadamard products.
+into the table and its marginals through Hadamard products.  Only
+:data:`KERNELS` pairs a method name with its row and column kernels.
 
 Kernels are described by their structure and never built as matrices
 unless given as one: identity, inverse-marginal and stop-word kernels are
@@ -47,7 +48,6 @@ from .linalg import Decomposition, NotPositiveDefiniteError, spd_sqrt
 from .linalg import svd  # noqa: F401  (kca.svd stays importable; fit_kca calls linalg.svd)
 from .tables import ContingencyTable, residual_matrix
 
-ASSOCIATIONS = ("linear", "gini", "gtest", "sgns", "kpca_cd", "ws")
 KERNEL_KINDS = ("identity", "inverse_marginal", "stopword", "kpca_cd", "explicit")
 _CENTERED = ("linear", "gini", "kpca_cd")  # the associations N/n - r c^T/n^2
 _ZERO_SUM = (*_CENTERED, "ws")  # those whose symmetric form sums to zero along both axes
@@ -83,24 +83,36 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if (self.matrix is None) == (self.kind == "explicit"):
+            raise ValueError("an explicit kernel needs a matrix" if self.matrix is None
+                             else f"a kernel of kind {self.kind!r} takes no matrix")
         object.__setattr__(self, "words", frozenset(self.words))
+
+
+# Each method name's (row, column) kernels; its keys, in order, are the associations.
+_INV, _ID = KernelSpec("inverse_marginal"), KernelSpec("identity")
+KERNELS = {"linear": (_INV, _INV), "gini": (_ID, _ID), "gtest": (_ID, _ID), "sgns": (_ID, _ID),
+           "kpca_cd": (KernelSpec("kpca_cd", alpha=-0.5), _ID), "ws": (_INV, _INV)}
+ASSOCIATIONS = tuple(KERNELS)
 
 
 @dataclass(frozen=True)
 class KcaMethod:
     """Association operator plus kernels; one fit configuration.
 
-    ``shift_k`` is the SGNS negative-sampling shift (> 0).  ``sgns_clamp``
-    selects shifted positive PMI; with clamping off, zero-count cells take
-    ``sgns_floor`` and negative shifted PMI values are kept.  ``exponent``
-    is the power of the singular values in the output coordinates (1 is
-    the CA convention, 0.5 the symmetric split).  ``gamma_row`` and
-    ``gamma_col`` are the pair-score matrices of the ws association.
+    A kernel left as None is the method's own (:data:`KERNELS`), so a bare
+    ``KcaMethod(name)`` fits ``name``; ``tag`` does not describe kernels
+    passed explicitly.  ``shift_k`` is the SGNS negative-sampling shift
+    (> 0).  ``sgns_clamp`` selects shifted positive PMI; with clamping off,
+    zero-count cells take ``sgns_floor`` and negative shifted PMI values
+    are kept.  ``exponent`` is the power of the singular values in the
+    output coordinates (1 is the CA convention, 0.5 the symmetric split).
+    ``gamma_row`` and ``gamma_col`` are the ws pair-score matrices.
     """
 
     association: str
-    row_kernel: KernelSpec = KernelSpec()
-    col_kernel: KernelSpec = KernelSpec()
+    row_kernel: KernelSpec | None = None
+    col_kernel: KernelSpec | None = None
     shift_k: float = 1.0
     exponent: float = 1.0
     sgns_clamp: bool = True
@@ -113,6 +125,9 @@ class KcaMethod:
     def __post_init__(self):
         if self.association not in ASSOCIATIONS:
             raise ValueError(f"unknown association {self.association!r}")
+        for name, kernel in zip(("row_kernel", "col_kernel"), KERNELS[self.association]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, kernel)
         if self.association == "sgns" and self.shift_k <= 0:
             raise ValueError(f"sgns shift k must be > 0, got {self.shift_k}")
         if self.association == "ws" and (self.gamma_row is None or self.gamma_col is None):
@@ -145,7 +160,7 @@ class AssociationMatrix:
 def method_from_name(
     name: str,
     shift_k: float = 1.0,
-    kpca_alpha: float = -0.5,
+    kpca_alpha: float = KERNELS["kpca_cd"][0].alpha,
     stopwords: frozenset | set | None = None,
     sw_alpha_row: float | None = None,
     sw_alpha_col: float | None = None,
@@ -153,41 +168,28 @@ def method_from_name(
     gamma_row=None,
     gamma_col=None,
 ) -> KcaMethod:
-    """Build the standard kernel/association pairing for a method name.
+    """The method ``name`` with its :data:`KERNELS`, after the overrides given.
 
-    linear / ws -> inverse-marginal kernels; gini/gtest/sgns -> identity
-    kernels; kpca_cd -> exponential row kernel.  On the centered residual
-    that kernel only rescales the gini fit: with e = exp(2 kpca_alpha),
-    S = sqrt(1-e) S_gini, F = (1-e) F_gini and G = sqrt(1-e) G_gini, so
-    ``kpca_alpha`` moves no cosine.  Passing stop-word alphas
-    (with a word set) swaps in the stop-word kernels on the chosen axes.
-    ws needs the pair-score matrices ``gamma_row`` and ``gamma_col``.
+    ``kpca_alpha`` is the kpca_cd kernel's alpha; on the centered residual
+    it only rescales the gini fit (e = exp(2 kpca_alpha), S = sqrt(1-e)
+    S_gini, F = (1-e) F_gini, G = sqrt(1-e) G_gini), so it moves no cosine.
+    A stop-word alpha (with a word set) swaps the stop-word kernel in for the
+    identity or inverse-marginal kernel of its axis; a kpca_cd kernel is
+    never swapped out (``ValueError``).  ws needs ``gamma_row`` and ``gamma_col``.
     """
-    if name == "kpca_cd":
-        row_kernel = KernelSpec("kpca_cd", alpha=kpca_alpha)
-        col_kernel = KernelSpec("identity")
-    elif name in ("linear", "ws"):
-        row_kernel = KernelSpec("inverse_marginal")
-        col_kernel = KernelSpec("inverse_marginal")
-    elif name in ("gini", "gtest", "sgns"):
-        row_kernel = KernelSpec("identity")
-        col_kernel = KernelSpec("identity")
-    else:
+    if name not in KERNELS:
         raise ValueError(f"unknown method {name!r}")
-    words = frozenset(stopwords or ())
-    if sw_alpha_row is not None:
-        row_kernel = KernelSpec("stopword", alpha=sw_alpha_row, words=words)
-    if sw_alpha_col is not None:
-        col_kernel = KernelSpec("stopword", alpha=sw_alpha_col, words=words)
-    return KcaMethod(
-        association=name,
-        row_kernel=row_kernel,
-        col_kernel=col_kernel,
-        shift_k=shift_k,
-        exponent=exponent,
-        gamma_row=gamma_row,
-        gamma_col=gamma_col,
-    )
+    kernels = []
+    for axis, kernel, sw_alpha in zip(("row", "col"), KERNELS[name], (sw_alpha_row, sw_alpha_col)):
+        if kernel.kind == "kpca_cd":
+            if sw_alpha is not None:
+                raise ValueError(f"method {name} does not read sw_alpha_{axis}")
+            kernel = KernelSpec("kpca_cd", alpha=kpca_alpha)
+        elif sw_alpha is not None:
+            kernel = KernelSpec("stopword", alpha=sw_alpha, words=stopwords or ())
+        kernels.append(kernel)
+    return KcaMethod(name, *kernels, shift_k=shift_k, exponent=exponent,
+                     gamma_row=gamma_row, gamma_col=gamma_col)
 
 
 def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
@@ -295,15 +297,11 @@ def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelR
         s = math.sqrt(1.0 - e + e * m)
         b = (s - a) / m
         return KernelRoot(np.full(m, a), b), KernelRoot(np.full(m, 1.0 / a), -b / (a * s))
-    if spec.kind == "explicit":
-        if spec.matrix is None:
-            raise ValueError("explicit kernel spec carries no matrix")
-        K = np.asarray(spec.matrix, dtype=float)
-        if K.shape != (m, m):
-            raise ValueError(f"explicit kernel shape {K.shape} does not match axis size {m}")
-        root, inv_root = spd_sqrt(K)
-        return KernelRoot(dense=root), KernelRoot(dense=inv_root)
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
+    K = np.asarray(spec.matrix, dtype=float)  # explicit, the one kind left
+    if K.shape != (m, m):
+        raise ValueError(f"explicit kernel shape {K.shape} does not match axis size {m}")
+    root, inv_root = spd_sqrt(K)
+    return KernelRoot(dense=root), KernelRoot(dense=inv_root)
 
 
 def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> EmbeddingSet:

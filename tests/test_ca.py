@@ -4,6 +4,7 @@ and the metamorphic invariants of every kernel-CA method."""
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -719,3 +720,37 @@ class TestDecompositionOnRequest:
     def test_a_set_read_from_a_file_has_none(self, tmp_path):
         write_embeddings(fit_linear_ca(fisher_table(), 2), tmp_path / "emb.tsv")
         assert read_embeddings(tmp_path / "emb.tsv").decomposition is None
+
+
+def small_embedding_set(**changes):
+    """A valid 2-row, 3-column, one-dimension set with ``changes`` applied."""
+    fields = dict(F=np.ones((2, 1)), G=np.ones((3, 1)), row_labels=("a", "b"),
+                  col_labels=("x", "y", "z"), singular_values=np.ones(1), method_tag="t")
+    return EmbeddingSet(**{**fields, **changes})
+
+
+def read_embeddings_text(path, text):
+    path.write_text(text, encoding="utf-8")
+    return read_embeddings(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: small_embedding_set(F=np.ones((3, 1))),
+     "F shape (3, 1) does not match 2 labels x 1 dims"),
+    (lambda path: small_embedding_set(G=np.ones((2, 1))),
+     "G shape (2, 1) does not match 3 labels x 1 dims"),
+    (lambda path: small_embedding_set(F=np.ones((2, 2)), G=np.ones((3, 2)),
+                                      singular_values=np.array([1.0, 2.0])),
+     "singular values must be sorted descending"),
+    (lambda path: small_embedding_set().coordinates("H"), "point set must be 'F' or 'G', got 'H'"),
+    (lambda path: read_embeddings_text(path, ""), "empty embeddings file: {path}"),
+    (lambda path: read_embeddings_text(path, "2\t-1\t1\tt\t1.0\n"),
+     "{path}:1: header counts ['2', '-1', '1'] must be nonnegative"),
+    (lambda path: read_embeddings_text(path, "1\t1\t1\tt\t1.0\nrow\ta\t0.5\nmid\tx\t0.5\n"),
+     "{path}:3: unknown point set 'mid'"),
+], ids=["F shape", "G shape", "unsorted singular values", "unknown point set name",
+        "empty file", "negative header count", "unknown point set line"])
+def test_input_rejections(tmp_path, call, message):
+    path = tmp_path / "emb.tsv"
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)

@@ -452,6 +452,8 @@ UNREAD_CASES = {
     "ws_alpha": ("-0.01", ["--method", "kpca_cd"], "method kpca_cd does not read ws_alpha"),
     "ws_beta": ("0.5", ["--method", "gtest"], "method gtest does not read ws_beta"),
     "ws_scores": ("{scores}", ["--method", "gini"], "method gini does not read ws_scores"),
+    "sw_alpha_row": ("-0.5", ["--method", "kpca_cd", "--stopwords", "{sw}"],
+                     "method kpca_cd does not read sw_alpha_row"),
     "stopwords": ("{sw}", ["--method", "ws", "--ws-scores", "{scores}"],
                   "without sw_alpha_row or sw_alpha_col the fit does not read stopwords"),
 }
@@ -536,6 +538,29 @@ class TestFitOptions:
         err = capsys.readouterr().err
         assert err == f"error: {why}\n"  # before the configuration echo
         assert not out.exists()
+
+    def test_sw_alpha_row_is_read_by_every_fit_but_kpca_cd(self):
+        # a stop-word kernel replaces an identity or inverse-marginal kernel,
+        # never kpca_cd's row kernel
+        assert FIT_OPTIONS["sw_alpha_row"][2] == ("linear", "gini", "gtest", "sgns", "ws")
+        assert FIT_OPTIONS["sw_alpha_col"][2] == kca.ASSOCIATIONS
+        assert FIT_OPTIONS["kpca_alpha"][1] == kca.KERNELS["kpca_cd"][0].alpha
+
+    def test_kpca_cd_fits_with_a_column_stopword_alpha(self, fisher_tsv, tmp_path, capsys):
+        sw = tmp_path / "sw.txt"
+        sw.write_text("fair\ndark\n")
+        embs = {}
+        for method in ("kpca_cd", "gini"):
+            out = tmp_path / f"{method}.tsv"
+            assert main(["fit", fisher_tsv, "--method", method, "--sw-alpha-col", "0.5",
+                         "--stopwords", str(sw), "--dim", "2", "--out", str(out)]) == 0
+            embs[method] = ca.read_embeddings(out)
+        assert "config: sw_alpha_row" not in capsys.readouterr().err
+        assert embs["kpca_cd"].method_tag == "kpca_cd+sw"
+        # the kpca_cd row kernel stays: the fit is the gini one rescaled
+        np.testing.assert_allclose(embs["kpca_cd"].singular_values,
+                                   np.sqrt(1.0 - np.exp(-1.0)) * embs["gini"].singular_values,
+                                   rtol=1e-12)
 
     def test_every_unread_option_is_named(self, fisher_tsv, tmp_path, capsys):
         out = tmp_path / "e.tsv"

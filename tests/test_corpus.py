@@ -431,3 +431,9 @@ class TestLoadStopwords:
         words = load_stopwords(bundled_stopwords_path())
         assert "the" in words
         assert len(words) > 100
+
+
+@pytest.mark.parametrize("min_count", [-1, -7])
+def test_negative_min_count_rejected(min_count):
+    with pytest.raises(ValueError, match=f"^min_count must be >= 0, got {min_count}$"):
+        CooccurrenceConfig(min_count=min_count)

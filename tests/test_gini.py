@@ -222,3 +222,13 @@ class TestKernelGiniCovariance:
         for _ in range(50):
             R = np.linalg.qr(rng.normal(size=R_star.shape))[0]
             assert encoded_covariance(X, Y, R) <= best * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("obs, R, message", [
+    ([], np.ones((1, 1)), "observation list is empty"),
+    ([("a", "x"), ("b", "x")], np.ones((1, 1)),
+     r"rotation shape \(1, 1\) does not match 2 row / 1 column categories"),
+], ids=["empty", "rotation shape"])
+def test_brute_force_covariance_rejections(obs, R, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        brute_force_covariance(obs, R)

@@ -1,7 +1,9 @@
 """Kernel fits: association matrices, structured kernel roots, reductions."""
 
+import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,8 @@ from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import fisher_table
 from cakit.evaluation import WordSimDataset
 from cakit.kca import (
+    ASSOCIATIONS,
+    KERNELS,
     KcaMethod,
     KernelSpec,
     association_matrix,
@@ -142,6 +146,20 @@ def brute_force_sgns(t, k):
     return A
 
 
+def classical_ca(counts):
+    """Textbook CA (Greenacre, 1984): principal coordinates and singular values.
+
+    The SVD of the standardized residual ``D(r)^{-1/2} (P - r c^T) D(c)^{-1/2}``
+    with ``P = N/n`` and ``r``, ``c`` its row and column masses; the row and
+    column principal coordinates are ``D(r)^{-1/2} U S`` and ``D(c)^{-1/2} V S``.
+    """
+    P = counts / counts.sum()
+    r, c = P.sum(axis=1), P.sum(axis=0)
+    U, s, Vt = np.linalg.svd((P - np.outer(r, c)) / np.sqrt(np.outer(r, c)))
+    k = min(P.shape)
+    return U[:, :k] * s / np.sqrt(r)[:, None], Vt[:k].T * s / np.sqrt(c)[:, None], s
+
+
 def brute_force_g_statistic(t):
     """Classical likelihood-ratio statistic 2 * sum O log(O/E)."""
     N = t.counts
@@ -256,6 +274,80 @@ class TestEquality:
         assert first != method_from_name("linear")
 
 
+class TestKernelsTable:
+    """``KERNELS`` pairs each method name with its kernels; both method builders read it."""
+
+    def test_each_name_is_paired_with_its_kernels(self):
+        assert ASSOCIATIONS == ("linear", "gini", "gtest", "sgns", "kpca_cd", "ws")
+        assert tuple(KERNELS) == ASSOCIATIONS
+        inverse_marginal, identity = KernelSpec("inverse_marginal"), KernelSpec("identity")
+        assert KERNELS == {
+            "linear": (inverse_marginal, inverse_marginal),
+            "gini": (identity, identity),
+            "gtest": (identity, identity),
+            "sgns": (identity, identity),
+            "kpca_cd": (KernelSpec("kpca_cd", alpha=-0.5), identity),
+            "ws": (inverse_marginal, inverse_marginal),
+        }
+
+    @pytest.mark.parametrize("name", ASSOCIATIONS)
+    def test_bare_method_is_the_named_method(self, name):
+        gammas = {}
+        if name == "ws":
+            gammas = {"gamma_row": np.ones((4, 4)), "gamma_col": np.ones((5, 5))}
+        bare = KcaMethod(name, **gammas)
+        assert bare == method_from_name(name, **gammas)
+        assert (bare.row_kernel, bare.col_kernel) == KERNELS[name]
+
+    def test_bare_linear_method_fits_linear_ca_not_the_gini_covariance(self):
+        t = fisher_table()
+        bare = fit_kca(t, KcaMethod("linear"), 2)
+        np.testing.assert_array_equal(bare.singular_values, fit_linear_ca(t, 2).singular_values)
+        # S_1 is 8.3e-5 for linear CA and 0.106 for the Gini covariance
+        assert bare.singular_values[0] < 1e-3 * fit_kca(t, KcaMethod("gini"), 2).singular_values[0]
+
+    def test_a_kernel_given_explicitly_is_kept(self):
+        m = KcaMethod("linear", KernelSpec("identity"))
+        assert (m.row_kernel, m.col_kernel) == (KernelSpec("identity"), KERNELS["linear"][1])
+
+    def test_kpca_alpha_default_is_the_tables(self):
+        default = inspect.signature(method_from_name).parameters["kpca_alpha"].default
+        assert default == KERNELS["kpca_cd"][0].alpha == -0.5
+
+    @pytest.mark.parametrize("alpha", [-0.5, -2.0])
+    def test_kpca_cd_with_a_column_stopword_alpha_rescales_that_gini_fit(self, alpha):
+        # the stop-word kernel replaces the identity column kernel only; the
+        # kpca_cd row kernel stays and rescales as without it
+        t = fisher_table()
+        sw = {"stopwords": {"fair", "dark"}, "sw_alpha_col": 0.5}
+        m = method_from_name("kpca_cd", kpca_alpha=alpha, **sw)
+        assert m.row_kernel == KernelSpec("kpca_cd", alpha=alpha)
+        assert m.col_kernel == KernelSpec("stopword", alpha=0.5, words={"fair", "dark"})
+        gini = fit_kca(t, method_from_name("gini", **sw), 3)
+        kpca = fit_kca(t, m, 3)
+        assert kpca.method_tag == "kpca_cd+sw"
+        a2 = 1.0 - math.exp(2.0 * alpha)
+        np.testing.assert_allclose(kpca.singular_values, math.sqrt(a2) * gini.singular_values,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(kpca.F, a2 * gini.F, rtol=0, atol=1e-12 * np.abs(gini.F).max())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: method_from_name("chi2"), "unknown method 'chi2'"),
+    (lambda: method_from_name("kpca_cd", stopwords={"blue"}, sw_alpha_row=0.5),
+     "method kpca_cd does not read sw_alpha_row"),
+    (lambda: KernelSpec("explicit"), "an explicit kernel needs a matrix"),
+    (lambda: KernelSpec("identity", matrix=np.eye(2)),
+     "a kernel of kind 'identity' takes no matrix"),
+    (lambda: KernelSpec("kpca_cd", alpha=-0.5, matrix=np.eye(2)),
+     "a kernel of kind 'kpca_cd' takes no matrix"),
+], ids=["unknown method", "kpca_cd row stop-word alpha", "explicit without matrix",
+        "identity with matrix", "kpca_cd with matrix"])
+def test_input_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestMaterializeKernel:
     """Structured kernel roots against the dense materialized kernel."""
 
@@ -353,6 +445,26 @@ class TestFitKca:
             b = fit_linear_ca(t, k)
             np.testing.assert_allclose(a.F, b.F, atol=1e-10)
             np.testing.assert_allclose(a.G, b.G, atol=1e-10)
+
+    def test_linear_fit_is_textbook_ca_at_the_count_scale(self):
+        # the kernels are built from counts, not proportions: n S is the
+        # classical spectrum and n^{3/2} F, n^{3/2} G the principal coordinates
+        rng = np.random.default_rng(7)
+        tables = [fisher_table()] + [random_table(rng, int(rng.integers(2, 8)),
+                                                  int(rng.integers(2, 8)), hi=20)
+                                     for _ in range(20)]
+        for t in tables:
+            k = min(t.shape) - 1
+            emb = fit_kca(t, method_from_name("linear"), k)
+            F, G, s = classical_ca(t.counts)
+            np.testing.assert_allclose(t.n * emb.singular_values, s[:k], rtol=1e-10)
+            for ours, theirs in ((emb.F, F[:, :k]), (emb.G, G[:, :k])):
+                ours = t.n**1.5 * ours * np.sign(np.sum(ours * theirs, axis=0))
+                np.testing.assert_allclose(ours, theirs, rtol=1e-10,
+                                           atol=1e-10 * np.abs(theirs).max())
+        fisher = fit_kca(tables[0], method_from_name("linear"), 3)
+        ratio = classical_ca(tables[0].counts)[2][:3] / fisher.singular_values
+        np.testing.assert_allclose(ratio, 5387.0, rtol=1e-12)
 
     def test_stopword_alpha_zero_reproduces_linear_ca(self):
         t = fisher_table()

@@ -1,9 +1,11 @@
 """Decomposition kernel: SVD, SPD square roots, nuclear norm."""
 
+import re
+
 import numpy as np
 import pytest
 
-from cakit.linalg import NotPositiveDefiniteError, nuclear_norm, spd_sqrt, svd
+from cakit.linalg import Decomposition, NotPositiveDefiniteError, nuclear_norm, spd_sqrt, svd
 
 
 def random_spd(rng, m, lo=0.5, hi=2.0):
@@ -227,3 +229,21 @@ class TestZeroRows:
         k = dec.S.shape[0]
         np.testing.assert_allclose(dec.U.T @ dec.U, np.eye(k), atol=1e-12)
         np.testing.assert_allclose(dec.V.T @ dec.V, np.eye(k), atol=1e-12)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: svd(np.ones(3)), "matrix must be 2-dimensional, got shape (3,)"),
+    (lambda: svd(np.ones((0, 3))), "matrix must be non-empty"),
+    (lambda: spd_sqrt(np.ones((2, 2, 2))),
+     "kernel matrix must be 2-dimensional, got shape (2, 2, 2)"),
+    (lambda: spd_sqrt(np.ones((2, 3))), "SPD square root needs a square matrix, got (2, 3)"),
+], ids=["svd of a vector", "svd of an empty matrix", "spd_sqrt of a 3-D array",
+        "spd_sqrt of a non-square matrix"])
+def test_input_rejections(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_empty_spectrum_flags_nothing():
+    dec = Decomposition(U=np.zeros((2, 0)), S=np.zeros(0), V=np.zeros((3, 0)))
+    assert dec.flagged_small.dtype == bool and dec.flagged_small.shape == (0,)

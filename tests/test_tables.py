@@ -2,6 +2,7 @@
 
 import codecs
 import logging
+import re
 import warnings
 
 import numpy as np
@@ -757,3 +758,15 @@ class TestAtomicWriters:
         with pytest.raises(FileNotFoundError) as info:
             write_tsv(fisher_table(), path)
         assert info.value.filename == str(path)
+
+
+@pytest.mark.parametrize("counts, rows, cols, message", [
+    (np.ones(3), ("a", "b", "c"), ("x",), "counts must be 2-dimensional, got shape (3,)"),
+    (np.ones((2, 2)), ("a",), ("x", "y"),
+     "counts shape (2, 2) does not match 1 row / 2 column labels"),
+    (np.ones((2, 2)), ("a", "b"), ("x", "y", "z"),
+     "counts shape (2, 2) does not match 2 row / 3 column labels"),
+], ids=["1-D counts", "row labels", "column labels"])
+def test_constructor_rejections(counts, rows, cols, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ContingencyTable(counts, rows, cols)
