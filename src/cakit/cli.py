@@ -25,8 +25,9 @@ def _err(msg: str) -> None:
 # by, extra argparse keywords).  Each is a --flag (dashes for underscores) and
 # a config file key, converted and checked alike; a None default leaves it
 # unset.  "Read by" names the methods whose fit reads the option, except for
-# the stop-word list, which is read once either stop-word alpha is set.  No
-# stop-word kernel replaces a kpca_cd kernel.
+# the stop-word list, which is read once either stop-word alpha is set.  A
+# stop-word alpha weights its axis's own kernel; a kpca_cd kernel takes no
+# weight, so kpca_cd reads no row alpha.
 EVERY_FIT = kca.ASSOCIATIONS
 SW_ROW_FITS = tuple(m for m, (row, _) in kca.KERNELS.items() if row.kind != "kpca_cd")
 SW_ALPHAS = ("sw_alpha_row", "sw_alpha_col")
@@ -40,7 +41,7 @@ FIT_OPTIONS = {
     "ws_beta": (float, 1.0, ("ws",), {}),
     "exponent": (float, 1.0, EVERY_FIT, {}),
     "kpca_alpha": (float, kca.KERNELS["kpca_cd"][0].alpha, ("kpca_cd",), {}),
-    "stopwords": (str, None, SW_ALPHAS, {"help": "stop-word list for the stop-word kernel"}),
+    "stopwords": (str, None, SW_ALPHAS, {"help": "stop-word list for the stop-word alphas"}),
     "ws_scores": (str, None, ("ws",),
                   {"help": "pair-score file for the pair-score kernel (method=ws)"}),
 }

@@ -13,9 +13,10 @@ coordinates are ``F = K_r U S^p`` and ``G = K_c V S^p``.
 is symmetric, from the table (its ``symmetric``, as ``cakit count`` writes)
 and the method: the association must be symmetric (ws's under one
 symmetric pair-score matrix), and either the two kernels are equal, or
-each kernel is identity or kpca_cd, whose ``e 11^T`` part annihilates an
-association that sums to zero along both axes.  The centered residual
-does, and so does a symmetric ws association: with ``Gamma`` symmetric,
+each kernel is identity or kpca_cd without stop words, whose ``e 11^T``
+part annihilates an association that sums to zero along both axes.  The
+centered residual does, and so does a symmetric ws association: with
+``Gamma`` symmetric,
 ``sum_j N_ij (Gamma N Gamma)_ij = sum_j (Gamma N)_ij (N Gamma)_ij``.  Such
 a sandwich is symmetrised, which removes only roundoff, and decomposed by
 one ``eigh``.
@@ -23,19 +24,22 @@ one ``eigh``.
 Specializations recover linear CA (inverse-marginal kernels), the plain
 categorical covariance, the G-test association, shifted-positive-PMI
 factorization, an exponential one-hot-distance kernel, plus two
-text-oriented variants: diagonal stop-word reweighting, and the
+text-oriented variants: stop-word reweighting, which multiplies the
+identity or inverse-marginal kernel of an axis by a diagonal weight, and the
 pair-score (ws) association that folds external word similarity scores
 into the table and its marginals through Hadamard products.  Only
 :data:`KERNELS` pairs a method name with its row and column kernels.
 
 Kernels are described by their structure and never built as matrices
-unless given as one: identity, inverse-marginal and stop-word kernels are
-diagonal, the kpca_cd kernel ``(1-e) I + e 11^T`` has the closed-form root
-``a I + b 11^T``, and only an explicit kernel is dense.
+unless given as one: identity and inverse-marginal kernels, with stop
+words or without, are diagonal, the kpca_cd kernel ``(1-e) I + e 11^T``
+has the closed-form root ``a I + b 11^T``, and only an explicit kernel is
+dense.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field, fields
@@ -48,7 +52,8 @@ from .linalg import Decomposition, NotPositiveDefiniteError, spd_sqrt
 from .linalg import svd  # noqa: F401  (kca.svd stays importable; fit_kca calls linalg.svd)
 from .tables import ContingencyTable, residual_matrix
 
-KERNEL_KINDS = ("identity", "inverse_marginal", "stopword", "kpca_cd", "explicit")
+KERNEL_KINDS = ("identity", "inverse_marginal", "kpca_cd", "explicit")
+_WEIGHTED = ("identity", "inverse_marginal")  # the kinds that stop words reweight
 _CENTERED = ("linear", "gini", "kpca_cd")  # the associations N/n - r c^T/n^2
 _ZERO_SUM = (*_CENTERED, "ws")  # those whose symmetric form sums to zero along both axes
 
@@ -68,9 +73,12 @@ class KernelSpec:
     kind:
       identity          -> I
       inverse_marginal  -> D(marginal)^{-1}
-      stopword          -> D(w) D(marginal)^{-1}, w_i = 1 + alpha for listed words
-      kpca_cd           -> 1 on the diagonal, exp(2*alpha) off it (needs alpha < 0)
+      kpca_cd           -> 1 on the diagonal, exp(2*alpha) off it (needs exp(2*alpha) < 1)
       explicit          -> a given SPD matrix
+    An identity or inverse-marginal kernel with stop ``words`` is that kernel
+    times D(w), w_i = 1 + alpha for a listed word and 1 for any other (needs
+    1 + alpha > 0).  Construction checks everything that needs no axis; only
+    an explicit matrix's shape and definiteness wait for :func:`kernel_root`.
     """
 
     kind: str = "identity"
@@ -87,6 +95,18 @@ class KernelSpec:
             raise ValueError("an explicit kernel needs a matrix" if self.matrix is None
                              else f"a kernel of kind {self.kind!r} takes no matrix")
         object.__setattr__(self, "words", frozenset(self.words))
+        if self.words and self.kind not in _WEIGHTED:
+            raise ValueError(f"a kernel of kind {self.kind!r} takes no stop words")
+        if not math.isfinite(self.alpha):
+            what = "stop-word" if self.words else self.kind
+            raise ValueError(f"{what} alpha must be finite, got {self.alpha}")
+        if self.words and 1.0 + self.alpha <= 0:
+            raise NotPositiveDefiniteError(
+                f"stop-word weight 1+alpha = {1.0 + self.alpha:g} must be positive")
+        # (1-e) I + e 11^T is positive definite exactly when e = exp(2 alpha) < 1
+        if self.kind == "kpca_cd" and (self.alpha >= 0 or math.exp(2.0 * self.alpha) == 1.0):
+            raise NotPositiveDefiniteError(f"kpca_cd kernel is not positive definite for "
+                                           f"alpha = {self.alpha:g}: exp(2*alpha) must be < 1")
 
 
 # Each method name's (row, column) kernels; its keys, in order, are the associations.
@@ -103,10 +123,11 @@ class KcaMethod:
     A kernel left as None is the method's own (:data:`KERNELS`), so a bare
     ``KcaMethod(name)`` fits ``name``; ``tag`` does not describe kernels
     passed explicitly.  ``shift_k`` is the SGNS negative-sampling shift
-    (> 0).  ``sgns_clamp`` selects shifted positive PMI; with clamping off,
-    zero-count cells take ``sgns_floor`` and negative shifted PMI values
-    are kept.  ``exponent`` is the power of the singular values in the
-    output coordinates (1 is the CA convention, 0.5 the symmetric split).
+    (finite and > 0).  ``sgns_clamp`` selects shifted positive PMI; with
+    clamping off, zero-count cells take ``sgns_floor`` and negative shifted
+    PMI values are kept.  ``exponent`` is the power of the singular values
+    in the output coordinates (1 is the CA convention, 0.5 the symmetric
+    split).
     ``gamma_row`` and ``gamma_col`` are the ws pair-score matrices.
     """
 
@@ -128,8 +149,8 @@ class KcaMethod:
         for name, kernel in zip(("row_kernel", "col_kernel"), KERNELS[self.association]):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, kernel)
-        if self.association == "sgns" and self.shift_k <= 0:
-            raise ValueError(f"sgns shift k must be > 0, got {self.shift_k}")
+        if self.association == "sgns" and not 0 < self.shift_k < math.inf:
+            raise ValueError(f"sgns shift_k must be finite and > 0, got {self.shift_k}")
         if self.association == "ws" and (self.gamma_row is None or self.gamma_col is None):
             raise ValueError("the ws association needs row and column pair-score matrices")
 
@@ -138,18 +159,18 @@ class KcaMethod:
         """The method's name in embeddings files and reports.
 
         The association, with the shift for sgns (``sgns(k=5)``) and ``+sw``
-        for a stop-word kernel on either axis; plain linear CA is ``linear_ca``.
+        for stop words on either kernel; plain linear CA is ``linear_ca``.
         """
         tag = f"sgns(k={self.shift_k:g})" if self.association == "sgns" else self.association
-        if "stopword" in (self.row_kernel.kind, self.col_kernel.kind):
+        if self.row_kernel.words or self.col_kernel.words:
             return tag + "+sw"
         return "linear_ca" if tag == "linear" else tag
 
 
 @dataclass(frozen=True)
 class AssociationMatrix:
-    """The matrix a method factorizes, the marginals its inverse-marginal and
-    stop-word kernels divide by, and whether all are symmetric (to roundoff)."""
+    """The matrix a method factorizes, the marginals its inverse-marginal
+    kernels divide by, and whether all are symmetric (to roundoff)."""
 
     values: np.ndarray
     r: np.ndarray
@@ -173,9 +194,10 @@ def method_from_name(
     ``kpca_alpha`` is the kpca_cd kernel's alpha; on the centered residual
     it only rescales the gini fit (e = exp(2 kpca_alpha), S = sqrt(1-e)
     S_gini, F = (1-e) F_gini, G = sqrt(1-e) G_gini), so it moves no cosine.
-    A stop-word alpha (with a word set) swaps the stop-word kernel in for the
-    identity or inverse-marginal kernel of its axis; a kpca_cd kernel is
-    never swapped out (``ValueError``).  ws needs ``gamma_row`` and ``gamma_col``.
+    A stop-word alpha weights the ``stopwords`` in its axis's own identity or
+    inverse-marginal kernel, so at alpha 0 every method fits as without it.
+    It needs stop words, and a kpca_cd kernel reads none (both ``ValueError``).
+    ws needs ``gamma_row`` and ``gamma_col``.
     """
     if name not in KERNELS:
         raise ValueError(f"unknown method {name!r}")
@@ -184,9 +206,11 @@ def method_from_name(
         if kernel.kind == "kpca_cd":
             if sw_alpha is not None:
                 raise ValueError(f"method {name} does not read sw_alpha_{axis}")
-            kernel = KernelSpec("kpca_cd", alpha=kpca_alpha)
+            kernel = dataclasses.replace(kernel, alpha=kpca_alpha)
         elif sw_alpha is not None:
-            kernel = KernelSpec("stopword", alpha=sw_alpha, words=stopwords or ())
+            if not stopwords:
+                raise ValueError(f"sw_alpha_{axis} needs stop words")
+            kernel = dataclasses.replace(kernel, alpha=sw_alpha, words=stopwords)
         kernels.append(kernel)
     return KcaMethod(name, *kernels, shift_k=shift_k, exponent=exponent,
                      gamma_row=gamma_row, gamma_col=gamma_col)
@@ -267,31 +291,26 @@ class KernelRoot:
 def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelRoot, KernelRoot]:
     """K^{1/2} and K^{-1/2} of one axis kernel, from its structure.
 
-    ``marginal`` is what the inverse-marginal and stop-word kernels divide
-    by (the table's, or the ws association's modified marginals).
+    ``marginal`` is what an inverse-marginal kernel divides by (the
+    table's, or the ws association's modified marginals).  ``spec`` is valid
+    by construction; only an explicit kernel can still fail here, on its
+    shape or definiteness.
     """
     m = len(labels)
-    if spec.kind == "identity":
+    if spec.kind == "identity" and not spec.words:
         return KernelRoot(), KernelRoot()
-    if spec.kind in ("inverse_marginal", "stopword"):
+    if spec.kind in _WEIGHTED:
+        base = marginal if spec.kind == "inverse_marginal" else 1.0
         w = 1.0
-        if spec.kind == "stopword":
-            if 1.0 + spec.alpha <= 0:
-                raise NotPositiveDefiniteError(
-                    f"stop-word weight 1+alpha = {1.0 + spec.alpha:g} must be positive"
-                )
+        if spec.words:
             w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
-        inv_root = np.sqrt(marginal / w)
+        inv_root = np.sqrt(base / w)
         return KernelRoot(1.0 / inv_root), KernelRoot(inv_root)
     if spec.kind == "kpca_cd":
         # |e_i - e_j|^2 is 0 on the diagonal and 2 off it, so K = (1-e) I + e 11^T,
         # positive definite exactly when e < 1.  Its root is a I + b 11^T with
         # a + b m = s, the square root of the eigenvalue on 1; Sherman-Morrison
         # inverts it.
-        if spec.alpha >= 0:
-            raise NotPositiveDefiniteError(
-                f"kpca_cd kernel is not positive definite for alpha = {spec.alpha:g} >= 0"
-            )
         e = math.exp(2.0 * spec.alpha)
         a = math.sqrt(1.0 - e)
         s = math.sqrt(1.0 - e + e * m)
@@ -336,8 +355,10 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
 
 def _symmetric_sandwich(assoc: AssociationMatrix, m: KcaMethod) -> bool:
     """Whether the sandwich is symmetric, by the rule of the module docstring."""
-    return assoc.symmetric and (m.row_kernel == m.col_kernel or m.association in _ZERO_SUM
-                                and {m.row_kernel.kind, m.col_kernel.kind} <= {"identity", "kpca_cd"})
+    unweighted = all(k.kind in ("identity", "kpca_cd") and not k.words
+                     for k in (m.row_kernel, m.col_kernel))
+    return assoc.symmetric and (m.row_kernel == m.col_kernel
+                                or m.association in _ZERO_SUM and unweighted)
 
 
 def _sandwich_svd(t: ContingencyTable, m: KcaMethod):
@@ -368,7 +389,11 @@ def build_gamma(labels, pairs, alpha: float, beta: float = 1.0) -> np.ndarray:
     listing of a pair over an earlier one, so gamma is symmetric.  Other
     entries are just ``beta``.  For ``beta != 0`` this is ``beta`` times the
     gamma of ``(alpha / beta, 1)``: only ``alpha / beta`` moves a ws cosine.
+    Both must be finite.
     """
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):
+            raise ValueError(f"pair-score {name} must be finite, got {value}")
     gamma = np.full((len(labels), len(labels)), beta, dtype=float)
     ia, ib, scores = pairs.lookup(labels)
     # one pair at a time: a pair listed in both orders must leave gamma symmetric

@@ -71,8 +71,11 @@ def _explicit_kernel(labels):
 
 
 IM, ID = _kernel("inverse_marginal"), _kernel("identity")
-SW_ROW = _kernel("stopword", alpha=-0.5, words=STOPWORDS)
-SW_COL = _kernel("stopword", alpha=0.7, words=STOPWORDS)
+# stop-word weights 1 + alpha on each axis's own kernel
+SW_ROW = _kernel("inverse_marginal", alpha=-0.5, words=STOPWORDS)
+SW_COL = _kernel("inverse_marginal", alpha=0.7, words=STOPWORDS)
+ID_SW_ROW = _kernel("identity", alpha=-0.5, words=STOPWORDS)
+ID_SW_COL = _kernel("identity", alpha=0.7, words=STOPWORDS)
 # name -> (association, row kernel, column kernel, KcaMethod keywords,
 #          powers of s that S and the coordinates take when the counts are scaled by s)
 METHOD_CASES = {
@@ -80,6 +83,7 @@ METHOD_CASES = {
     # so the sandwich scales by 1/s and F = K^{1/2} U S by s^{-3/2}
     "linear": ("linear", IM, IM, {}, (-1.0, -1.5)),
     "gini": ("gini", ID, ID, {}, (0.0, 0.0)),
+    "gini+sw": ("gini", ID_SW_ROW, ID_SW_COL, {}, (0.0, 0.0)),
     "gtest": ("gtest", ID, ID, {}, (0.0, 0.0)),
     "sgns": ("sgns", ID, ID, {"shift_k": 0.5}, (0.0, 0.0)),
     "sgns_unclamped": ("sgns", ID, ID,
@@ -128,9 +132,9 @@ def symmetric_counts():
 
 
 # one vocabulary on both axes, so every kernel and pair score is the same on
-# both, except the stop-word kernels, whose alphas differ
+# both, except the stop-word weights, whose alphas differ
 WORDS = [f"r{i}" for i in range(7)]
-SYMMETRIC_SANDWICH = set(METHOD_CASES) - {"linear+sw", "ws+sw"}
+SYMMETRIC_SANDWICH = set(METHOD_CASES) - {"linear+sw", "gini+sw", "ws+sw"}
 
 
 def build_sandwich(t, m):
@@ -353,9 +357,11 @@ class TestSymmetricTable:
         assert_same_coordinates(permuted.G, base.G[p], name)
 
 
-# one case per kernel kind, the same on both axes
-KIND_CASES = {"identity": ID, "inverse_marginal": IM, "stopword": SW_ROW,
-              "kpca_cd": _kernel("kpca_cd", alpha=-0.4), "explicit": _explicit_kernel}
+# one case per kernel kind, and per kind that takes stop words one with them,
+# the same on both axes
+KIND_CASES = {"identity": ID, "identity+sw": ID_SW_ROW, "inverse_marginal": IM,
+              "inverse_marginal+sw": SW_ROW, "kpca_cd": _kernel("kpca_cd", alpha=-0.4),
+              "explicit": _explicit_kernel}
 
 
 class TestSymmetryRule:

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,9 @@ class TestCount:
         rc = main(["count", str(corpus), "--min-count", "2", "--out", str(out)])
         assert rc == 0
         assert "rare" not in tables.read_tsv(out).row_labels
+
+
+NON_FINITE_COORDINATES = "coordinates or singular values are NaN or infinite"
 
 
 class TestFit:
@@ -237,14 +241,37 @@ class TestFit:
             capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.parametrize("exponent", ["nan", "-1000"])  # S**-1000 overflows
-    def test_non_finite_fit_writes_no_file(self, fisher_tsv, tmp_path, capsys, exponent):
+    @pytest.mark.parametrize("flags, message", [
+        (["--exponent", "nan"], NON_FINITE_COORDINATES),
+        (["--exponent", "-1000"], NON_FINITE_COORDINATES),  # S**-1000 overflows
+        (["--method", "sgns", "--shift-k", "inf"], "sgns shift_k must be finite and > 0, got inf"),
+        (["--method", "sgns", "--shift-k", "nan"], "sgns shift_k must be finite and > 0, got nan"),
+        (["--method", "kpca_cd", "--kpca-alpha", "nan"], "kpca_cd alpha must be finite, got nan"),
+        (["--method", "gini", "--sw-alpha-row", "nan", "--stopwords", "{sw}"],
+         "stop-word alpha must be finite, got nan"),
+        (["--sw-alpha-row", "inf", "--stopwords", "{sw}"],
+         "stop-word alpha must be finite, got inf"),
+        (["--method", "ws", "--ws-scores", "{scores}", "--ws-alpha", "nan"],
+         "pair-score alpha must be finite, got nan"),
+        (["--method", "ws", "--ws-scores", "{scores}", "--ws-beta", "inf"],
+         "pair-score beta must be finite, got inf"),
+    ], ids=["nan", "-1000", "shift_k inf", "shift_k nan", "kpca_alpha nan", "sw_alpha_row nan",
+            "sw_alpha_row inf", "ws_alpha nan", "ws_beta inf"])
+    def test_non_finite_fit_writes_no_file(self, fisher_tsv, tmp_path, capsys, flags, message):
+        sw, scores = tmp_path / "sw.txt", tmp_path / "scores.txt"
+        sw.write_text("blue\nfair\n")
+        scores.write_text("blue light 8.0\n")
         out = tmp_path / "e.tsv"
-        rc = main(["fit", fisher_tsv, "--dim", "2", "--exponent", exponent, "--out", str(out)])
+        argv = ["fit", fisher_tsv, "--dim", "2", *flags, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([arg.format(sw=sw, scores=scores) for arg in argv])
         assert rc == 1
-        assert "NaN or infinite" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+        # a parameter is checked before any arithmetic; only S**-1000 warns, as it overflows
+        overflow = ["overflow encountered in power"] if "-1000" in flags else []
+        assert [str(w.message) for w in caught] == overflow
 
     def test_fit_is_byte_deterministic(self, fisher_tsv, tmp_path):
         out1 = tmp_path / "e1.tsv"
@@ -540,7 +567,7 @@ class TestFitOptions:
         assert not out.exists()
 
     def test_sw_alpha_row_is_read_by_every_fit_but_kpca_cd(self):
-        # a stop-word kernel replaces an identity or inverse-marginal kernel,
+        # a stop-word alpha weights an identity or inverse-marginal kernel,
         # never kpca_cd's row kernel
         assert FIT_OPTIONS["sw_alpha_row"][2] == ("linear", "gini", "gtest", "sgns", "ws")
         assert FIT_OPTIONS["sw_alpha_col"][2] == kca.ASSOCIATIONS

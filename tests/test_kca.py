@@ -50,19 +50,17 @@ def random_spd(rng, m, lo=0.5, hi=2.0):
 def materialize_kernel(spec, marginal, labels):
     """Dense oracle: the kernel matrix of one axis, built entry by entry."""
     m = len(labels)
-    if spec.kind == "identity":
-        return np.eye(m)
-    if spec.kind == "inverse_marginal":
-        return np.diag(1.0 / marginal)
-    if spec.kind == "stopword":
-        w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
-        return np.diag(w / marginal)
     if spec.kind == "kpca_cd":
         # |e_i - e_j|^2 is 0 on the diagonal and 2 off it
         K = np.full((m, m), math.exp(2.0 * spec.alpha))
         np.fill_diagonal(K, 1.0)
         return K
-    return np.asarray(spec.matrix, dtype=float)
+    if spec.kind == "explicit":
+        return np.asarray(spec.matrix, dtype=float)
+    K = np.eye(m) if spec.kind == "identity" else np.diag(1.0 / marginal)
+    # the stop-word weights, all 1 for a kernel without stop words
+    w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
+    return np.diag(w) @ K
 
 
 def dense_kernels(t, m):
@@ -316,13 +314,14 @@ class TestKernelsTable:
 
     @pytest.mark.parametrize("alpha", [-0.5, -2.0])
     def test_kpca_cd_with_a_column_stopword_alpha_rescales_that_gini_fit(self, alpha):
-        # the stop-word kernel replaces the identity column kernel only; the
-        # kpca_cd row kernel stays and rescales as without it
+        # the stop words weight the identity column kernel; the kpca_cd row
+        # kernel stays and rescales the gini fit with the same column kernel,
+        # whatever that kernel is
         t = fisher_table()
         sw = {"stopwords": {"fair", "dark"}, "sw_alpha_col": 0.5}
         m = method_from_name("kpca_cd", kpca_alpha=alpha, **sw)
         assert m.row_kernel == KernelSpec("kpca_cd", alpha=alpha)
-        assert m.col_kernel == KernelSpec("stopword", alpha=0.5, words={"fair", "dark"})
+        assert m.col_kernel == KernelSpec("identity", alpha=0.5, words={"fair", "dark"})
         gini = fit_kca(t, method_from_name("gini", **sw), 3)
         kpca = fit_kca(t, m, 3)
         assert kpca.method_tag == "kpca_cd+sw"
@@ -336,13 +335,42 @@ class TestKernelsTable:
     (lambda: method_from_name("chi2"), "unknown method 'chi2'"),
     (lambda: method_from_name("kpca_cd", stopwords={"blue"}, sw_alpha_row=0.5),
      "method kpca_cd does not read sw_alpha_row"),
+    (lambda: method_from_name("gini", sw_alpha_row=0.5), "sw_alpha_row needs stop words"),
+    (lambda: method_from_name("linear", stopwords=set(), sw_alpha_col=0.0),
+     "sw_alpha_col needs stop words"),
+    (lambda: method_from_name("sgns", shift_k=math.inf),
+     "sgns shift_k must be finite and > 0, got inf"),
+    (lambda: method_from_name("sgns", shift_k=math.nan),
+     "sgns shift_k must be finite and > 0, got nan"),
     (lambda: KernelSpec("explicit"), "an explicit kernel needs a matrix"),
     (lambda: KernelSpec("identity", matrix=np.eye(2)),
      "a kernel of kind 'identity' takes no matrix"),
     (lambda: KernelSpec("kpca_cd", alpha=-0.5, matrix=np.eye(2)),
      "a kernel of kind 'kpca_cd' takes no matrix"),
-], ids=["unknown method", "kpca_cd row stop-word alpha", "explicit without matrix",
-        "identity with matrix", "kpca_cd with matrix"])
+    (lambda: KernelSpec("kpca_cd", alpha=-0.5, words={"blue"}),
+     "a kernel of kind 'kpca_cd' takes no stop words"),
+    (lambda: KernelSpec("explicit", matrix=np.eye(2), words={"blue"}),
+     "a kernel of kind 'explicit' takes no stop words"),
+    (lambda: KernelSpec("kpca_cd", alpha=math.nan), "kpca_cd alpha must be finite, got nan"),
+    (lambda: KernelSpec("identity", alpha=math.inf, words={"blue"}),
+     "stop-word alpha must be finite, got inf"),
+    (lambda: KernelSpec("inverse_marginal", alpha=-1.0, words={"blue"}),
+     "stop-word weight 1+alpha = 0 must be positive"),
+    (lambda: KernelSpec("kpca_cd", alpha=0.0),
+     "kpca_cd kernel is not positive definite for alpha = 0: exp(2*alpha) must be < 1"),
+    (lambda: KernelSpec("kpca_cd", alpha=-1e-20),  # exp(2*alpha) rounds to 1
+     "kpca_cd kernel is not positive definite for alpha = -1e-20: exp(2*alpha) must be < 1"),
+    (lambda: build_gamma(("a", "b"), WordSimDataset((("a", "b", 1.0),)), math.nan),
+     "pair-score alpha must be finite, got nan"),
+    (lambda: build_gamma(("a", "b"), WordSimDataset((("a", "b", 1.0),)), 0.1, -math.inf),
+     "pair-score beta must be finite, got -inf"),
+], ids=["unknown method", "kpca_cd row stop-word alpha", "stop-word alpha without words",
+        "stop-word alpha with no words", "sgns shift_k inf", "sgns shift_k nan",
+        "explicit without matrix", "identity with matrix", "kpca_cd with matrix",
+        "kpca_cd with words", "explicit with words", "kpca_cd alpha nan",
+        "stop-word alpha inf", "stop-word weight 0", "kpca_cd alpha 0", "kpca_cd alpha -1e-20",
+        "pair-score alpha nan",
+        "pair-score beta -inf"])
 def test_input_rejections(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -365,26 +393,27 @@ class TestMaterializeKernel:
         root, _ = kernel_root(KernelSpec("inverse_marginal"), t.c, t.col_labels)
         assert root.d.shape == (5,) and root.dense is None  # a vector, not a matrix
 
-    def test_stopword_alpha_zero_is_inverse_marginal(self):
+    @pytest.mark.parametrize("kind", ["identity", "inverse_marginal"])
+    def test_stopword_alpha_zero_is_the_kernel_without_stop_words(self, kind):
         t = fisher_table()
-        spec = KernelSpec("stopword", alpha=0.0, words=frozenset({"blue", "dark"}))
-        sw_root, sw_inv = kernel_root(spec, t.r, t.row_labels)
-        im_root, im_inv = kernel_root(KernelSpec("inverse_marginal"), t.r, t.row_labels)
-        np.testing.assert_array_equal(sw_root.d, im_root.d)
-        np.testing.assert_array_equal(sw_inv.d, im_inv.d)
+        spec = KernelSpec(kind, alpha=0.0, words=frozenset({"blue", "dark"}))
+        sw = kernel_root(spec, t.r, t.row_labels)
+        plain = kernel_root(KernelSpec(kind), t.r, t.row_labels)
+        for sw_root, plain_root in zip(sw, plain):
+            np.testing.assert_array_equal(sw_root @ np.eye(4), plain_root @ np.eye(4))
 
-    def test_stopword_weights_listed_labels(self):
+    @pytest.mark.parametrize("kind", ["identity", "inverse_marginal"])
+    def test_stopword_weights_listed_labels(self, kind):
         t = fisher_table()
-        spec = KernelSpec("stopword", alpha=0.5, words=frozenset({"blue"}))
+        spec = KernelSpec(kind, alpha=0.5, words=frozenset({"blue"}))
         K = assert_root_matches(spec, t.r, t.row_labels)
-        np.testing.assert_allclose(K[0, 0], 1.5 / t.r[0])
-        np.testing.assert_allclose(K[1, 1], 1.0 / t.r[1])
+        base = np.diag(materialize_kernel(KernelSpec(kind), t.r, t.row_labels))
+        np.testing.assert_allclose(np.diag(K), [1.5 * base[0], *base[1:]], rtol=1e-15)
+        assert kernel_root(spec, t.r, t.row_labels)[0].dense is None  # a vector, not a matrix
 
     def test_stopword_weight_must_stay_positive(self):
-        t = fisher_table()
-        spec = KernelSpec("stopword", alpha=-1.0, words=frozenset({"blue"}))
-        with pytest.raises(NotPositiveDefiniteError):
-            kernel_root(spec, t.r, t.row_labels)
+        with pytest.raises(NotPositiveDefiniteError, match="1\\+alpha = 0 must be positive"):
+            KernelSpec("inverse_marginal", alpha=-1.0, words=frozenset({"blue"}))
 
     def test_exponential_kernel_structure(self):
         labels = tuple(f"w{i}" for i in range(7))
@@ -402,7 +431,7 @@ class TestMaterializeKernel:
         t = fisher_table()
         for alpha in (0.0, 0.3):
             with pytest.raises(NotPositiveDefiniteError, match="alpha"):
-                kernel_root(KernelSpec("kpca_cd", alpha=alpha), t.r, t.row_labels)
+                KernelSpec("kpca_cd", alpha=alpha)
 
     def test_explicit_kernel_validated(self):
         labels = ("a", "b")
@@ -466,15 +495,41 @@ class TestFitKca:
         ratio = classical_ca(tables[0].counts)[2][:3] / fisher.singular_values
         np.testing.assert_allclose(ratio, 5387.0, rtol=1e-12)
 
-    def test_stopword_alpha_zero_reproduces_linear_ca(self):
+    @pytest.mark.parametrize("name", ASSOCIATIONS)
+    def test_stopword_alpha_zero_gives_the_plain_fit(self, name):
+        # a weight of 1 leaves each axis's own kernel as it is; kpca_cd reads
+        # a column alpha only
         t = fisher_table()
-        m = method_from_name(
-            "linear", stopwords={"blue", "fair"}, sw_alpha_row=0.0, sw_alpha_col=0.0
-        )
-        a = fit_kca(t, m, 2)
-        b = fit_linear_ca(t, 2)
-        np.testing.assert_allclose(a.F, b.F, atol=1e-10)
-        np.testing.assert_allclose(a.G, b.G, atol=1e-10)
+        extra = {"shift_k": 2.0} if name == "sgns" else {}
+        if name == "ws":
+            scores = WordSimDataset((("blue", "dark", 8.0), ("fair", "red", 3.0)))
+            extra = {"gamma_row": build_gamma(t.row_labels, scores, 0.05),
+                     "gamma_col": build_gamma(t.col_labels, scores, 0.05)}
+        alphas = {"sw_alpha_col": 0.0} if name == "kpca_cd" else {"sw_alpha_row": 0.0,
+                                                                   "sw_alpha_col": 0.0}
+        plain = fit_kca(t, method_from_name(name, **extra), 3)
+        zero = fit_kca(t, method_from_name(name, stopwords={"blue", "dark", "fair"},
+                                           **alphas, **extra), 3)
+        assert zero.method_tag == plain.method_tag.removesuffix("_ca") + "+sw"
+        S = plain.singular_values
+        np.testing.assert_allclose(zero.singular_values, S, rtol=0, atol=1e-12 * S[0])
+        for X, Y in ((zero.F, plain.F), (zero.G, plain.G)):
+            np.testing.assert_allclose(X, Y, rtol=0, atol=1e-12 * np.abs(Y).max())
+
+    def test_gini_stopword_alphas_weight_the_identity_kernels(self):
+        # the fit with D(w) given as explicit kernels, w = 1 + alpha on a stop word
+        t = fisher_table()
+        words = {"blue", "dark", "fair"}
+        sw = fit_kca(t, method_from_name("gini", stopwords=words, sw_alpha_row=-0.5,
+                                         sw_alpha_col=0.7), 3)
+        explicit = [KernelSpec("explicit", matrix=np.diag(
+            [1.0 + alpha if lbl in words else 1.0 for lbl in labels]))
+            for labels, alpha in ((t.row_labels, -0.5), (t.col_labels, 0.7))]
+        dense = fit_kca(t, KcaMethod("gini", *explicit), 3)
+        S = dense.singular_values
+        np.testing.assert_allclose(sw.singular_values, S, rtol=0, atol=1e-12 * S[0])
+        for X, Y in ((sw.F, dense.F), (sw.G, dense.G)):
+            np.testing.assert_allclose(X, Y, rtol=0, atol=1e-12 * np.abs(Y).max())
 
     def test_sgns_identity_kernels_factorize_shifted_pmi(self):
         rng = np.random.default_rng(103)
@@ -534,6 +589,7 @@ class TestFitKca:
             method_from_name("sgns", shift_k=2.0),
             method_from_name("kpca_cd", kpca_alpha=-0.7),
             method_from_name("linear", stopwords={"r0"}, sw_alpha_row=0.4, sw_alpha_col=-0.2),
+            method_from_name("gini", stopwords={"r0", "c1"}, sw_alpha_row=0.4, sw_alpha_col=-0.2),
         ]
         for _ in range(10):
             nr = int(rng.integers(3, 7))
