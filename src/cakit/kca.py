@@ -77,7 +77,8 @@ class KernelSpec:
       explicit          -> a given SPD matrix
     An identity or inverse-marginal kernel with stop ``words`` is that kernel
     times D(w), w_i = 1 + alpha for a listed word and 1 for any other (needs
-    1 + alpha > 0).  Construction checks everything that needs no axis; only
+    1 + alpha > 0); without words it takes no alpha, and an explicit kernel
+    none at all.  Construction checks everything that needs no axis; only
     an explicit matrix's shape and definiteness wait for :func:`kernel_root`.
     """
 
@@ -97,6 +98,9 @@ class KernelSpec:
         object.__setattr__(self, "words", frozenset(self.words))
         if self.words and self.kind not in _WEIGHTED:
             raise ValueError(f"a kernel of kind {self.kind!r} takes no stop words")
+        if self.alpha != 0 and not self.words and self.kind != "kpca_cd":
+            raise ValueError(f"a kernel of kind {self.kind!r} takes no alpha"
+                             + (" without stop words" if self.kind in _WEIGHTED else ""))
         if not math.isfinite(self.alpha):
             what = "stop-word" if self.words else self.kind
             raise ValueError(f"{what} alpha must be finite, got {self.alpha}")

@@ -9,7 +9,9 @@ This module also owns the text-file policy of the package (the table TSV
 here, the embedding and coordinate files of :mod:`cakit.ca`): a writer
 rejects a label its reader would split or that repeats before it opens the
 file and replaces the file whole or not at all, and a reader rejects a
-malformed line or value naming ``path:line``.
+malformed line or value naming ``path:line``.  A table whose cells are all
+1-15 ASCII digits is decoded as integers, a block of rows at a time; every
+other file goes through ``np.loadtxt`` and the per-row check.
 """
 
 from __future__ import annotations
@@ -198,18 +200,70 @@ def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
 _FLOAT_REJECTS = "\x1c\x1d\x1e\x1f"
 
 
+# Cells per block of the integer decode.  Decoding a whole V=1200 table at
+# once takes 11.5 MB index arrays, which raise glibc's dynamic mmap threshold
+# and change how every later allocation of the process is served.
+_DIGIT_BLOCK = 1 << 16
+# 10**15 < 2**53, so a cell of at most 15 digits, and every partial sum of its
+# digits, is an exact float.
+_MAX_DIGITS = 15
+
+
+def _parse_digits(texts, width: int) -> np.ndarray | None:
+    """``len(texts)`` x ``width`` floats when every cell is 1-15 ASCII digits, else None.
+
+    Only texts whose first one is all digits and tabs are tried.  They are
+    decoded a block of rows at a time: each block is joined with newlines
+    and viewed as bytes, which must be digits, tabs and newlines with every
+    ``width``-th separator a newline.  Each value is summed from its units
+    digit up, exactly, so it is the float that ``float`` reads from the cell.
+    """
+    first = texts[0].replace("\t", "") if texts else ""
+    if not (width and first.isascii() and first.isdigit()):
+        return None
+    values = np.empty((len(texts), width))
+    rows = max(1, _DIGIT_BLOCK // width)
+    pattern = np.full(width, ord("\t"), dtype=np.uint8)
+    pattern[-1] = ord("\n")
+    for start in range(0, len(texts), rows):
+        block = texts[start:start + rows]
+        data = np.frombuffer(("\n".join(block) + "\n").encode(), dtype=np.uint8)
+        digits = data - np.uint8(ord("0"))
+        ends = np.flatnonzero(digits > 9)  # the separator after each cell
+        if ends.size != len(block) * width or not (
+                data[ends].reshape(len(block), width) == pattern).all():
+            return None
+        lengths = np.diff(ends, prepend=-1) - 1
+        if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+            return None
+        cells = values[start:start + len(block)].reshape(-1)  # a view: the rows are whole
+        cells[:] = digits[ends - 1]
+        place, scale = 1, 10.0
+        longer = np.flatnonzero(lengths > place)
+        while longer.size:
+            cells[longer] += digits[ends[longer] - 1 - place] * scale
+            place, scale = place + 1, scale * 10.0
+            longer = longer[lengths[longer] > place]
+    return values
+
+
 def _parse_numbers(path, linenos, texts, width: int) -> np.ndarray:
     """``len(texts)`` x ``width`` floats, ``width`` tab-separated cells per text.
 
-    One ``np.loadtxt`` call parses every row; it reads each cell to the
-    value ``float`` reads or rejects it, except for the separators in
-    ``_FLOAT_REJECTS`` and an empty text, which it skips.  Texts holding
-    either, or a call that fails, returns another shape or reads a
-    non-finite value, go to the per-row conversion, which decides: it reads
-    what ``float`` reads, and the first row with a bad or non-finite value
-    is named as ``path:line``.
+    Texts whose cells are all 1-15 ASCII digits, as in a count table, are
+    decoded as integers, a block of rows at a time (:func:`_parse_digits`);
+    the test that sends them there reads the first text only.  Every other
+    call, and one whose decode fails, goes to one ``np.loadtxt``
+    call over every row; it reads each cell to the value ``float`` reads or
+    rejects it, except for the separators in ``_FLOAT_REJECTS`` and an
+    empty text, which it skips.  Texts holding either, or a call that
+    fails, returns another shape or reads a non-finite value, go to the
+    per-row conversion, which decides: it reads what ``float`` reads, and
+    the first row with a bad or non-finite value is named as ``path:line``.
     """
-    values = None
+    values = _parse_digits(texts, width)
+    if values is not None:
+        return values
     if texts and all(texts) and not any(c in t for t in texts for c in _FLOAT_REJECTS):
         with contextlib.suppress(ValueError):
             values = np.loadtxt(texts, delimiter="\t", comments=None, dtype=float, ndmin=2)
@@ -273,7 +327,10 @@ def read_tsv(path) -> ContingencyTable:
     header of a table whose column labels are all whitespace.  A file
     without data rows or a duplicate row or column label raises
     ``ValueError`` naming the file; a ragged row or a cell that is not a
-    finite nonnegative number names the file and line.
+    finite nonnegative number names the file and line.  A table whose cells
+    are all 1-15 ASCII digits, as ``cakit count`` writes, is decoded as
+    integers, a block of rows at a time; any other goes through
+    ``np.loadtxt`` and the per-row check (:func:`_parse_numbers`).
     """
     lines = _read_lines(path)
     if len(lines) < 2:

@@ -351,6 +351,14 @@ class TestKernelsTable:
      "a kernel of kind 'kpca_cd' takes no stop words"),
     (lambda: KernelSpec("explicit", matrix=np.eye(2), words={"blue"}),
      "a kernel of kind 'explicit' takes no stop words"),
+    (lambda: KernelSpec("identity", alpha=5.0),
+     "a kernel of kind 'identity' takes no alpha without stop words"),
+    (lambda: KernelSpec("inverse_marginal", alpha=-0.5),
+     "a kernel of kind 'inverse_marginal' takes no alpha without stop words"),
+    (lambda: KernelSpec("identity", alpha=math.nan),
+     "a kernel of kind 'identity' takes no alpha without stop words"),
+    (lambda: KernelSpec("explicit", alpha=0.5, matrix=np.eye(2)),
+     "a kernel of kind 'explicit' takes no alpha"),
     (lambda: KernelSpec("kpca_cd", alpha=math.nan), "kpca_cd alpha must be finite, got nan"),
     (lambda: KernelSpec("identity", alpha=math.inf, words={"blue"}),
      "stop-word alpha must be finite, got inf"),
@@ -367,7 +375,9 @@ class TestKernelsTable:
 ], ids=["unknown method", "kpca_cd row stop-word alpha", "stop-word alpha without words",
         "stop-word alpha with no words", "sgns shift_k inf", "sgns shift_k nan",
         "explicit without matrix", "identity with matrix", "kpca_cd with matrix",
-        "kpca_cd with words", "explicit with words", "kpca_cd alpha nan",
+        "kpca_cd with words", "explicit with words", "identity alpha without words",
+        "inverse-marginal alpha without words", "identity nan alpha without words",
+        "explicit with alpha", "kpca_cd alpha nan",
         "stop-word alpha inf", "stop-word weight 0", "kpca_cd alpha 0", "kpca_cd alpha -1e-20",
         "pair-score alpha nan",
         "pair-score beta -inf"])

@@ -535,6 +535,22 @@ ODD_CELLS = ["1_0", "١", " 4 ", "", "  ", "#1", "1#", '"1"', "nan", "-inf", "1e
              "-0", "4\x1c", "\x1f4", "4\xa0", "4\x0c", " 4", "𝟙", "1e-400", ".5", "5.",
              "0x10", "1,5", "abc"]
 
+# all-digit cells at the edges of the integer decode: leading zeros, 15 digits
+# (the most it decodes) and 16 (which go to np.loadtxt, one above 2**53)
+DIGIT_CELLS = ["0", "007", "000000000000000", "999999999999999", "0000000000000001",
+               "9007199254740993", "1000000000000000"]
+
+
+def digit_cells(rng, size):
+    """Random decimal strings of 1-16 digits, leading zeros included, and ``DIGIT_CELLS``."""
+    cells = np.array(["".join(map(str, rng.integers(0, 10, size=n)))
+                      for n in rng.integers(1, 17, size=size).ravel()], dtype=object)
+    cells = cells.reshape(size)
+    edge = rng.random(size) < 0.2
+    cells[edge] = rng.choice(DIGIT_CELLS, size=int(edge.sum()))
+    return cells
+
+
 TABLE_FILES = {
     "underscore digits": "\tx\ty\na\t1_0\t2\nb\t3\t4\n",
     "arabic-indic digit": "\tx\ty\na\t١\t2\nb\t3\t4\n",
@@ -662,22 +678,86 @@ class TestCodecMatchesPerRowReference:
         path.write_text(EMBEDDING_FILES[name], encoding="utf-8")
         assert outcome(ca.read_embeddings, path) == outcome(reference_read_embeddings, path)
 
-    def test_seeded_tables_of_odd_cells(self, tmp_path):
+    def test_seeded_tables_of_odd_cells(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(53)
         path = tmp_path / "t.tsv"
         accepted = 0
-        for _ in range(300):
+        for n in range(400):
             nr, nc = rng.integers(1, 4, size=2)
             cells = rng.integers(0, 100, size=(nr, nc)).astype(str).astype(object)
-            odd = rng.random((nr, nc)) < 0.15
+            if n % 2:
+                cells[:] = digit_cells(rng, (nr, nc))
+            odd = rng.random((nr, nc)) < (0.15 if n % 4 < 2 else 0.03)
             cells[odd] = rng.choice(ODD_CELLS, size=int(odd.sum()))
             lines = ["\t".join(["", *(f"c{j}" for j in range(nc))])]
             lines += ["\t".join([f"r{i}", *row]) for i, row in enumerate(cells)]
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             got = outcome(read_tsv, path)
             assert got == outcome(reference_read_tsv, path), lines
+            with monkeypatch.context() as m:  # blocks of one or two rows
+                m.setattr(tables, "_DIGIT_BLOCK", 2)
+                assert outcome(read_tsv, path) == got, lines
             accepted += got[0] != "ValueError"
-        assert 50 < accepted < 250  # both outcomes are exercised
+        assert 100 < accepted < 350, accepted  # both outcomes are exercised
+
+    def test_seeded_embeddings_of_odd_cells(self, tmp_path):
+        rng = np.random.default_rng(61)
+        path = tmp_path / "emb.tsv"
+        accepted = 0
+        for n in range(300):
+            n_rows, n_cols, k = rng.integers(0, 3), rng.integers(1, 3), rng.integers(1, 4)
+            cells = np.array([repr(x) for x in rng.normal(size=(1 + n_rows + n_cols) * k)],
+                             dtype=object).reshape(-1, k)
+            if n % 2:
+                cells[:] = digit_cells(rng, cells.shape)
+            odd = rng.random(cells.shape) < 0.06
+            cells[odd] = rng.choice(ODD_CELLS, size=int(odd.sum()))
+            sets = ["row"] * n_rows + ["col"] * n_cols
+            lines = ["\t".join([str(n_rows), str(n_cols), str(k), "ws", *cells[0]])]
+            lines += ["\t".join([which, f"p{j}", *row])
+                      for j, (which, row) in enumerate(zip(sets, cells[1:]))]
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            got = outcome(ca.read_embeddings, path)
+            assert got == outcome(reference_read_embeddings, path), lines
+            accepted += got[0] != "ValueError"
+        assert 50 < accepted < 250, accepted  # both outcomes are exercised
+
+    @pytest.mark.parametrize("texts", [("1\t2\t3", "4"), ("1", "2\t3\t4"),
+                                       ("12\t3", "4\t5\t6", "7")])
+    def test_rows_of_unequal_widths_name_the_first_long_row(self, texts):
+        # every text's cells are digits and their total is rows x width, but
+        # the rows are not each 2 wide
+        long_row = 1 + [t.count("\t") for t in texts].index(2)
+        message = f"p:{long_row}: could not broadcast input array from shape (3,) into shape (2,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            tables._parse_numbers("p", list(range(1, len(texts) + 1)), texts, 2)
+
+    def test_a_count_table_is_decoded_without_loadtxt(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(67)
+        counts = rng.integers(0, 5000, size=(300, 250)).astype(float)  # about 2 blocks
+        counts[rng.random(counts.shape) < 0.5] = 0.0
+        counts[7, :3] = 10.0**15 - 1, 10.0**14, 1.0
+        t = ContingencyTable.from_counts(counts)
+        write_tsv(t, tmp_path / "t.tsv")
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("an all-digit table reached np.loadtxt")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        assert read_tsv(tmp_path / "t.tsv").counts.tobytes() == t.counts.tobytes()
+
+    @pytest.mark.parametrize("cell", ["5.0", "1000000000000000", "-0", "\u0665"])
+    def test_a_table_with_one_other_cell_reaches_loadtxt(self, tmp_path, monkeypatch, cell):
+        path = tmp_path / "t.tsv"
+        write_tsv(ContingencyTable.from_counts(np.arange(1.0, 301.0).reshape(100, 3)), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[80] = lines[80].rsplit("\t", 1)[0] + "\t" + cell
+        path.write_text("\n".join(lines), encoding="utf-8")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(a) or loadtxt(*a, **kw))
+        assert outcome(read_tsv, path) == outcome(reference_read_tsv, path)
+        assert len(calls) == 1
 
 
 class TestByteOrderMark:
