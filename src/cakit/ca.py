@@ -25,6 +25,7 @@ from .linalg import Decomposition
 from .tables import (
     ContingencyTable,
     _check_labels,
+    _equal_fields,
     _parse_numbers,
     _read_lines,
     _write_atomic,
@@ -43,7 +44,8 @@ class EmbeddingSet:
     fit's table and method, and the first read of ``decomposition`` calls
     that once and keeps the result.  A NaN or infinite value in F, G or
     the singular values raises ``ValueError``, so no writer emits a file
-    that its reader rejects.
+    that its reader rejects.  Two sets are equal when every field but
+    ``decompose`` is, so a set read back from its file equals the fit.
     """
 
     F: np.ndarray
@@ -52,7 +54,9 @@ class EmbeddingSet:
     col_labels: tuple[str, ...]
     singular_values: np.ndarray
     method_tag: str
-    decompose: Callable[[], Decomposition] | None = field(default=None, repr=False)
+    decompose: Callable[[], Decomposition] | None = field(default=None, repr=False, compare=False)
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         k = self.singular_values.shape[0]

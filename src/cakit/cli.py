@@ -24,25 +24,25 @@ def _err(msg: str) -> None:
 # The `fit` method options, each declared once: name -> (type, default, read
 # by, extra argparse keywords).  Each is a --flag (dashes for underscores) and
 # a config file key, converted and checked alike; a None default leaves it
-# unset.  "Read by" names the methods whose fit reads the option, except for
-# the stop-word list, which is read once either stop-word alpha is set.  A
-# stop-word alpha weights its axis's own kernel; a kpca_cd kernel takes no
-# weight, so kpca_cd reads no row alpha.
+# unset.  "Read by" names the methods whose fit reads the option, as
+# kca.READ_BY declares them (the pair-score options are read by the fits
+# that read pair-score matrices), except for the stop-word list, which is
+# read once either stop-word alpha is set.
 EVERY_FIT = kca.ASSOCIATIONS
-SW_ROW_FITS = tuple(m for m, (row, _) in kca.KERNELS.items() if row.kind != "kpca_cd")
+PAIR_SCORE_FITS = kca.READ_BY["gamma_row"]
 SW_ALPHAS = ("sw_alpha_row", "sw_alpha_col")
 FIT_OPTIONS = {
     "method": (str, "linear", EVERY_FIT, {"choices": kca.ASSOCIATIONS}),
     "dim": (int, None, EVERY_FIT, {}),
-    "shift_k": (float, 1.0, ("sgns",), {}),
-    "sw_alpha_row": (float, None, SW_ROW_FITS, {}),
-    "sw_alpha_col": (float, None, EVERY_FIT, {}),
-    "ws_alpha": (float, None, ("ws",), {}),
-    "ws_beta": (float, 1.0, ("ws",), {}),
+    "shift_k": (float, 1.0, kca.READ_BY["shift_k"], {}),
+    "sw_alpha_row": (float, None, kca.READ_BY["sw_alpha_row"], {}),
+    "sw_alpha_col": (float, None, kca.READ_BY["sw_alpha_col"], {}),
+    "ws_alpha": (float, None, PAIR_SCORE_FITS, {}),
+    "ws_beta": (float, 1.0, PAIR_SCORE_FITS, {}),
     "exponent": (float, 1.0, EVERY_FIT, {}),
-    "kpca_alpha": (float, kca.KERNELS["kpca_cd"][0].alpha, ("kpca_cd",), {}),
+    "kpca_alpha": (float, kca.KERNELS["kpca_cd"][0].alpha, kca.READ_BY["kpca_alpha"], {}),
     "stopwords": (str, None, SW_ALPHAS, {"help": "stop-word list for the stop-word alphas"}),
-    "ws_scores": (str, None, ("ws",),
+    "ws_scores": (str, None, PAIR_SCORE_FITS,
                   {"help": "pair-score file for the pair-score kernel (method=ws)"}),
 }
 

@@ -50,19 +50,12 @@ from . import linalg
 from .ca import EmbeddingSet, default_dimension
 from .linalg import Decomposition, NotPositiveDefiniteError, spd_sqrt
 from .linalg import svd  # noqa: F401  (kca.svd stays importable; fit_kca calls linalg.svd)
-from .tables import ContingencyTable, residual_matrix
+from .tables import ContingencyTable, _equal_fields, residual_matrix
 
 KERNEL_KINDS = ("identity", "inverse_marginal", "kpca_cd", "explicit")
 _WEIGHTED = ("identity", "inverse_marginal")  # the kinds that stop words reweight
 _CENTERED = ("linear", "gini", "kpca_cd")  # the associations N/n - r c^T/n^2
 _ZERO_SUM = (*_CENTERED, "ws")  # those whose symmetric form sums to zero along both axes
-
-
-def _equal_fields(self, other) -> bool:
-    """``==`` by value over every dataclass field, arrays included, so it never raises."""
-    if type(other) is not type(self):
-        return NotImplemented
-    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -120,6 +113,27 @@ KERNELS = {"linear": (_INV, _INV), "gini": (_ID, _ID), "gtest": (_ID, _ID), "sgn
 ASSOCIATIONS = tuple(KERNELS)
 
 
+# Each method parameter -> the methods that read it; every other method
+# rejects a value other than the parameter's default.  A stop-word alpha
+# weights its axis's own kernel, which only an identity or inverse-marginal
+# kernel takes.
+READ_BY = {
+    "shift_k": ("sgns",),
+    "sgns_floor": ("sgns",),
+    "gamma_row": ("ws",),
+    "gamma_col": ("ws",),
+    "kpca_alpha": tuple(m for m, ks in KERNELS.items() if any(k.kind == "kpca_cd" for k in ks)),
+    "sw_alpha_row": tuple(m for m, (row, _) in KERNELS.items() if row.kind in _WEIGHTED),
+    "sw_alpha_col": tuple(m for m, (_, col) in KERNELS.items() if col.kind in _WEIGHTED),
+}
+
+
+def _check_read(name: str, param: str) -> None:
+    """Raise unless method ``name`` reads ``param`` (:data:`READ_BY`)."""
+    if name not in READ_BY[param]:
+        raise ValueError(f"method {name} does not read {param}")
+
+
 @dataclass(frozen=True)
 class KcaMethod:
     """Association operator plus kernels; one fit configuration.
@@ -127,12 +141,14 @@ class KcaMethod:
     A kernel left as None is the method's own (:data:`KERNELS`), so a bare
     ``KcaMethod(name)`` fits ``name``; ``tag`` does not describe kernels
     passed explicitly.  ``shift_k`` is the SGNS negative-sampling shift
-    (finite and > 0).  ``sgns_clamp`` selects shifted positive PMI; with
-    clamping off, zero-count cells take ``sgns_floor`` and negative shifted
-    PMI values are kept.  ``exponent`` is the power of the singular values
-    in the output coordinates (1 is the CA convention, 0.5 the symmetric
-    split).
+    (finite and > 0).  ``sgns_floor`` of None selects shifted positive PMI;
+    a finite floor keeps negative shifted PMI values and fills zero-count
+    cells with the floor.  ``exponent`` is the power of the singular values
+    in the output coordinates (finite; 1 is the CA convention, 0.5 the
+    symmetric split).
     ``gamma_row`` and ``gamma_col`` are the ws pair-score matrices.
+    A field that the association does not read (:data:`READ_BY`) must keep
+    its default.
     """
 
     association: str
@@ -140,8 +156,7 @@ class KcaMethod:
     col_kernel: KernelSpec | None = None
     shift_k: float = 1.0
     exponent: float = 1.0
-    sgns_clamp: bool = True
-    sgns_floor: float = 0.0
+    sgns_floor: float | None = None
     gamma_row: np.ndarray | None = field(default=None, repr=False)
     gamma_col: np.ndarray | None = field(default=None, repr=False)
 
@@ -150,11 +165,20 @@ class KcaMethod:
     def __post_init__(self):
         if self.association not in ASSOCIATIONS:
             raise ValueError(f"unknown association {self.association!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            changed = value is not None if f.default is None else value != f.default
+            if f.name in READ_BY and changed:
+                _check_read(self.association, f.name)
         for name, kernel in zip(("row_kernel", "col_kernel"), KERNELS[self.association]):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, kernel)
         if self.association == "sgns" and not 0 < self.shift_k < math.inf:
             raise ValueError(f"sgns shift_k must be finite and > 0, got {self.shift_k}")
+        if self.sgns_floor is not None and not math.isfinite(self.sgns_floor):
+            raise ValueError(f"sgns_floor must be finite, got {self.sgns_floor}")
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"exponent must be finite, got {self.exponent}")
         if self.association == "ws" and (self.gamma_row is None or self.gamma_col is None):
             raise ValueError("the ws association needs row and column pair-score matrices")
 
@@ -185,7 +209,7 @@ class AssociationMatrix:
 def method_from_name(
     name: str,
     shift_k: float = 1.0,
-    kpca_alpha: float = KERNELS["kpca_cd"][0].alpha,
+    kpca_alpha: float | None = None,
     stopwords: frozenset | set | None = None,
     sw_alpha_row: float | None = None,
     sw_alpha_col: float | None = None,
@@ -195,21 +219,27 @@ def method_from_name(
 ) -> KcaMethod:
     """The method ``name`` with its :data:`KERNELS`, after the overrides given.
 
-    ``kpca_alpha`` is the kpca_cd kernel's alpha; on the centered residual
-    it only rescales the gini fit (e = exp(2 kpca_alpha), S = sqrt(1-e)
-    S_gini, F = (1-e) F_gini, G = sqrt(1-e) G_gini), so it moves no cosine.
+    ``kpca_alpha`` is the kpca_cd kernel's alpha, None for the one in
+    :data:`KERNELS`; on the centered residual it only rescales the gini fit
+    (e = exp(2 kpca_alpha), S = sqrt(1-e) S_gini, F = (1-e) F_gini,
+    G = sqrt(1-e) G_gini), so it moves no cosine.
     A stop-word alpha weights the ``stopwords`` in its axis's own identity or
     inverse-marginal kernel, so at alpha 0 every method fits as without it.
-    It needs stop words, and a kpca_cd kernel reads none (both ``ValueError``).
-    ws needs ``gamma_row`` and ``gamma_col``.
+    It needs stop words, and stop words need a stop-word alpha.  A parameter
+    given to a method that does not read it (:data:`READ_BY`) raises
+    ``ValueError``, as do these.  ws needs ``gamma_row`` and ``gamma_col``.
     """
     if name not in KERNELS:
         raise ValueError(f"unknown method {name!r}")
+    for param, value in (("kpca_alpha", kpca_alpha), ("sw_alpha_row", sw_alpha_row),
+                         ("sw_alpha_col", sw_alpha_col)):
+        if value is not None:
+            _check_read(name, param)
+    if stopwords is not None and sw_alpha_row is None and sw_alpha_col is None:
+        raise ValueError("without sw_alpha_row or sw_alpha_col the fit does not read stopwords")
     kernels = []
     for axis, kernel, sw_alpha in zip(("row", "col"), KERNELS[name], (sw_alpha_row, sw_alpha_col)):
-        if kernel.kind == "kpca_cd":
-            if sw_alpha is not None:
-                raise ValueError(f"method {name} does not read sw_alpha_{axis}")
+        if kernel.kind == "kpca_cd" and kpca_alpha is not None:
             kernel = dataclasses.replace(kernel, alpha=kpca_alpha)
         elif sw_alpha is not None:
             if not stopwords:
@@ -226,7 +256,7 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
     linear / gini / kpca_cd: the centered frequencies N/n - r c^T/n^2.
     gtest: cellwise (n_ij/n) * log(n_ij n / (r_i c_j)).
     sgns: shifted PMI, log(n_ij n / (r_i c_j)) - log(shift_k), clamped at 0
-    by default.
+    unless ``sgns_floor`` is set.
     Both take the log ratio on the nonzero cells of N only; an empty cell
     holds 0 (gtest's 0*log(0)=0 convention, or the clamp), or ``sgns_floor``
     for unclamped sgns.
@@ -242,7 +272,7 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
     log_ratio = np.log(N / (t.r[i] * t.c[j] / t.n))  # E_ij = r_i c_j / n
     if m.association == "gtest":
         values, fill = (N / t.n) * log_ratio, 0.0
-    elif m.sgns_clamp:
+    elif m.sgns_floor is None:
         values, fill = np.maximum(log_ratio - math.log(m.shift_k), 0.0), 0.0
     else:
         values, fill = log_ratio - math.log(m.shift_k), m.sgns_floor

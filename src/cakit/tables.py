@@ -21,7 +21,7 @@ import functools
 import itertools
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +30,14 @@ logger = logging.getLogger(__name__)
 
 # An observation list is a sequence of (row-category, column-category) pairs.
 Observations = Sequence[tuple[str, str]]
+
+
+def _equal_fields(self, other) -> bool:
+    """``==`` by value over every field that compares, arrays included, so it never raises."""
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+               for f in fields(self) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -46,7 +54,8 @@ class ContingencyTable:
     does: writing into it raises ``ValueError``, and a later change to the
     caller's array does not reach the table.  The marginals ``r = counts @ 1``
     and ``c = counts.T @ 1`` and the total ``n`` are computed once, over the
-    cells kept, and kept read-only beside the counts.
+    cells kept, and kept read-only beside the counts.  Two tables are
+    equal when their counts and labels are.
     """
 
     counts: np.ndarray
@@ -55,6 +64,8 @@ class ContingencyTable:
     r: np.ndarray = field(init=False, repr=False, compare=False)
     c: np.ndarray = field(init=False, repr=False, compare=False)
     n: float = field(init=False, repr=False, compare=False)
+
+    __eq__ = _equal_fields
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=float)

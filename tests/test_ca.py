@@ -28,7 +28,7 @@ from cakit.kca import (
     fit_kca,
     kernel_root,
 )
-from cakit.tables import ContingencyTable, residual_matrix
+from cakit.tables import ContingencyTable, read_tsv, residual_matrix, write_tsv
 
 
 def read_coordinates(path):
@@ -86,8 +86,7 @@ METHOD_CASES = {
     "gini+sw": ("gini", ID_SW_ROW, ID_SW_COL, {}, (0.0, 0.0)),
     "gtest": ("gtest", ID, ID, {}, (0.0, 0.0)),
     "sgns": ("sgns", ID, ID, {"shift_k": 0.5}, (0.0, 0.0)),
-    "sgns_unclamped": ("sgns", ID, ID,
-                       {"shift_k": 2.0, "sgns_clamp": False, "sgns_floor": -1.0}, (0.0, 0.0)),
+    "sgns_unclamped": ("sgns", ID, ID, {"shift_k": 2.0, "sgns_floor": -1.0}, (0.0, 0.0)),
     "kpca_cd": ("kpca_cd", _kernel("kpca_cd", alpha=-0.4), ID, {}, (0.0, 0.0)),
     "linear+sw": ("linear", SW_ROW, SW_COL, {}, (-1.0, -1.5)),
     # the ws association is scale-free, its modified marginals scale by s^2
@@ -400,7 +399,7 @@ def dense_log_ratio_association(t, m):
     if m.association == "gtest":
         return np.where(positive, (N / n) * log_ratio, 0.0)
     shifted = log_ratio - math.log(m.shift_k)
-    if m.sgns_clamp:
+    if m.sgns_floor is None:
         return np.where(positive, np.maximum(shifted, 0.0), 0.0)
     return np.where(positive, shifted, m.sgns_floor)
 
@@ -726,6 +725,43 @@ class TestDecompositionOnRequest:
     def test_a_set_read_from_a_file_has_none(self, tmp_path):
         write_embeddings(fit_linear_ca(fisher_table(), 2), tmp_path / "emb.tsv")
         assert read_embeddings(tmp_path / "emb.tsv").decomposition is None
+
+
+class TestEquality:
+    """``==`` on tables and embedding sets compares by value and never raises."""
+
+    def test_a_table_read_back_equals_the_one_written(self, tmp_path):
+        for counts, labels in ((metamorphic_counts(), None), (symmetric_counts(), WORDS)):
+            t = ContingencyTable.from_counts(counts, labels, labels)
+            write_tsv(t, tmp_path / "t.tsv")
+            assert read_tsv(tmp_path / "t.tsv") == t
+
+    def test_tables_that_differ_in_one_count_or_label_or_shape_are_unequal(self):
+        t = ContingencyTable.from_counts(metamorphic_counts())
+        counts = metamorphic_counts()
+        counts[0, 0] += 1.0
+        assert t != ContingencyTable.from_counts(counts)
+        assert t != ContingencyTable(t.counts, ("x", *t.row_labels[1:]), t.col_labels)
+        assert t != ContingencyTable.from_counts(metamorphic_counts()[:, :5])
+        assert t != "table"
+
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_a_set_read_back_equals_the_fit(self, tmp_path, name):
+        for counts, labels in ((metamorphic_counts(), None), (symmetric_counts(), WORDS)):
+            emb = fit_case(name, counts, labels, labels)
+            write_embeddings(emb, tmp_path / "e.tsv")
+            back = read_embeddings(tmp_path / "e.tsv")
+            # decompose does not compare: the set read back has none
+            assert back == emb and not back != emb
+
+    def test_sets_that_differ_in_one_coordinate_or_only_the_tag_are_unequal(self):
+        emb = fit_linear_ca(fisher_table(), 2)
+        F = emb.F.copy()
+        F[1, 1] = np.nextafter(F[1, 1], np.inf)
+        assert emb != dataclasses.replace(emb, F=F)
+        assert emb != dataclasses.replace(emb, method_tag="gini")
+        assert emb == dataclasses.replace(emb, decompose=None)
+        assert emb != small_embedding_set() and emb != "linear_ca"
 
 
 def small_embedding_set(**changes):

@@ -242,7 +242,9 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--exponent", "nan"], NON_FINITE_COORDINATES),
+        (["--exponent", "nan"], "exponent must be finite, got nan"),
+        (["--exponent=inf"], "exponent must be finite, got inf"),
+        (["--exponent=-inf"], "exponent must be finite, got -inf"),
         (["--exponent", "-1000"], NON_FINITE_COORDINATES),  # S**-1000 overflows
         (["--method", "sgns", "--shift-k", "inf"], "sgns shift_k must be finite and > 0, got inf"),
         (["--method", "sgns", "--shift-k", "nan"], "sgns shift_k must be finite and > 0, got nan"),
@@ -255,8 +257,8 @@ class TestFit:
          "pair-score alpha must be finite, got nan"),
         (["--method", "ws", "--ws-scores", "{scores}", "--ws-beta", "inf"],
          "pair-score beta must be finite, got inf"),
-    ], ids=["nan", "-1000", "shift_k inf", "shift_k nan", "kpca_alpha nan", "sw_alpha_row nan",
-            "sw_alpha_row inf", "ws_alpha nan", "ws_beta inf"])
+    ], ids=["nan", "inf", "-inf", "-1000", "shift_k inf", "shift_k nan", "kpca_alpha nan",
+            "sw_alpha_row nan", "sw_alpha_row inf", "ws_alpha nan", "ws_beta inf"])
     def test_non_finite_fit_writes_no_file(self, fisher_tsv, tmp_path, capsys, flags, message):
         sw, scores = tmp_path / "sw.txt", tmp_path / "scores.txt"
         sw.write_text("blue\nfair\n")
@@ -572,6 +574,19 @@ class TestFitOptions:
         assert FIT_OPTIONS["sw_alpha_row"][2] == ("linear", "gini", "gtest", "sgns", "ws")
         assert FIT_OPTIONS["sw_alpha_col"][2] == kca.ASSOCIATIONS
         assert FIT_OPTIONS["kpca_alpha"][1] == kca.KERNELS["kpca_cd"][0].alpha
+
+    def test_read_by_sets_are_kcas(self):
+        # a method-specific option is read by the methods kca.READ_BY names,
+        # a pair-score option by those that read the pair-score matrices
+        every_fit = ("method", "dim", "exponent")
+        pair_scores = ("ws_alpha", "ws_beta", "ws_scores")
+        for key, (_, _, read_by, _) in FIT_OPTIONS.items():
+            if key in every_fit:
+                assert read_by == kca.ASSOCIATIONS
+            elif key == "stopwords":
+                assert read_by == ("sw_alpha_row", "sw_alpha_col")
+            else:
+                assert read_by == kca.READ_BY["gamma_row" if key in pair_scores else key]
 
     def test_kpca_cd_fits_with_a_column_stopword_alpha(self, fisher_tsv, tmp_path, capsys):
         sw = tmp_path / "sw.txt"

@@ -19,6 +19,7 @@ from cakit.evaluation import WordSimDataset
 from cakit.kca import (
     ASSOCIATIONS,
     KERNELS,
+    READ_BY,
     KcaMethod,
     KernelSpec,
     association_matrix,
@@ -217,7 +218,7 @@ class TestAssociationMatrix:
 
     def test_sgns_unclamped_keeps_negative_values_and_floors_zeros(self):
         t = ContingencyTable.from_counts([[2.0, 1.0], [1.0, 2.0]])
-        m = KcaMethod("sgns", shift_k=1.0, sgns_clamp=False, sgns_floor=-3.0)
+        m = KcaMethod("sgns", shift_k=1.0, sgns_floor=-3.0)
         A = association_matrix(t, m).values
         assert A[0, 1] == pytest.approx(math.log(2.0 / 3.0), abs=1e-12)
         t0 = ContingencyTable.from_counts([[2.0, 0.0], [1.0, 2.0]])
@@ -309,8 +310,11 @@ class TestKernelsTable:
         assert (m.row_kernel, m.col_kernel) == (KernelSpec("identity"), KERNELS["linear"][1])
 
     def test_kpca_alpha_default_is_the_tables(self):
-        default = inspect.signature(method_from_name).parameters["kpca_alpha"].default
-        assert default == KERNELS["kpca_cd"][0].alpha == -0.5
+        # None means the alpha of the kpca_cd kernel in KERNELS
+        assert inspect.signature(method_from_name).parameters["kpca_alpha"].default is None
+        assert KERNELS["kpca_cd"][0].alpha == -0.5
+        assert method_from_name("kpca_cd").row_kernel == KERNELS["kpca_cd"][0]
+        assert method_from_name("kpca_cd") == method_from_name("kpca_cd", kpca_alpha=-0.5)
 
     @pytest.mark.parametrize("alpha", [-0.5, -2.0])
     def test_kpca_cd_with_a_column_stopword_alpha_rescales_that_gini_fit(self, alpha):
@@ -338,6 +342,16 @@ class TestKernelsTable:
     (lambda: method_from_name("gini", sw_alpha_row=0.5), "sw_alpha_row needs stop words"),
     (lambda: method_from_name("linear", stopwords=set(), sw_alpha_col=0.0),
      "sw_alpha_col needs stop words"),
+    (lambda: method_from_name("linear", stopwords={"blue"}),
+     "without sw_alpha_row or sw_alpha_col the fit does not read stopwords"),
+    (lambda: method_from_name("gini", kpca_alpha=-3.0), "method gini does not read kpca_alpha"),
+    (lambda: KcaMethod("gtest", shift_k=7.0), "method gtest does not read shift_k"),
+    (lambda: KcaMethod("gini", gamma_row=np.ones((4, 4)), gamma_col=np.ones((4, 4))),
+     "method gini does not read gamma_row"),
+    (lambda: KcaMethod("sgns", sgns_floor=math.inf), "sgns_floor must be finite, got inf"),
+    (lambda: KcaMethod("sgns", sgns_floor=math.nan), "sgns_floor must be finite, got nan"),
+    (lambda: KcaMethod("linear", exponent=math.inf), "exponent must be finite, got inf"),
+    (lambda: method_from_name("gtest", exponent=-math.inf), "exponent must be finite, got -inf"),
     (lambda: method_from_name("sgns", shift_k=math.inf),
      "sgns shift_k must be finite and > 0, got inf"),
     (lambda: method_from_name("sgns", shift_k=math.nan),
@@ -373,7 +387,9 @@ class TestKernelsTable:
     (lambda: build_gamma(("a", "b"), WordSimDataset((("a", "b", 1.0),)), 0.1, -math.inf),
      "pair-score beta must be finite, got -inf"),
 ], ids=["unknown method", "kpca_cd row stop-word alpha", "stop-word alpha without words",
-        "stop-word alpha with no words", "sgns shift_k inf", "sgns shift_k nan",
+        "stop-word alpha with no words", "stop words without an alpha", "gini kpca_alpha",
+        "gtest shift_k", "gini pair scores", "sgns_floor inf", "sgns_floor nan", "exponent inf",
+        "exponent -inf", "sgns shift_k inf", "sgns shift_k nan",
         "explicit without matrix", "identity with matrix", "kpca_cd with matrix",
         "kpca_cd with words", "explicit with words", "identity alpha without words",
         "inverse-marginal alpha without words", "identity nan alpha without words",
@@ -384,6 +400,33 @@ class TestKernelsTable:
 def test_input_rejections(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# each READ_BY parameter -> a value other than its default
+READ_VALUES = {"shift_k": 3.0, "sgns_floor": -1.0, "gamma_row": np.ones((4, 4)),
+               "gamma_col": np.ones((4, 4)), "kpca_alpha": -0.3, "sw_alpha_row": 0.5,
+               "sw_alpha_col": 0.5}
+
+
+@pytest.mark.parametrize("name", ASSOCIATIONS)
+@pytest.mark.parametrize("param", list(READ_BY))
+def test_a_parameter_the_method_does_not_read_is_rejected(param, name):
+    # KcaMethod fields are checked at construction, the rest by method_from_name
+    build = KcaMethod if param in inspect.signature(KcaMethod).parameters else method_from_name
+    base = {}
+    if name == "ws":  # ws needs both pair-score matrices
+        base = {"gamma_row": np.ones((4, 4)), "gamma_col": np.ones((4, 4))}
+    if param.startswith("sw_alpha"):
+        base["stopwords"] = {"blue"}
+    given = {**base, param: READ_VALUES[param]}
+    if name not in READ_BY[param]:
+        with pytest.raises(ValueError, match=f"^method {name} does not read {param}$"):
+            build(name, **given)
+    elif not param.startswith("gamma"):
+        base.pop("stopwords", None)
+        assert build(name, **given) != build(name, **base)
+    else:
+        build(name, **given)
 
 
 class TestMaterializeKernel:
@@ -700,8 +743,10 @@ class TestFitKca:
             pairs = WordSimDataset((("r0", "r1", 5.0), ("r2", "r4", 1.0)))
             gamma = build_gamma(t.row_labels, pairs, 0.08)
             methods = [
-                method_from_name(name, shift_k=2.0) for name in ("linear", "gini", "gtest", "sgns")
+                method_from_name(name) for name in ("linear", "gini", "gtest")
             ] + [
+                method_from_name("sgns", shift_k=2.0),
+                KcaMethod("sgns", shift_k=2.0, sgns_floor=-1.0),
                 method_from_name("kpca_cd", kpca_alpha=-0.2),
                 method_from_name("linear", stopwords={"r3"}, sw_alpha_row=1.5, sw_alpha_col=-0.5),
                 method_from_name("ws", gamma_row=gamma, gamma_col=gamma),
