@@ -26,6 +26,7 @@ from .tables import (
     ContingencyTable,
     _check_labels,
     _equal_fields,
+    _hash_fields,
     _parse_numbers,
     _read_lines,
     _write_atomic,
@@ -57,6 +58,7 @@ class EmbeddingSet:
     decompose: Callable[[], Decomposition] | None = field(default=None, repr=False, compare=False)
 
     __eq__ = _equal_fields
+    __hash__ = _hash_fields
 
     def __post_init__(self):
         k = self.singular_values.shape[0]

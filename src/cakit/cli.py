@@ -27,7 +27,7 @@ def _err(msg: str) -> None:
 # unset.  "Read by" names the methods whose fit reads the option, as
 # kca.READ_BY declares them (the pair-score options are read by the fits
 # that read pair-score matrices), except for the stop-word list, which is
-# read once either stop-word alpha is set.
+# read once either stop-word alpha is set.  Every option moves a result, not just a scale.
 EVERY_FIT = kca.ASSOCIATIONS
 PAIR_SCORE_FITS = kca.READ_BY["gamma_row"]
 SW_ALPHAS = ("sw_alpha_row", "sw_alpha_col")
@@ -38,9 +38,7 @@ FIT_OPTIONS = {
     "sw_alpha_row": (float, None, kca.READ_BY["sw_alpha_row"], {}),
     "sw_alpha_col": (float, None, kca.READ_BY["sw_alpha_col"], {}),
     "ws_alpha": (float, None, PAIR_SCORE_FITS, {}),
-    "ws_beta": (float, 1.0, PAIR_SCORE_FITS, {}),
     "exponent": (float, 1.0, EVERY_FIT, {}),
-    "kpca_alpha": (float, kca.KERNELS["kpca_cd"][0].alpha, kca.READ_BY["kpca_alpha"], {}),
     "stopwords": (str, None, SW_ALPHAS, {"help": "stop-word list for the stop-word alphas"}),
     "ws_scores": (str, None, PAIR_SCORE_FITS,
                   {"help": "pair-score file for the pair-score kernel (method=ws)"}),
@@ -138,7 +136,7 @@ def _stopwords(table, config) -> set:
     return words
 
 
-def _ws_gammas(table, scores_path, alpha, beta):
+def _ws_gammas(table, scores_path, alpha):
     """The row and column pair-score matrices of a ws fit; one array when the labels agree."""
     if not scores_path:
         raise ValueError("method=ws needs a pair-score file (--ws-scores)")
@@ -150,10 +148,10 @@ def _ws_gammas(table, scores_path, alpha, beta):
         max_score = float(np.abs(dataset.scores).max())
         alpha = 0.1 / max_score if max_score > 0 else 0.0
         _err(f"config: ws_alpha defaulted to {alpha:g}")
-    gamma_row = kca.build_gamma(table.row_labels, dataset, alpha, beta)
+    gamma_row = kca.build_gamma(table.row_labels, dataset, alpha)
     if table.col_labels == table.row_labels:
         return gamma_row, gamma_row
-    return gamma_row, kca.build_gamma(table.col_labels, dataset, alpha, beta)
+    return gamma_row, kca.build_gamma(table.col_labels, dataset, alpha)
 
 
 def cmd_fit(args) -> int:
@@ -164,7 +162,7 @@ def cmd_fit(args) -> int:
         config["stopwords"] = _stopwords(table, config)
     if name == "ws":
         config["gamma_row"], config["gamma_col"] = _ws_gammas(
-            table, config.pop("ws_scores"), config.pop("ws_alpha"), config.pop("ws_beta"))
+            table, config.pop("ws_scores"), config.pop("ws_alpha"))
     emb = kca.fit_kca(table, kca.method_from_name(name, **config), k)
     ca.write_embeddings(emb, args.out)
     _err(f"fitted {emb.method_tag}: k={emb.k}, top singular value {emb.singular_values[0]:.6g}")

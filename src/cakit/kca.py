@@ -23,12 +23,12 @@ one ``eigh``.
 
 Specializations recover linear CA (inverse-marginal kernels), the plain
 categorical covariance, the G-test association, shifted-positive-PMI
-factorization, an exponential one-hot-distance kernel, plus two
-text-oriented variants: stop-word reweighting, which multiplies the
-identity or inverse-marginal kernel of an axis by a diagonal weight, and the
-pair-score (ws) association that folds external word similarity scores
-into the table and its marginals through Hadamard products.  Only
-:data:`KERNELS` pairs a method name with its row and column kernels.
+factorization, an exponential one-hot-distance kernel (kpca_cd, whose alpha
+only rescales the gini fit), plus two text-oriented variants: stop words,
+which weight the identity or inverse-marginal kernel of an axis, and the
+pair-score (ws) association that folds ``11^T + alpha S`` (S the external
+word similarity scores) into the table and its marginals through Hadamard
+products.  Only :data:`KERNELS` pairs a method name with its row and column kernels.
 
 Kernels are described by their structure and never built as matrices
 unless given as one: identity and inverse-marginal kernels, with stop
@@ -49,8 +49,9 @@ import numpy as np
 from . import linalg
 from .ca import EmbeddingSet, default_dimension
 from .linalg import Decomposition, NotPositiveDefiniteError, spd_sqrt
-from .linalg import svd  # noqa: F401  (kca.svd stays importable; fit_kca calls linalg.svd)
-from .tables import ContingencyTable, _equal_fields, residual_matrix
+# perfbench/test_perfbench.py asserts kca.svd is linalg.svd; ROADMAP item 1 drops both
+from .linalg import svd  # noqa: F401
+from .tables import ContingencyTable, _equal_fields, _hash_fields, residual_matrix
 
 KERNEL_KINDS = ("identity", "inverse_marginal", "kpca_cd", "explicit")
 _WEIGHTED = ("identity", "inverse_marginal")  # the kinds that stop words reweight
@@ -81,6 +82,7 @@ class KernelSpec:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     __eq__ = _equal_fields
+    __hash__ = _hash_fields
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -88,6 +90,8 @@ class KernelSpec:
         if (self.matrix is None) == (self.kind == "explicit"):
             raise ValueError("an explicit kernel needs a matrix" if self.matrix is None
                              else f"a kernel of kind {self.kind!r} takes no matrix")
+        if isinstance(self.words, str):
+            raise ValueError(f"stop words must be a collection, not the string {self.words!r}")
         object.__setattr__(self, "words", frozenset(self.words))
         if self.words and self.kind not in _WEIGHTED:
             raise ValueError(f"a kernel of kind {self.kind!r} takes no stop words")
@@ -122,7 +126,6 @@ READ_BY = {
     "sgns_floor": ("sgns",),
     "gamma_row": ("ws",),
     "gamma_col": ("ws",),
-    "kpca_alpha": tuple(m for m, ks in KERNELS.items() if any(k.kind == "kpca_cd" for k in ks)),
     "sw_alpha_row": tuple(m for m, (row, _) in KERNELS.items() if row.kind in _WEIGHTED),
     "sw_alpha_col": tuple(m for m, (_, col) in KERNELS.items() if col.kind in _WEIGHTED),
 }
@@ -161,6 +164,7 @@ class KcaMethod:
     gamma_col: np.ndarray | None = field(default=None, repr=False)
 
     __eq__ = _equal_fields
+    __hash__ = _hash_fields
 
     def __post_init__(self):
         if self.association not in ASSOCIATIONS:
@@ -209,7 +213,6 @@ class AssociationMatrix:
 def method_from_name(
     name: str,
     shift_k: float = 1.0,
-    kpca_alpha: float | None = None,
     stopwords: frozenset | set | None = None,
     sw_alpha_row: float | None = None,
     sw_alpha_col: float | None = None,
@@ -219,10 +222,6 @@ def method_from_name(
 ) -> KcaMethod:
     """The method ``name`` with its :data:`KERNELS`, after the overrides given.
 
-    ``kpca_alpha`` is the kpca_cd kernel's alpha, None for the one in
-    :data:`KERNELS`; on the centered residual it only rescales the gini fit
-    (e = exp(2 kpca_alpha), S = sqrt(1-e) S_gini, F = (1-e) F_gini,
-    G = sqrt(1-e) G_gini), so it moves no cosine.
     A stop-word alpha weights the ``stopwords`` in its axis's own identity or
     inverse-marginal kernel, so at alpha 0 every method fits as without it.
     It needs stop words, and stop words need a stop-word alpha.  A parameter
@@ -231,17 +230,12 @@ def method_from_name(
     """
     if name not in KERNELS:
         raise ValueError(f"unknown method {name!r}")
-    for param, value in (("kpca_alpha", kpca_alpha), ("sw_alpha_row", sw_alpha_row),
-                         ("sw_alpha_col", sw_alpha_col)):
-        if value is not None:
-            _check_read(name, param)
     if stopwords is not None and sw_alpha_row is None and sw_alpha_col is None:
         raise ValueError("without sw_alpha_row or sw_alpha_col the fit does not read stopwords")
     kernels = []
     for axis, kernel, sw_alpha in zip(("row", "col"), KERNELS[name], (sw_alpha_row, sw_alpha_col)):
-        if kernel.kind == "kpca_cd" and kpca_alpha is not None:
-            kernel = dataclasses.replace(kernel, alpha=kpca_alpha)
-        elif sw_alpha is not None:
+        if sw_alpha is not None:
+            _check_read(name, f"sw_alpha_{axis}")
             if not stopwords:
                 raise ValueError(f"sw_alpha_{axis} needs stop words")
             kernel = dataclasses.replace(kernel, alpha=sw_alpha, words=stopwords)
@@ -415,23 +409,20 @@ def _decomposition(t: ContingencyTable, m: KcaMethod) -> Decomposition:
     return Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V)
 
 
-def build_gamma(labels, pairs, alpha: float, beta: float = 1.0) -> np.ndarray:
-    """Pair-score matrix gamma_ij = alpha * score(i, j) + beta over the labels.
+def build_gamma(labels, pairs, alpha: float) -> np.ndarray:
+    """Pair-score matrix ``gamma = 11^T + alpha S`` over the labels.
 
     ``pairs`` is a :class:`cakit.evaluation.WordSimDataset`; the pairs its
     ``lookup`` matches to the labels set both gamma_ij and gamma_ji, a later
-    listing of a pair over an earlier one, so gamma is symmetric.  Other
-    entries are just ``beta``.  For ``beta != 0`` this is ``beta`` times the
-    gamma of ``(alpha / beta, 1)``: only ``alpha / beta`` moves a ws cosine.
-    Both must be finite.
+    listing of a pair over an earlier one, so gamma is symmetric.  ``alpha``
+    must be finite; a constant part other than 1 only rescales the fit.
     """
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(value):
-            raise ValueError(f"pair-score {name} must be finite, got {value}")
-    gamma = np.full((len(labels), len(labels)), beta, dtype=float)
+    if not math.isfinite(alpha):
+        raise ValueError(f"pair-score alpha must be finite, got {alpha}")
+    gamma = np.ones((len(labels), len(labels)))
     ia, ib, scores = pairs.lookup(labels)
     # one pair at a time: a pair listed in both orders must leave gamma symmetric
-    for i, j, value in zip(ia.tolist(), ib.tolist(), (alpha * scores + beta).tolist()):
+    for i, j, value in zip(ia.tolist(), ib.tolist(), (alpha * scores + 1.0).tolist()):
         gamma[i, j] = gamma[j, i] = value
     return gamma
 
@@ -447,7 +438,8 @@ def fit_ws_kca(t: ContingencyTable, gamma_r, gamma_c, k: int | None = None,
     analogue.  All-ones pair-score matrices reduce to linear CA up to a
     global positive scale.  Scaling both by ``c != 0`` scales the association
     and both modified marginals by ``c**2``, which leaves the sandwich, S and
-    every cosine unchanged and divides F and G by ``|c|``.
+    every cosine unchanged and divides F and G by ``|c|``, so :func:`build_gamma`
+    fixes the constant part at 1; any other pair-score matrices fit here too.
     """
     m = method_from_name("ws", exponent=exponent, gamma_row=gamma_r, gamma_col=gamma_c)
     return fit_kca(t, m, k)

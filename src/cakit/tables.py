@@ -40,6 +40,12 @@ def _equal_fields(self, other) -> bool:
                for f in fields(self) if f.compare)
 
 
+def _hash_fields(self) -> int:
+    """A hash that agrees with :func:`_equal_fields`: of the compared fields not declared arrays."""
+    return hash(tuple(getattr(self, f.name) for f in fields(self)
+                      if f.compare and "ndarray" not in str(f.type)))
+
+
 @dataclass(frozen=True)
 class ContingencyTable:
     """Nonnegative count matrix with labels and strictly positive marginals.
@@ -66,6 +72,7 @@ class ContingencyTable:
     n: float = field(init=False, repr=False, compare=False)
 
     __eq__ = _equal_fields
+    __hash__ = _hash_fields
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=float)

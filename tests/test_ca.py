@@ -728,13 +728,15 @@ class TestDecompositionOnRequest:
 
 
 class TestEquality:
-    """``==`` on tables and embedding sets compares by value and never raises."""
+    """``==`` on tables and embedding sets compares by value, never raises, and agrees with
+    ``hash``."""
 
     def test_a_table_read_back_equals_the_one_written(self, tmp_path):
         for counts, labels in ((metamorphic_counts(), None), (symmetric_counts(), WORDS)):
             t = ContingencyTable.from_counts(counts, labels, labels)
             write_tsv(t, tmp_path / "t.tsv")
-            assert read_tsv(tmp_path / "t.tsv") == t
+            back = read_tsv(tmp_path / "t.tsv")
+            assert back == t and hash(back) == hash(t)
 
     def test_tables_that_differ_in_one_count_or_label_or_shape_are_unequal(self):
         t = ContingencyTable.from_counts(metamorphic_counts())
@@ -753,6 +755,7 @@ class TestEquality:
             back = read_embeddings(tmp_path / "e.tsv")
             # decompose does not compare: the set read back has none
             assert back == emb and not back != emb
+            assert hash(back) == hash(emb)
 
     def test_sets_that_differ_in_one_coordinate_or_only_the_tag_are_unequal(self):
         emb = fit_linear_ca(fisher_table(), 2)

@@ -248,17 +248,19 @@ class TestFit:
         (["--exponent", "-1000"], NON_FINITE_COORDINATES),  # S**-1000 overflows
         (["--method", "sgns", "--shift-k", "inf"], "sgns shift_k must be finite and > 0, got inf"),
         (["--method", "sgns", "--shift-k", "nan"], "sgns shift_k must be finite and > 0, got nan"),
-        (["--method", "kpca_cd", "--kpca-alpha", "nan"], "kpca_cd alpha must be finite, got nan"),
         (["--method", "gini", "--sw-alpha-row", "nan", "--stopwords", "{sw}"],
          "stop-word alpha must be finite, got nan"),
         (["--sw-alpha-row", "inf", "--stopwords", "{sw}"],
          "stop-word alpha must be finite, got inf"),
+        (["--sw-alpha-col", "nan", "--stopwords", "{sw}"],
+         "stop-word alpha must be finite, got nan"),
         (["--method", "ws", "--ws-scores", "{scores}", "--ws-alpha", "nan"],
          "pair-score alpha must be finite, got nan"),
-        (["--method", "ws", "--ws-scores", "{scores}", "--ws-beta", "inf"],
-         "pair-score beta must be finite, got inf"),
-    ], ids=["nan", "inf", "-inf", "-1000", "shift_k inf", "shift_k nan", "kpca_alpha nan",
-            "sw_alpha_row nan", "sw_alpha_row inf", "ws_alpha nan", "ws_beta inf"])
+        (["--method", "ws", "--ws-scores", "{scores}", "--ws-alpha", "inf"],
+         "pair-score alpha must be finite, got inf"),
+    ], ids=["nan", "inf", "-inf", "-1000", "shift_k inf", "shift_k nan",
+            "sw_alpha_row nan", "sw_alpha_row inf", "sw_alpha_col nan", "ws_alpha nan",
+            "ws_alpha inf"])
     def test_non_finite_fit_writes_no_file(self, fisher_tsv, tmp_path, capsys, flags, message):
         sw, scores = tmp_path / "sw.txt", tmp_path / "scores.txt"
         sw.write_text("blue\nfair\n")
@@ -467,9 +469,7 @@ OPTION_CASES = {
     "sw_alpha_row": ("-0.5", ["--stopwords", "{sw}"]),
     "sw_alpha_col": ("-0.5", ["--stopwords", "{sw}"]),
     "ws_alpha": ("-0.01", ["--method", "ws", "--ws-scores", "{scores}"]),
-    "ws_beta": ("0.5", ["--method", "ws", "--ws-scores", "{scores}"]),
     "exponent": ("0.5", ["--method", "gtest"]),
-    "kpca_alpha": ("-0.3", ["--method", "kpca_cd"]),
     "stopwords": ("{sw}", ["--sw-alpha-row", "-0.5"]),
     "ws_scores": ("{scores}", ["--method", "ws"]),
 }
@@ -477,9 +477,7 @@ OPTION_CASES = {
 # option -> (value, flags of a fit that does not read it, the error)
 UNREAD_CASES = {
     "shift_k": ("3", ["--method", "linear"], "method linear does not read shift_k"),
-    "kpca_alpha": ("-0.3", ["--method", "sgns"], "method sgns does not read kpca_alpha"),
     "ws_alpha": ("-0.01", ["--method", "kpca_cd"], "method kpca_cd does not read ws_alpha"),
-    "ws_beta": ("0.5", ["--method", "gtest"], "method gtest does not read ws_beta"),
     "ws_scores": ("{scores}", ["--method", "gini"], "method gini does not read ws_scores"),
     "sw_alpha_row": ("-0.5", ["--method", "kpca_cd", "--stopwords", "{sw}"],
                      "method kpca_cd does not read sw_alpha_row"),
@@ -573,13 +571,12 @@ class TestFitOptions:
         # never kpca_cd's row kernel
         assert FIT_OPTIONS["sw_alpha_row"][2] == ("linear", "gini", "gtest", "sgns", "ws")
         assert FIT_OPTIONS["sw_alpha_col"][2] == kca.ASSOCIATIONS
-        assert FIT_OPTIONS["kpca_alpha"][1] == kca.KERNELS["kpca_cd"][0].alpha
 
     def test_read_by_sets_are_kcas(self):
         # a method-specific option is read by the methods kca.READ_BY names,
         # a pair-score option by those that read the pair-score matrices
         every_fit = ("method", "dim", "exponent")
-        pair_scores = ("ws_alpha", "ws_beta", "ws_scores")
+        pair_scores = ("ws_alpha", "ws_scores")
         for key, (_, _, read_by, _) in FIT_OPTIONS.items():
             if key in every_fit:
                 assert read_by == kca.ASSOCIATIONS
@@ -604,20 +601,71 @@ class TestFitOptions:
                                    np.sqrt(1.0 - np.exp(-1.0)) * embs["gini"].singular_values,
                                    rtol=1e-12)
 
+    def test_kpca_cd_and_gini_give_the_same_eval_report(self, tmp_path, capsys):
+        # on the centred residual the kpca_cd kernel only rescales the gini
+        # fit, so every cosine, and every eval column, is gini's
+        rng = np.random.default_rng(41)
+        words = [f"w{i:02d}" for i in range(40)]
+        corpus, pairs, table = tmp_path / "c.txt", tmp_path / "pairs.txt", tmp_path / "t.tsv"
+        corpus.write_text(" ".join(rng.choice(words, size=4000)) + "\n")
+        scores = rng.uniform(0, 10, size=len(words) - 3)
+        pairs.write_text("".join(f"{a} {b} {s:.2f}\n"
+                                 for a, b, s in zip(words, words[3:], scores)))
+        assert main(["count", str(corpus), "--out", str(table)]) == 0
+        reports = {}
+        for method in ("kpca_cd", "gini"):
+            emb = tmp_path / f"{method}.tsv"
+            assert main(["fit", str(table), "--method", method, "--dim", "5",
+                         "--out", str(emb)]) == 0
+            capsys.readouterr()
+            for which in ("F", "G"):
+                assert main(["eval", str(emb), "--which", which, "--wordsim", str(pairs)]) == 0
+                (row,) = capsys.readouterr().out.splitlines()[1:]
+                reports[method, which] = row.split("\t")[2:]  # rho, used, skipped
+        for which in ("F", "G"):
+            assert reports["kpca_cd", which] == reports["gini", which]
+            assert int(reports["gini", which][1]) == len(scores)
+
+    @pytest.mark.parametrize("how", ["flag", "cfg"])
+    @pytest.mark.parametrize("key, flags", [
+        ("kpca_alpha", ["--method", "kpca_cd"]),
+        ("ws_beta", ["--method", "ws", "--ws-scores", "{scores}"]),
+    ], ids=["kpca_alpha", "ws_beta"])
+    def test_kpca_alpha_and_ws_beta_are_not_options(self, fisher_tsv, tmp_path, capsys,
+                                                    key, flags, how):
+        # the kpca_cd alpha and a constant pair score are no options: a flag
+        # is a usage error, a configuration key an unknown one
+        scores = tmp_path / "scores.txt"
+        scores.write_text("blue light 8.0\n")
+        argv = ["fit", fisher_tsv, *(f.format(scores=scores) for f in flags)]
+        out = tmp_path / "e.tsv"
+        if how == "flag":
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--" + key.replace("_", "-"), "2", "--out", str(out)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        else:
+            cfg = tmp_path / "m.cfg"
+            cfg.write_text(f"{key}=-0.3\n")
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {cfg}:1: unknown configuration key '{key}'\n")
+        assert not out.exists()
+
     def test_every_unread_option_is_named(self, fisher_tsv, tmp_path, capsys):
         out = tmp_path / "e.tsv"
-        rc = main(["fit", fisher_tsv, "--ws-alpha", "5", "--shift-k", "9", "--kpca-alpha", "3",
+        rc = main(["fit", fisher_tsv, "--ws-alpha", "5", "--shift-k", "9", "--ws-scores", "s.txt",
                    "--stopwords", str(tmp_path / "missing.txt"), "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == (
-            "error: method linear does not read kpca_alpha, shift_k, ws_alpha; "
+            "error: method linear does not read shift_k, ws_alpha, ws_scores; "
             "without sw_alpha_row or sw_alpha_col the fit does not read stopwords\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("method, echo", [
         ("linear", ["dim=2", "exponent=1.0", "method=linear"]),
         ("sgns", ["dim=2", "exponent=1.0", "method=sgns", "shift_k=1.0"]),
-        ("kpca_cd", ["dim=2", "exponent=1.0", "kpca_alpha=-0.5", "method=kpca_cd"]),
+        ("kpca_cd", ["dim=2", "exponent=1.0", "method=kpca_cd"]),
     ], ids=["linear", "sgns", "kpca_cd"])
     def test_echo_lists_the_options_the_fit_reads(self, fisher_tsv, tmp_path, capsys,
                                                   method, echo):

@@ -765,7 +765,7 @@ class TestPairLookup:
     def test_build_gamma_fills_the_looked_up_cells(self):
         d = WordSimDataset(LOOKUP_TRIPLES)
         for labels in (ROWS, COLS):
-            gamma = build_gamma(labels, d, alpha=0.5, beta=1)  # an int beta too
+            gamma = build_gamma(labels, d, alpha=0.5)
             want = np.ones((4, 4))
             for i, j, s in zip(*d.lookup(labels)):
                 want[i, j] = want[j, i] = 0.5 * s + 1.0

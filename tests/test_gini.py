@@ -162,7 +162,7 @@ def kernel_methods(t, rng):
     return {
         "linear": method_from_name("linear"),
         "gini": method_from_name("gini"),
-        "kpca_cd": method_from_name("kpca_cd", kpca_alpha=-0.3),
+        "kpca_cd": KcaMethod("kpca_cd", KernelSpec("kpca_cd", alpha=-0.3)),
         "linear+sw": method_from_name("linear", stopwords={"r0", "c1"},
                                       sw_alpha_row=-0.5, sw_alpha_col=0.7),
         "explicit": KcaMethod("linear", KernelSpec("explicit", matrix=random_spd(rng, t.shape[0])),

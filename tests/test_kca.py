@@ -113,7 +113,7 @@ def cosine_matrix(X):
     return (X / norms) @ (X / norms).T
 
 
-def reference_build_gamma(labels, items, alpha, beta=1.0):
+def reference_build_gamma(labels, items, alpha):
     """The dict loop build_gamma ran before it took a WordSimDataset.
 
     ``items`` are the ((a, b), score) listings in order, as ``dict.items()``
@@ -121,14 +121,14 @@ def reference_build_gamma(labels, items, alpha, beta=1.0):
     """
     labels = list(labels)
     m = len(labels)
-    gamma = np.full((m, m), beta)
+    gamma = np.full((m, m), 1.0)
     index = {lbl: i for i, lbl in enumerate(labels)}
     for key, value in items:
         a, b = key
         if a in index and b in index:
             i, j = index[a], index[b]
-            gamma[i, j] = alpha * value + beta
-            gamma[j, i] = alpha * value + beta
+            gamma[i, j] = alpha * value + 1.0
+            gamma[j, i] = alpha * value + 1.0
     return gamma
 
 
@@ -250,11 +250,15 @@ class TestAssociationMatrix:
 
 
 class TestEquality:
-    """``==`` on kernel specs and methods compares array fields by value and never raises."""
+    """``==`` on kernel specs and methods compares array fields by value, never raises, and
+    agrees with ``hash``."""
 
     def test_explicit_kernels_with_equal_matrices_are_equal(self):
         a, b = (KernelSpec("explicit", matrix=np.eye(3)) for _ in range(2))
         assert a == b and not a != b
+        # a nested list compares equal to the array, so it hashes alike too
+        c = KernelSpec("explicit", matrix=np.eye(3).tolist())
+        assert a == c and hash(a) == hash(b) == hash(c)
 
     def test_explicit_kernels_with_different_matrices_are_not(self):
         a = KernelSpec("explicit", matrix=np.eye(3))
@@ -266,11 +270,19 @@ class TestEquality:
         gamma = build_gamma(("a", "b", "c"), WordSimDataset((("a", "c", 4.0),)), 0.1)
         first = method_from_name("ws", gamma_row=gamma, gamma_col=gamma)
         second = method_from_name("ws", gamma_row=gamma.copy(), gamma_col=gamma.copy())
-        assert first == second
+        assert first == second and hash(first) == hash(second)
         other = gamma.copy()
         other[0, 2] = other[2, 0] = 9.0
         assert first != method_from_name("ws", gamma_row=other, gamma_col=other)
         assert first != method_from_name("linear")
+
+    def test_methods_from_equal_stop_word_collections_are_equal(self):
+        # the stop words become a frozenset whatever collection holds them
+        sw = {"sw_alpha_row": 0.5, "sw_alpha_col": -0.2}
+        first = method_from_name("gini", stopwords={"blue", "dark"}, **sw)
+        second = method_from_name("gini", stopwords=["dark", "blue", "dark"], **sw)
+        assert first == second and hash(first) == hash(second)
+        assert first != method_from_name("gini", stopwords=["blue"], **sw)
 
 
 class TestKernelsTable:
@@ -309,13 +321,6 @@ class TestKernelsTable:
         m = KcaMethod("linear", KernelSpec("identity"))
         assert (m.row_kernel, m.col_kernel) == (KernelSpec("identity"), KERNELS["linear"][1])
 
-    def test_kpca_alpha_default_is_the_tables(self):
-        # None means the alpha of the kpca_cd kernel in KERNELS
-        assert inspect.signature(method_from_name).parameters["kpca_alpha"].default is None
-        assert KERNELS["kpca_cd"][0].alpha == -0.5
-        assert method_from_name("kpca_cd").row_kernel == KERNELS["kpca_cd"][0]
-        assert method_from_name("kpca_cd") == method_from_name("kpca_cd", kpca_alpha=-0.5)
-
     @pytest.mark.parametrize("alpha", [-0.5, -2.0])
     def test_kpca_cd_with_a_column_stopword_alpha_rescales_that_gini_fit(self, alpha):
         # the stop words weight the identity column kernel; the kpca_cd row
@@ -323,9 +328,9 @@ class TestKernelsTable:
         # whatever that kernel is
         t = fisher_table()
         sw = {"stopwords": {"fair", "dark"}, "sw_alpha_col": 0.5}
-        m = method_from_name("kpca_cd", kpca_alpha=alpha, **sw)
-        assert m.row_kernel == KernelSpec("kpca_cd", alpha=alpha)
-        assert m.col_kernel == KernelSpec("identity", alpha=0.5, words={"fair", "dark"})
+        col = method_from_name("kpca_cd", **sw).col_kernel
+        assert col == KernelSpec("identity", alpha=0.5, words={"fair", "dark"})
+        m = KcaMethod("kpca_cd", KernelSpec("kpca_cd", alpha=alpha), col)
         gini = fit_kca(t, method_from_name("gini", **sw), 3)
         kpca = fit_kca(t, m, 3)
         assert kpca.method_tag == "kpca_cd+sw"
@@ -344,7 +349,10 @@ class TestKernelsTable:
      "sw_alpha_col needs stop words"),
     (lambda: method_from_name("linear", stopwords={"blue"}),
      "without sw_alpha_row or sw_alpha_col the fit does not read stopwords"),
-    (lambda: method_from_name("gini", kpca_alpha=-3.0), "method gini does not read kpca_alpha"),
+    (lambda: method_from_name("linear", stopwords="the", sw_alpha_row=-0.5),
+     "stop words must be a collection, not the string 'the'"),
+    (lambda: KernelSpec("inverse_marginal", alpha=0.5, words="blue"),
+     "stop words must be a collection, not the string 'blue'"),
     (lambda: KcaMethod("gtest", shift_k=7.0), "method gtest does not read shift_k"),
     (lambda: KcaMethod("gini", gamma_row=np.ones((4, 4)), gamma_col=np.ones((4, 4))),
      "method gini does not read gamma_row"),
@@ -374,6 +382,7 @@ class TestKernelsTable:
     (lambda: KernelSpec("explicit", alpha=0.5, matrix=np.eye(2)),
      "a kernel of kind 'explicit' takes no alpha"),
     (lambda: KernelSpec("kpca_cd", alpha=math.nan), "kpca_cd alpha must be finite, got nan"),
+    (lambda: KernelSpec("kpca_cd", alpha=-math.inf), "kpca_cd alpha must be finite, got -inf"),
     (lambda: KernelSpec("identity", alpha=math.inf, words={"blue"}),
      "stop-word alpha must be finite, got inf"),
     (lambda: KernelSpec("inverse_marginal", alpha=-1.0, words={"blue"}),
@@ -384,19 +393,17 @@ class TestKernelsTable:
      "kpca_cd kernel is not positive definite for alpha = -1e-20: exp(2*alpha) must be < 1"),
     (lambda: build_gamma(("a", "b"), WordSimDataset((("a", "b", 1.0),)), math.nan),
      "pair-score alpha must be finite, got nan"),
-    (lambda: build_gamma(("a", "b"), WordSimDataset((("a", "b", 1.0),)), 0.1, -math.inf),
-     "pair-score beta must be finite, got -inf"),
 ], ids=["unknown method", "kpca_cd row stop-word alpha", "stop-word alpha without words",
-        "stop-word alpha with no words", "stop words without an alpha", "gini kpca_alpha",
+        "stop-word alpha with no words", "stop words without an alpha", "a string of stop words",
+        "a kernel's string of stop words",
         "gtest shift_k", "gini pair scores", "sgns_floor inf", "sgns_floor nan", "exponent inf",
         "exponent -inf", "sgns shift_k inf", "sgns shift_k nan",
         "explicit without matrix", "identity with matrix", "kpca_cd with matrix",
         "kpca_cd with words", "explicit with words", "identity alpha without words",
         "inverse-marginal alpha without words", "identity nan alpha without words",
-        "explicit with alpha", "kpca_cd alpha nan",
+        "explicit with alpha", "kpca_cd alpha nan", "kpca_cd alpha -inf",
         "stop-word alpha inf", "stop-word weight 0", "kpca_cd alpha 0", "kpca_cd alpha -1e-20",
-        "pair-score alpha nan",
-        "pair-score beta -inf"])
+        "pair-score alpha nan"])
 def test_input_rejections(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -404,8 +411,7 @@ def test_input_rejections(call, message):
 
 # each READ_BY parameter -> a value other than its default
 READ_VALUES = {"shift_k": 3.0, "sgns_floor": -1.0, "gamma_row": np.ones((4, 4)),
-               "gamma_col": np.ones((4, 4)), "kpca_alpha": -0.3, "sw_alpha_row": 0.5,
-               "sw_alpha_col": 0.5}
+               "gamma_col": np.ones((4, 4)), "sw_alpha_row": 0.5, "sw_alpha_col": 0.5}
 
 
 @pytest.mark.parametrize("name", ASSOCIATIONS)
@@ -593,24 +599,46 @@ class TestFitKca:
         np.testing.assert_allclose(emb.F, dec.U[:, :3] * dec.S[:3], atol=1e-12)
         np.testing.assert_allclose(emb.G, dec.V[:, :3] * dec.S[:3], atol=1e-12)
 
+    @pytest.mark.parametrize("name", ASSOCIATIONS)
+    def test_kpca_cd_row_kernel_alpha_reaches_every_association(self, name):
+        # a kpca_cd row kernel given to the library keeps its alpha: on a
+        # centred association (columns summing to 0) alpha only rescales,
+        # on the log-ratio ones it moves the cosines
+        t = fisher_table()
+        pair = WordSimDataset(((t.row_labels[0], t.row_labels[2], 3.0),))
+        gamma = build_gamma(t.row_labels, pair, 0.1)
+        ws = {"gamma_row": gamma, "gamma_col": np.ones((len(t.col_labels),) * 2)}
+        fits = [fit_kca(t, KcaMethod(name, KernelSpec("kpca_cd", alpha=alpha),
+                                     **(ws if name == "ws" else {})), 3)
+                for alpha in (-0.2, -2.0)]
+        assert fits[0].method_tag == fits[1].method_tag
+        moved = np.abs(cosine_matrix(fits[0].F) - cosine_matrix(fits[1].F)).max()
+        if name in ("gtest", "sgns"):
+            assert moved > 0.5
+        else:
+            assert moved < 1e-12
+            ratio = math.sqrt((1.0 - math.exp(-0.4)) / (1.0 - math.exp(-4.0)))
+            np.testing.assert_allclose(fits[0].singular_values,
+                                       ratio * fits[1].singular_values, rtol=1e-12)
+
     @pytest.mark.parametrize("alpha", [-0.2, -0.5, -2.0])
     def test_kpca_cd_rescales_the_gini_fit(self, alpha):
         # the centred residual's columns sum to 0, so the e 11^T part of the
         # kernel (1-e) I + e 11^T annihilates it: alpha only rescales
         t = fisher_table()
         gini = fit_kca(t, method_from_name("gini"), 3)
-        kpca = fit_kca(t, method_from_name("kpca_cd", kpca_alpha=alpha), 3)
+        kpca = fit_kca(t, KcaMethod("kpca_cd", KernelSpec("kpca_cd", alpha=alpha)), 3)
         a2 = 1.0 - math.exp(2.0 * alpha)
         np.testing.assert_allclose(kpca.singular_values, math.sqrt(a2) * gini.singular_values,
                                    rtol=0, atol=1e-14 * gini.singular_values[0])
         np.testing.assert_allclose(kpca.F, a2 * gini.F, rtol=0, atol=1e-15)
         np.testing.assert_allclose(kpca.G, math.sqrt(a2) * gini.G, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("beta", [2.0, 0.5, -3.0])
-    def test_ws_beta_rescales_the_ws_fit(self, beta):
-        # gamma = alpha S + beta 11^T is beta times the gamma of (alpha/beta, 1):
-        # the association and both modified marginals scale by beta^2, so the
-        # sandwich does not change, and the coordinates scale by 1/|beta|
+    @pytest.mark.parametrize("c", [2.0, 0.5, -3.0])
+    def test_scaled_pair_scores_rescale_the_ws_fit(self, c):
+        # both gammas times c: the association and both modified marginals
+        # scale by c^2, so the sandwich does not change, and the coordinates
+        # scale by 1/|c|
         t = random_table(np.random.default_rng(113), nr=8, nc=6, hi=20)
         rng = np.random.default_rng(127)
         pairs = WordSimDataset(tuple(
@@ -618,20 +646,19 @@ class TestFitKca:
             for labels in (t.row_labels, t.col_labels)
             for i, j in rng.integers(len(labels), size=(6, 2)) if i != j))
 
-        def fit(alpha, b):
-            return fit_ws_kca(t, build_gamma(t.row_labels, pairs, alpha, b),
-                              build_gamma(t.col_labels, pairs, alpha, b), 4)
-
-        base, scaled = fit(0.3 / beta, 1.0), fit(0.3, beta)
+        gamma_r = build_gamma(t.row_labels, pairs, 0.3)
+        gamma_c = build_gamma(t.col_labels, pairs, 0.3)
+        base = fit_ws_kca(t, gamma_r, gamma_c, 4)
+        scaled = fit_ws_kca(t, c * gamma_r, c * gamma_c, 4)
         S = base.singular_values
         assert np.all(-np.diff(S) > 1e-3 * S[0]), S
-        if math.log2(abs(beta)).is_integer():  # a power of two scales exactly
+        if math.log2(abs(c)).is_integer():  # a power of two scales exactly
             assert scaled.singular_values.tobytes() == S.tobytes()
-            assert scaled.F.tobytes() == (base.F / abs(beta)).tobytes()
-            assert scaled.G.tobytes() == (base.G / abs(beta)).tobytes()
+            assert scaled.F.tobytes() == (base.F / abs(c)).tobytes()
+            assert scaled.G.tobytes() == (base.G / abs(c)).tobytes()
         np.testing.assert_allclose(scaled.singular_values, S, rtol=0, atol=1e-14 * S[0])
         for X, Y in ((scaled.F, base.F), (scaled.G, base.G)):
-            np.testing.assert_allclose(X * abs(beta), Y, rtol=0, atol=1e-12 * np.abs(Y).max())
+            np.testing.assert_allclose(X * abs(c), Y, rtol=0, atol=1e-12 * np.abs(Y).max())
 
     def test_constraint_satisfied_for_all_methods(self):
         rng = np.random.default_rng(107)
@@ -640,7 +667,7 @@ class TestFitKca:
             method_from_name("gini"),
             method_from_name("gtest"),
             method_from_name("sgns", shift_k=2.0),
-            method_from_name("kpca_cd", kpca_alpha=-0.7),
+            KcaMethod("kpca_cd", KernelSpec("kpca_cd", alpha=-0.7)),
             method_from_name("linear", stopwords={"r0"}, sw_alpha_row=0.4, sw_alpha_col=-0.2),
             method_from_name("gini", stopwords={"r0", "c1"}, sw_alpha_row=0.4, sw_alpha_col=-0.2),
         ]
@@ -720,7 +747,7 @@ class TestFitKca:
         gamma_r = build_gamma(t.row_labels, WordSimDataset((("r0", "r2", 3.0),)), alpha=0.1)
         for m in (
             method_from_name("linear"),
-            method_from_name("kpca_cd", kpca_alpha=-0.3, exponent=0.5),
+            KcaMethod("kpca_cd", KernelSpec("kpca_cd", alpha=-0.3), exponent=0.5),
             method_from_name("gtest", stopwords={"r1", "c0"}, sw_alpha_row=0.7,
                              sw_alpha_col=-0.4),
             method_from_name("ws", gamma_row=gamma_r, gamma_col=np.ones((5, 5))),
@@ -747,7 +774,7 @@ class TestFitKca:
             ] + [
                 method_from_name("sgns", shift_k=2.0),
                 KcaMethod("sgns", shift_k=2.0, sgns_floor=-1.0),
-                method_from_name("kpca_cd", kpca_alpha=-0.2),
+                KcaMethod("kpca_cd", KernelSpec("kpca_cd", alpha=-0.2)),
                 method_from_name("linear", stopwords={"r3"}, sw_alpha_row=1.5, sw_alpha_col=-0.5),
                 method_from_name("ws", gamma_row=gamma, gamma_col=gamma),
                 method_from_name("ws", stopwords={"r3"}, sw_alpha_row=-0.5,
@@ -883,13 +910,13 @@ class TestWsKernelFit:
             triples = [(a, b, float(rng.normal(scale=5.0))) for a, b in words]
             a, b, _ = triples[0]
             triples += [(b, a, 11.0), (a, b, -7.25)]  # both orders, then a repeat
-            alpha, beta = float(rng.normal()), float(rng.uniform(0.5, 2.0))
-            gamma = build_gamma(labels, WordSimDataset(tuple(triples)), alpha, beta)
+            alpha = float(rng.normal())
+            gamma = build_gamma(labels, WordSimDataset(tuple(triples)), alpha)
             items = [((a, b), s) for a, b, s in triples]
-            assert gamma.tobytes() == reference_build_gamma(labels, items, alpha, beta).tobytes()
+            assert gamma.tobytes() == reference_build_gamma(labels, items, alpha).tobytes()
             np.testing.assert_array_equal(gamma, gamma.T)
             if a in labels and b in labels:  # the later listing wins
-                assert gamma[labels.index(a), labels.index(b)] == alpha * -7.25 + beta
+                assert gamma[labels.index(a), labels.index(b)] == alpha * -7.25 + 1.0
 
     def test_flat_scores_reduce_to_linear_ca_cosines(self):
         rng = np.random.default_rng(127)
@@ -906,11 +933,11 @@ class TestWsKernelFit:
             )
 
     def test_constant_scores_with_nonzero_alpha_keep_cosines(self):
-        # gamma = alpha*s + beta constant over all pairs acts as a global scale
+        # gamma = 1 + alpha*s constant over all pairs acts as a global scale
         rng = np.random.default_rng(131)
         t = random_table(rng, nr=4, nc=4)
         scores = WordSimDataset(tuple((f"r{i}", f"r{j}", 5.0) for i in range(4) for j in range(4)))
-        gamma = build_gamma(t.row_labels, scores, alpha=0.06, beta=1.0)
+        gamma = build_gamma(t.row_labels, scores, alpha=0.06)
         np.testing.assert_allclose(gamma, 1.3)
         ws = fit_ws_kca(t, gamma, np.full((4, 4), 1.3), 3)
         base = fit_linear_ca(t, 3)
@@ -918,8 +945,8 @@ class TestWsKernelFit:
 
     def test_scored_pair_cosine_moves_with_alpha_sign(self):
         # the pair weight scales that pair's disagreement term in the
-        # objective: weighting below beta pulls the pair together, above
-        # beta pushes it apart
+        # objective: weighting below 1 pulls the pair together, above 1
+        # pushes it apart
         rng = np.random.default_rng(137)
         m = 6
         counts = rng.integers(1, 10, size=(m, m)) + 0.0
@@ -930,12 +957,12 @@ class TestWsKernelFit:
         base_cos = cosine_matrix(base.F)[0, 1]
 
         scores = WordSimDataset((("w0", "w1", 10.0),))
-        pulled = build_gamma(labels, scores, alpha=-0.03, beta=1.0)
+        pulled = build_gamma(labels, scores, alpha=-0.03)
         assert pulled[0, 1] == pytest.approx(0.7)
         together = fit_ws_kca(t, pulled, ones, 3)
         assert cosine_matrix(together.F)[0, 1] > base_cos
 
-        pushed = build_gamma(labels, scores, alpha=0.03, beta=1.0)
+        pushed = build_gamma(labels, scores, alpha=0.03)
         apart = fit_ws_kca(t, pushed, ones, 3)
         assert cosine_matrix(apart.F)[0, 1] < base_cos
 
