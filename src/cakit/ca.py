@@ -26,9 +26,9 @@ from .tables import (
     ContingencyTable,
     _check_labels,
     _equal_fields,
-    _hash_fields,
     _parse_numbers,
     _read_lines,
+    _read_only,
     _write_atomic,
 )
 
@@ -37,30 +37,35 @@ from .tables import (
 class EmbeddingSet:
     """Row coordinates F, column coordinates G, and fit provenance.
 
-    ``singular_values`` is the truncated, descending spectrum of the fitted
-    matrix.  ``decomposition`` is the full (untruncated) generalized SVD of
-    the association under the kernel metrics that the coordinates were
-    derived from, or None for a set that was read from a file.  A fit does
-    not keep it: it passes ``decompose``, which solves it again from the
-    fit's table and method, and the first read of ``decomposition`` calls
-    that once and keeps the result.  A NaN or infinite value in F, G or
-    the singular values raises ``ValueError``, so no writer emits a file
-    that its reader rejects.  Two sets are equal when every field but
-    ``decompose`` is, so a set read back from its file equals the fit.
+    ``singular_values`` is the truncated, descending, nonnegative spectrum
+    of the fitted matrix.  ``decomposition`` is the full (untruncated)
+    generalized SVD of the association under the kernel metrics that the
+    coordinates were derived from, or None for a set that was read from a
+    file.  A fit does not keep it: it passes ``decompose``, which solves it
+    again from the fit's table and method, and the first read of
+    ``decomposition`` calls that once and keeps the result.  F, G and the
+    singular values are the set's own read-only copies, the labels tuples.
+    A NaN or infinite value in them raises ``ValueError``, so no writer
+    emits a file that its reader rejects.  Two sets are equal, and hash
+    alike, when every field but ``decompose`` is, so a set read back from
+    its file equals the fit.
     """
 
-    F: np.ndarray
-    G: np.ndarray
+    F: np.ndarray = field(hash=False)
+    G: np.ndarray = field(hash=False)
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    singular_values: np.ndarray
+    singular_values: np.ndarray = field(hash=False)
     method_tag: str
     decompose: Callable[[], Decomposition] | None = field(default=None, repr=False, compare=False)
 
     __eq__ = _equal_fields
-    __hash__ = _hash_fields
 
     def __post_init__(self):
+        for name in ("F", "G", "singular_values"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        for name in ("row_labels", "col_labels"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         k = self.singular_values.shape[0]
         if self.F.shape != (len(self.row_labels), k):
             raise ValueError(
@@ -74,6 +79,8 @@ class EmbeddingSet:
             raise ValueError("coordinates or singular values are NaN or infinite")
         if np.any(np.diff(self.singular_values) > 0):
             raise ValueError("singular values must be sorted descending")
+        if np.any(self.singular_values < 0):
+            raise ValueError("singular values must be nonnegative")
 
     @functools.cached_property
     def decomposition(self) -> Decomposition | None:
@@ -151,11 +158,13 @@ def write_embeddings(e: EmbeddingSet, path) -> None:
     Header: n_row_labels, n_col_labels, k, method_tag, then the k singular
     values.  Body lines: point set ("row"/"col"), label, k coordinates.
     Tab-separated, floats via repr, so writing and re-reading is exact.
-    A label that :func:`read_embeddings` would split or reject (tab,
-    newline or carriage return, or repeated within a point set) raises
-    ``ValueError`` before the file is opened.
+    A label or method tag that :func:`read_embeddings` would split or
+    reject (not a string, a tab, newline or carriage return, or a label
+    repeated within a point set) raises ``ValueError`` before the file is
+    opened.
     """
-    for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
+    for which, labels in (("row", e.row_labels), ("col", e.col_labels),
+                          ("method", [e.method_tag])):
         _check_labels(path, which, labels, "\t")
     header = [str(len(e.row_labels)), str(len(e.col_labels)), str(e.k), e.method_tag,
               *map(repr, e.singular_values.tolist())]
@@ -166,7 +175,8 @@ def read_embeddings(path) -> EmbeddingSet:
     """Read the text embedding format written by :func:`write_embeddings`.
 
     A header with fewer than four fields, counts that are not nonnegative
-    integers or other than ``k`` singular values, a malformed point line,
+    integers, other than ``k`` singular values or ones that are negative
+    or not sorted descending, a malformed point line,
     a label repeated within a point set, or a value that is not a finite
     number raises ``ValueError`` naming the file and line.
     """
@@ -208,11 +218,8 @@ def read_embeddings(path) -> EmbeddingSet:
     if (len(F_texts), len(G_texts)) != (n_rows, n_cols):
         raise ValueError(f"{path}: expected {n_rows} row and {n_cols} col point lines, "
                          f"got {len(F_texts)} and {len(G_texts)}")
-    return EmbeddingSet(
-        F=_parse_numbers(path, F_lines, F_texts, k),
-        G=_parse_numbers(path, G_lines, G_texts, k),
-        row_labels=tuple(row_labels),
-        col_labels=tuple(col_labels),
-        singular_values=singular_values,
-        method_tag=head[3],
-    )
+    F, G = _parse_numbers(path, F_lines, F_texts, k), _parse_numbers(path, G_lines, G_texts, k)
+    try:  # of what the set checks, only the header's singular values can still fail
+        return EmbeddingSet(F, G, row_labels, col_labels, singular_values, head[3])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None

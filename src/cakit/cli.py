@@ -163,7 +163,9 @@ def cmd_fit(args) -> int:
     if name == "ws":
         config["gamma_row"], config["gamma_col"] = _ws_gammas(
             table, config.pop("ws_scores"), config.pop("ws_alpha"))
-    emb = kca.fit_kca(table, kca.method_from_name(name, **config), k)
+    method = kca.method_from_name(name, **config)
+    del config  # the method holds its own copy of each pair-score matrix
+    emb = kca.fit_kca(table, method, k)
     ca.write_embeddings(emb, args.out)
     _err(f"fitted {emb.method_tag}: k={emb.k}, top singular value {emb.singular_values[0]:.6g}")
     print(args.out)

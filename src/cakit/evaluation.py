@@ -25,7 +25,7 @@ import numpy as np
 
 from .ca import EmbeddingSet
 from .corpus import _token_ids
-from .tables import _read_text
+from .tables import _read_only, _read_text
 
 
 class WordSimDataset:
@@ -57,10 +57,8 @@ class WordSimDataset:
         if not len(ids):
             raise ValueError("word-similarity dataset is empty")
         self.vocab = tuple(vocab)
-        self.ids = np.array(ids, dtype=np.intp)
-        self.scores = np.array(scores, dtype=float)
-        for array in (self.ids, self.scores):
-            array.setflags(write=False)
+        self.ids = _read_only(ids, np.intp)
+        self.scores = _read_only(scores)
 
     @property
     def words_a(self) -> tuple[str, ...]:

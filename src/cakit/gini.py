@@ -12,12 +12,12 @@ independent oracle for the trace identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import svd
-from .tables import ContingencyTable, Observations, residual_matrix
+from .tables import ContingencyTable, Observations, _equal_fields, residual_matrix
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,9 @@ class RotatedCovariance:
     """Attained covariance value and the maximizing rotation."""
 
     value: float
-    rotation: np.ndarray
+    rotation: np.ndarray = field(hash=False)
+
+    __eq__ = _equal_fields
 
 
 def gini_variance(t: ContingencyTable, axis: str) -> float:

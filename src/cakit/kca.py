@@ -51,7 +51,7 @@ from .ca import EmbeddingSet, default_dimension
 from .linalg import Decomposition, NotPositiveDefiniteError, spd_sqrt
 # perfbench/test_perfbench.py asserts kca.svd is linalg.svd; ROADMAP item 1 drops both
 from .linalg import svd  # noqa: F401
-from .tables import ContingencyTable, _equal_fields, _hash_fields, residual_matrix
+from .tables import ContingencyTable, _equal_fields, _read_only, residual_matrix
 
 KERNEL_KINDS = ("identity", "inverse_marginal", "kpca_cd", "explicit")
 _WEIGHTED = ("identity", "inverse_marginal")  # the kinds that stop words reweight
@@ -74,15 +74,15 @@ class KernelSpec:
     1 + alpha > 0); without words it takes no alpha, and an explicit kernel
     none at all.  Construction checks everything that needs no axis; only
     an explicit matrix's shape and definiteness wait for :func:`kernel_root`.
+    The matrix is the kernel's own read-only float copy.
     """
 
     kind: str = "identity"
     alpha: float = 0.0
     words: frozenset = frozenset()
-    matrix: np.ndarray | None = field(default=None, repr=False)
+    matrix: np.ndarray | None = field(default=None, repr=False, hash=False)
 
     __eq__ = _equal_fields
-    __hash__ = _hash_fields
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -93,6 +93,7 @@ class KernelSpec:
         if isinstance(self.words, str):
             raise ValueError(f"stop words must be a collection, not the string {self.words!r}")
         object.__setattr__(self, "words", frozenset(self.words))
+        object.__setattr__(self, "matrix", _read_only(self.matrix))
         if self.words and self.kind not in _WEIGHTED:
             raise ValueError(f"a kernel of kind {self.kind!r} takes no stop words")
         if self.alpha != 0 and not self.words and self.kind != "kpca_cd":
@@ -149,9 +150,10 @@ class KcaMethod:
     cells with the floor.  ``exponent`` is the power of the singular values
     in the output coordinates (finite; 1 is the CA convention, 0.5 the
     symmetric split).
-    ``gamma_row`` and ``gamma_col`` are the ws pair-score matrices.
-    A field that the association does not read (:data:`READ_BY`) must keep
-    its default.
+    ``gamma_row`` and ``gamma_col`` are the ws pair-score matrices, kept as
+    the method's own read-only float copies, one copy when they are the
+    same array.  A field that the association does not read
+    (:data:`READ_BY`) must keep its default.
     """
 
     association: str
@@ -160,11 +162,10 @@ class KcaMethod:
     shift_k: float = 1.0
     exponent: float = 1.0
     sgns_floor: float | None = None
-    gamma_row: np.ndarray | None = field(default=None, repr=False)
-    gamma_col: np.ndarray | None = field(default=None, repr=False)
+    gamma_row: np.ndarray | None = field(default=None, repr=False, hash=False)
+    gamma_col: np.ndarray | None = field(default=None, repr=False, hash=False)
 
     __eq__ = _equal_fields
-    __hash__ = _hash_fields
 
     def __post_init__(self):
         if self.association not in ASSOCIATIONS:
@@ -174,6 +175,10 @@ class KcaMethod:
             changed = value is not None if f.default is None else value != f.default
             if f.name in READ_BY and changed:
                 _check_read(self.association, f.name)
+        shared = self.gamma_col is self.gamma_row  # as `cakit fit` passes equal labels' matrix
+        object.__setattr__(self, "gamma_row", _read_only(self.gamma_row))
+        object.__setattr__(self, "gamma_col",
+                           self.gamma_row if shared else _read_only(self.gamma_col))
         for name, kernel in zip(("row_kernel", "col_kernel"), KERNELS[self.association]):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, kernel)
@@ -204,10 +209,12 @@ class AssociationMatrix:
     """The matrix a method factorizes, the marginals its inverse-marginal
     kernels divide by, and whether all are symmetric (to roundoff)."""
 
-    values: np.ndarray
-    r: np.ndarray
-    c: np.ndarray
+    values: np.ndarray = field(hash=False)
+    r: np.ndarray = field(hash=False)
+    c: np.ndarray = field(hash=False)
     symmetric: bool
+
+    __eq__ = _equal_fields
 
 
 def method_from_name(
@@ -276,8 +283,6 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
 
 
 def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
-    gamma_r = np.asarray(gamma_r, dtype=float)
-    gamma_c = np.asarray(gamma_c, dtype=float)
     for axis, gamma, size in (("row", gamma_r, t.shape[0]), ("column", gamma_c, t.shape[1])):
         if gamma.shape != (size, size):
             raise ValueError(f"{axis} pair-score matrix shape {gamma.shape}, expected {(size, size)}")
@@ -305,9 +310,11 @@ class KernelRoot:
     roots are symmetric, so ``(root @ X.T).T`` is ``X @ root``.
     """
 
-    d: np.ndarray | None = None
+    d: np.ndarray | None = field(default=None, hash=False)
     b: float = 0.0
-    dense: np.ndarray | None = field(default=None, repr=False)
+    dense: np.ndarray | None = field(default=None, repr=False, hash=False)
+
+    __eq__ = _equal_fields
 
     def __matmul__(self, X: np.ndarray) -> np.ndarray:
         if self.dense is not None:
@@ -344,7 +351,7 @@ def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelR
         s = math.sqrt(1.0 - e + e * m)
         b = (s - a) / m
         return KernelRoot(np.full(m, a), b), KernelRoot(np.full(m, 1.0 / a), -b / (a * s))
-    K = np.asarray(spec.matrix, dtype=float)  # explicit, the one kind left
+    K = spec.matrix  # explicit, the one kind left
     if K.shape != (m, m):
         raise ValueError(f"explicit kernel shape {K.shape} does not match axis size {m}")
     root, inv_root = spd_sqrt(K)
@@ -375,7 +382,7 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
         G=(Lc @ dec.V[:, :k]) * scale,
         row_labels=t.row_labels,
         col_labels=t.col_labels,
-        singular_values=S.copy(),
+        singular_values=S,
         method_tag=m.tag,
         decompose=functools.partial(_decomposition, t, m),
     )

@@ -13,9 +13,11 @@ runs produce identical output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .tables import _equal_fields
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -43,9 +45,11 @@ class Decomposition:
     ``V.T @ K_c @ V = I``.
     """
 
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
+    U: np.ndarray = field(hash=False)
+    S: np.ndarray = field(hash=False)
+    V: np.ndarray = field(hash=False)
+
+    __eq__ = _equal_fields
 
     @property
     def flagged_small(self) -> np.ndarray:

@@ -12,6 +12,11 @@ file and replaces the file whole or not at all, and a reader rejects a
 malformed line or value naming ``path:line``.  A table whose cells are all
 1-15 ASCII digits is decoded as integers, a block of rows at a time; every
 other file goes through ``np.loadtxt`` and the per-row check.
+
+It owns the package's record rule too: a frozen dataclass holding an array
+compares through :func:`_equal_fields` and marks each array field
+``hash=False``, so its generated hash agrees, and one that keeps a caller's
+input holds :func:`_read_only` copies of its arrays and tuples of its labels.
 """
 
 from __future__ import annotations
@@ -40,10 +45,13 @@ def _equal_fields(self, other) -> bool:
                for f in fields(self) if f.compare)
 
 
-def _hash_fields(self) -> int:
-    """A hash that agrees with :func:`_equal_fields`: of the compared fields not declared arrays."""
-    return hash(tuple(getattr(self, f.name) for f in fields(self)
-                      if f.compare and "ndarray" not in str(f.type)))
+def _read_only(value, dtype=float) -> np.ndarray | None:
+    """A read-only copy of ``value`` as an array of ``dtype`` for a record to own; None stays None."""
+    if value is None:
+        return None
+    array = np.array(value, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 @dataclass(frozen=True)
@@ -55,16 +63,16 @@ class ContingencyTable:
     is zero is dropped with a logged warning, and a table left with no cell
     raises.  :meth:`from_counts` only supplies default labels.
 
-    ``counts`` is the table's own read-only float copy of the array it was
-    given, so the checks made at construction hold for as long as the table
-    does: writing into it raises ``ValueError``, and a later change to the
-    caller's array does not reach the table.  The marginals ``r = counts @ 1``
-    and ``c = counts.T @ 1`` and the total ``n`` are computed once, over the
-    cells kept, and kept read-only beside the counts.  Two tables are
-    equal when their counts and labels are.
+    ``counts`` is the table's own read-only float copy of the cells kept
+    from the array it was given, so the checks made at construction hold
+    for as long as the table does: writing into it raises ``ValueError``,
+    and a later change to the caller's array does not reach the table.  The
+    marginals ``r = counts @ 1`` and ``c = counts.T @ 1`` and the total ``n``
+    are computed once, from that copy, and kept read-only beside it.  Two
+    tables are equal when their counts and labels are.
     """
 
-    counts: np.ndarray
+    counts: np.ndarray = field(hash=False)
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     r: np.ndarray = field(init=False, repr=False, compare=False)
@@ -72,10 +80,9 @@ class ContingencyTable:
     n: float = field(init=False, repr=False, compare=False)
 
     __eq__ = _equal_fields
-    __hash__ = _hash_fields
 
     def __post_init__(self):
-        counts = np.array(self.counts, dtype=float)
+        counts = np.asarray(self.counts, dtype=float)
         rows, cols = tuple(self.row_labels), tuple(self.col_labels)
         if counts.ndim != 2:
             raise ValueError(f"counts must be 2-dimensional, got shape {counts.shape}")
@@ -88,8 +95,7 @@ class ContingencyTable:
             raise ValueError("counts contain NaN or Inf")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        r, c = counts.sum(axis=1), counts.sum(axis=0)
-        row_keep, col_keep = r != 0, c != 0
+        row_keep, col_keep = counts.any(axis=1), counts.any(axis=0)  # the nonzero marginals
         if not (row_keep.all() and col_keep.all()):
             for axis, labels, keep in (("rows", rows, row_keep), ("columns", cols, col_keep)):
                 if not keep.all():
@@ -98,17 +104,13 @@ class ContingencyTable:
             counts = counts[np.ix_(row_keep, col_keep)]
             rows = tuple(itertools.compress(rows, row_keep.tolist()))
             cols = tuple(itertools.compress(cols, col_keep.tolist()))
-            # summed again: a slice of the sums over the dropped zeros is not
-            # bit-equal to the sums over the cells kept
-            r, c = counts.sum(axis=1), counts.sum(axis=0)
         if counts.size == 0:
             raise ValueError("table is empty after dropping zero-marginal categories")
-        object.__setattr__(self, "row_labels", rows)
-        object.__setattr__(self, "col_labels", cols)
-        for name, array in (("counts", counts), ("r", r), ("c", c)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
-        object.__setattr__(self, "n", float(counts.sum()))
+        counts = _read_only(counts)  # the table's one copy
+        for name, value in (("counts", counts), ("row_labels", rows), ("col_labels", cols),
+                            ("r", _read_only(counts.sum(axis=1))),
+                            ("c", _read_only(counts.sum(axis=0))), ("n", float(counts.sum()))):
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -192,7 +194,7 @@ def _read_lines(path) -> list[tuple[int, str]]:
 
 
 def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
-    """Reject a label containing ``sep``, LF or CR, or repeated within ``labels``.
+    """Reject a label that is not a string, contains ``sep``, LF or CR, or repeats in ``labels``.
 
     With ``sep`` a comma, a label that begins with a double quote, which a
     CSV reader takes as quoting and strips, is rejected too.  The error
@@ -200,10 +202,13 @@ def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
     """
     seen = set()
     for i, label in enumerate(labels):
-        split = sep in label or "\n" in label or "\r" in label
-        quoted = sep == "," and label.startswith('"')
-        if split or quoted or label in seen:
+        text = isinstance(label, str)
+        split = text and (sep in label or "\n" in label or "\r" in label)
+        quoted = text and sep == "," and label.startswith('"')
+        if not text or split or quoted or label in seen:
             where = path if linenos is None else f"{path}:{linenos[i]}"
+            if not text:
+                raise ValueError(f"{where}: {axis} label {label!r} is not a string")
             if split:
                 raise ValueError(f"{where}: {axis} label {label!r} contains {sep!r} or a line break")
             if quoted:

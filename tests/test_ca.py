@@ -582,6 +582,23 @@ class TestEmbeddingsFile:
                 writer(split, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
+    def test_writer_rejects_a_method_tag_its_reader_would_split(self, tmp_path, bad):
+        emb = dataclasses.replace(fit_linear_ca(fisher_table(), 2), method_tag=bad)
+        path = tmp_path / "emb.tsv"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: method label .* contains"):
+            write_embeddings(emb, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("writer", [write_tsv, write_embeddings, export_coordinates])
+    def test_writers_reject_labels_that_are_not_strings(self, tmp_path, writer):
+        t = ContingencyTable.from_counts([[1, 2], [3, 4]], [1, 2], ["a", "b"])
+        path = tmp_path / "out"
+        message = f"^{re.escape(str(path))}: row label 1 is not a string$"
+        with pytest.raises(ValueError, match=message):
+            writer(t if writer is write_tsv else fit_linear_ca(t, 1), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("field", ["F", "G", "singular_values"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected_at_construction(self, field, bad):
@@ -757,6 +774,23 @@ class TestEquality:
             assert back == emb and not back != emb
             assert hash(back) == hash(emb)
 
+    def test_list_labels_are_held_as_tuples(self):
+        listed = small_embedding_set(row_labels=["a", "b"], col_labels=["x", "y", "z"])
+        assert (listed.row_labels, listed.col_labels) == (("a", "b"), ("x", "y", "z"))
+        assert listed == small_embedding_set() and hash(listed) == hash(small_embedding_set())
+
+    def test_arrays_are_the_sets_own_read_only_copies(self):
+        F = np.ones((2, 1))
+        emb = small_embedding_set(F=F)
+        F[0, 0] = 5.0
+        assert emb.F[0, 0] == 1.0
+        emb = fit_linear_ca(fisher_table(), 2)
+        with pytest.raises(ValueError, match="read-only"):
+            emb.F[0, 0] = 0.0
+        for array in (emb.G, emb.singular_values):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_sets_that_differ_in_one_coordinate_or_only_the_tag_are_unequal(self):
         emb = fit_linear_ca(fisher_table(), 2)
         F = emb.F.copy()
@@ -787,14 +821,22 @@ def read_embeddings_text(path, text):
     (lambda path: small_embedding_set(F=np.ones((2, 2)), G=np.ones((3, 2)),
                                       singular_values=np.array([1.0, 2.0])),
      "singular values must be sorted descending"),
+    (lambda path: small_embedding_set(F=np.ones((2, 2)), G=np.ones((3, 2)),
+                                      singular_values=np.array([-1.0, -2.0])),
+     "singular values must be nonnegative"),
     (lambda path: small_embedding_set().coordinates("H"), "point set must be 'F' or 'G', got 'H'"),
     (lambda path: read_embeddings_text(path, ""), "empty embeddings file: {path}"),
     (lambda path: read_embeddings_text(path, "2\t-1\t1\tt\t1.0\n"),
      "{path}:1: header counts ['2', '-1', '1'] must be nonnegative"),
     (lambda path: read_embeddings_text(path, "1\t1\t1\tt\t1.0\nrow\ta\t0.5\nmid\tx\t0.5\n"),
      "{path}:3: unknown point set 'mid'"),
-], ids=["F shape", "G shape", "unsorted singular values", "unknown point set name",
-        "empty file", "negative header count", "unknown point set line"])
+    (lambda path: read_embeddings_text(path, "1\t1\t2\tt\t1.0\t2.0\nrow\ta\t1\t1\ncol\tx\t1\t1\n"),
+     "{path}:1: singular values must be sorted descending"),
+    (lambda path: read_embeddings_text(path, "1\t1\t1\tt\t-1.0\nrow\ta\t0.5\ncol\tx\t0.5\n"),
+     "{path}:1: singular values must be nonnegative"),
+], ids=["F shape", "G shape", "unsorted singular values", "negative singular values",
+        "unknown point set name", "empty file", "negative header count", "unknown point set line",
+        "unsorted header singular values", "negative header singular value"])
 def test_input_rejections(tmp_path, call, message):
     path = tmp_path / "emb.tsv"
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):

@@ -285,6 +285,37 @@ class TestEquality:
         assert first != method_from_name("gini", stopwords=["blue"], **sw)
 
 
+class TestMethodArraysAreOwnCopies:
+    """A method keeps read-only copies of its kernel and pair-score matrices, so the
+    decomposition solved after a fit comes from the arrays the fit read."""
+
+    def test_changing_the_callers_pair_scores_leaves_the_decomposition(self):
+        t = fisher_table()
+        gr, gc = np.ones((4, 4)), np.ones((5, 5))
+        gr[0, 2] = gr[2, 0] = gc[1, 3] = gc[3, 1] = 3.0
+        emb = fit_ws_kca(t, gr, gc, 2)
+        gr[0, 1] = gr[1, 0] = 5.0
+        np.testing.assert_array_equal(emb.decomposition.S[:2], emb.singular_values)
+
+    def test_changing_the_callers_kernel_leaves_the_decomposition(self):
+        K = 2.0 * np.eye(4)
+        m = KcaMethod("gini", row_kernel=KernelSpec("explicit", matrix=K))
+        emb = fit_kca(fisher_table(), m, 2)
+        K[0, 0] = 50.0
+        np.testing.assert_array_equal(emb.decomposition.S[:2], emb.singular_values)
+
+    def test_one_pair_score_array_is_copied_once(self):
+        gamma = np.ones((3, 3))
+        m = method_from_name("ws", gamma_row=gamma, gamma_col=gamma)
+        assert m.gamma_row is m.gamma_col and m.gamma_row is not gamma
+        two = method_from_name("ws", gamma_row=gamma, gamma_col=gamma.copy())
+        assert two.gamma_row is not two.gamma_col and two == m
+        spec = KernelSpec("explicit", matrix=np.eye(3))
+        for array in (m.gamma_row, two.gamma_col, spec.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0.0
+
+
 class TestKernelsTable:
     """``KERNELS`` pairs each method name with its kernels; both method builders read it."""
 

@@ -1,14 +1,18 @@
 """Contingency-table construction, residuals, the TSV format and the atomic writers."""
 
 import codecs
+import dataclasses
+import importlib
 import logging
+import pkgutil
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from cakit import ca, cli, tables
+import cakit
+from cakit import ca, cli, gini, kca, linalg, tables
 from cakit.ca import EmbeddingSet, fit_linear_ca
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import FISHER_COL_LABELS, FISHER_COUNTS, FISHER_ROW_LABELS, fisher_table
@@ -223,6 +227,49 @@ class TestConstruction:
         counts = np.array([[2.0, 3.0], [5.0, 7.0]])
         t = ContingencyTable.from_counts(counts / counts.sum())
         assert t.n == pytest.approx(1.0, abs=1e-15)
+
+
+class TestRecordRule:
+    """One rule for every record that holds an array: ``==`` by value through
+    ``tables._equal_fields``, and a generated ``__hash__`` over the other fields."""
+
+    def test_every_dataclass_with_an_array_field_follows_it(self):
+        checked = set()
+        for info in pkgutil.iter_modules(cakit.__path__):
+            module = importlib.import_module(f"cakit.{info.name}")
+            for cls in vars(module).values():
+                if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                        and cls.__module__ == module.__name__):
+                    continue
+                arrays = [f for f in dataclasses.fields(cls) if "ndarray" in str(f.type)]
+                if not arrays:
+                    continue
+                checked.add(cls.__name__)
+                assert cls.__dataclass_params__.frozen, cls
+                assert cls.__eq__ is tables._equal_fields, cls
+                assert cls.__hash__ is not None, cls
+                for f in arrays:
+                    # a field hashes by its ``hash``, or by ``compare`` when that is None
+                    assert (f.compare if f.hash is None else f.hash) is False, (cls, f.name)
+        assert checked == {"AssociationMatrix", "ContingencyTable", "Decomposition",
+                           "EmbeddingSet", "KcaMethod", "KernelRoot", "KernelSpec",
+                           "RotatedCovariance"}
+
+    def test_equal_results_compare_and_hash_alike(self):
+        t = fisher_table()
+        M = residual_matrix(t)
+        m = kca.KcaMethod("gini", row_kernel=kca.KernelSpec("explicit", matrix=2.0 * np.eye(4)))
+        for made in (lambda: linalg.svd(M), lambda: kca.association_matrix(t, m),
+                     lambda: gini.rotated_covariance(t),
+                     lambda: kca.kernel_root(kca.KernelSpec("kpca_cd", alpha=-0.5), t.r,
+                                             t.row_labels)[0],
+                     lambda: kca.kernel_root(m.row_kernel, t.r, t.row_labels)[1]):
+            first, second = made(), made()
+            assert first is not second
+            assert first == second and not first != second and hash(first) == hash(second)
+            assert first != "result"
+        dec = linalg.svd(M)
+        assert dec != dataclasses.replace(dec, S=2.0 * dec.S)
 
 
 class TestSymmetric:
@@ -500,9 +547,15 @@ def reference_read_embeddings(path):
     if (len(F_rows), len(G_rows)) != (n_rows, n_cols):
         raise ValueError(f"{path}: expected {n_rows} row and {n_cols} col point lines, "
                          f"got {len(F_rows)} and {len(G_rows)}")
+    F = reference_parse_numbers(path, F_lines, F_rows).reshape(len(F_rows), k)
+    G = reference_parse_numbers(path, G_lines, G_rows).reshape(len(G_rows), k)
+    if np.any(np.diff(singular_values) > 0):
+        raise ValueError(f"{where}: singular values must be sorted descending")
+    if np.any(singular_values < 0):
+        raise ValueError(f"{where}: singular values must be nonnegative")
     return EmbeddingSet(
-        F=reference_parse_numbers(path, F_lines, F_rows).reshape(len(F_rows), k),
-        G=reference_parse_numbers(path, G_lines, G_rows).reshape(len(G_rows), k),
+        F=F,
+        G=G,
         row_labels=tuple(row_labels),
         col_labels=tuple(col_labels),
         singular_values=singular_values,
