@@ -5,8 +5,10 @@ independent draws disagree, (1 - sum_i p_i^2) / 2.  Its two-variable
 extension maximizes half the trace of R^T times the centered frequency
 matrix over orthogonal rotations R of the one-hot space; the optimum is
 attained at R = U V^T from the SVD of that matrix and equals half its
-nuclear norm.  A literal double-sum over observation pairs is kept as an
-independent oracle for the trace identity.
+nuclear norm.  Both are read from the gini fit's decomposition
+(:mod:`cakit.kca`), so the CA-Gini identity rests on the one fit path.  A
+literal double-sum over observation pairs is kept as an independent oracle
+for the trace identity.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import svd
-from .tables import ContingencyTable, Observations, _equal_fields, residual_matrix
+from . import kca
+from .tables import ContingencyTable, Observations, _equal_fields
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,11 @@ def gini_variance(t: ContingencyTable, axis: str) -> float:
 def rotated_covariance(t: ContingencyTable) -> RotatedCovariance:
     """Maximize trace(R.T @ residual)/2 over R with R.T @ R = I via R = U V^T.
 
-    ``U V^T`` comes from the thin SVD of the residual; for a wider-than-tall
-    table it satisfies R @ R.T = I instead, with the same optimum.
+    ``U`` and ``V`` are the factors of the gini fit's decomposition, the
+    thin SVD of the residual; for a wider-than-tall table ``U V^T``
+    satisfies R @ R.T = I instead, with the same optimum.
     """
-    dec = svd(residual_matrix(t))
+    dec = kca._decomposition(t, kca.KcaMethod("gini"))
     return RotatedCovariance(value=0.5 * float(np.sum(dec.S)), rotation=dec.U @ dec.V.T)
 
 

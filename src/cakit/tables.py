@@ -1,9 +1,10 @@
 """Contingency tables: construction from observations, marginals, residuals.
 
 A table holds a nonnegative count matrix together with row/column category
-labels.  Marginals are always strictly positive: categories whose marginal
-is zero are dropped (with a logged warning) by the constructor, however
-the table is made, because every downstream fit divides by them.
+labels, each a string that appears once on its axis.  Marginals are always
+strictly positive: categories whose marginal is zero are dropped (with a
+logged warning) by the constructor, however the table is made, because
+every downstream fit divides by them.
 
 This module also owns the text-file policy of the package (the table TSV
 here, the embedding and coordinate files of :mod:`cakit.ca`): a writer
@@ -59,9 +60,12 @@ class ContingencyTable:
     """Nonnegative count matrix with labels and strictly positive marginals.
 
     The constructor is the one place that decides empty categories: after
-    the shape, NaN/Inf and sign checks, each row or column whose marginal
-    is zero is dropped with a logged warning, and a table left with no cell
-    raises.  :meth:`from_counts` only supplies default labels.
+    the shape, label, NaN/Inf and sign checks, each row or column whose
+    marginal is zero is dropped with a logged warning, and a table left with
+    no cell raises.  A label that is not a string or repeats on its axis
+    raises ``ValueError``, the rule every reader applies; the separators a
+    label may not hold are checked by each writer.  :meth:`from_counts`
+    only supplies default labels.
 
     ``counts`` is the table's own read-only float copy of the cells kept
     from the array it was given, so the checks made at construction hold
@@ -91,6 +95,10 @@ class ContingencyTable:
                 f"counts shape {counts.shape} does not match "
                 f"{len(rows)} row / {len(cols)} column labels"
             )
+        for axis, labels in (("row", rows), ("column", cols)):
+            bad = _bad_label(axis, labels)
+            if bad is not None:
+                raise ValueError(bad[1])
         if not np.all(np.isfinite(counts)):
             raise ValueError("counts contain NaN or Inf")
         if np.any(counts < 0):
@@ -193,29 +201,38 @@ def _read_lines(path) -> list[tuple[int, str]]:
     return [(n, line) for n, line in enumerate(_read_text(path).split("\n"), start=1) if line]
 
 
-def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
-    """Reject a label that is not a string, contains ``sep``, LF or CR, or repeats in ``labels``.
+def _bad_label(axis: str, labels, sep: str = "") -> tuple[int, str] | None:
+    """The index of the first label that is not a string or repeats in ``labels``, and why.
 
-    With ``sep`` a comma, a label that begins with a double quote, which a
-    CSV reader takes as quoting and strips, is rejected too.  The error
-    names ``path:line`` when ``linenos`` (one per label) is given.
+    Given a separator ``sep``, a label that contains it, LF or CR is bad
+    too, and with ``sep`` a comma so is one that begins with a double
+    quote, which a CSV reader takes as quoting and strips.  None when every
+    label is good.
     """
     seen = set()
     for i, label in enumerate(labels):
-        text = isinstance(label, str)
-        split = text and (sep in label or "\n" in label or "\r" in label)
-        quoted = text and sep == "," and label.startswith('"')
-        if not text or split or quoted or label in seen:
-            where = path if linenos is None else f"{path}:{linenos[i]}"
-            if not text:
-                raise ValueError(f"{where}: {axis} label {label!r} is not a string")
-            if split:
-                raise ValueError(f"{where}: {axis} label {label!r} contains {sep!r} or a line break")
-            if quoted:
-                raise ValueError(f"{where}: {axis} label {label!r} contains a leading '\"', "
-                                 "which a CSV reader strips")
-            raise ValueError(f"{where}: duplicate {axis} label {label!r}")
+        if not isinstance(label, str):
+            return i, f"{axis} label {label!r} is not a string"
+        if sep and (sep in label or "\n" in label or "\r" in label):
+            return i, f"{axis} label {label!r} contains {sep!r} or a line break"
+        if sep == "," and label.startswith('"'):
+            return i, f"{axis} label {label!r} contains a leading '\"', which a CSV reader strips"
+        if label in seen:
+            return i, f"duplicate {axis} label {label!r}"
         seen.add(label)
+    return None
+
+
+def _check_labels(path, axis: str, labels, sep: str, linenos=None) -> None:
+    """Reject a label that :func:`_bad_label` finds, naming ``path``.
+
+    The error names ``path:line`` when ``linenos`` (one per label) is given.
+    """
+    bad = _bad_label(axis, labels, sep)
+    if bad is not None:
+        i, why = bad
+        where = path if linenos is None else f"{path}:{linenos[i]}"
+        raise ValueError(f"{where}: {why}")
 
 
 # The ASCII separators 0x1C-0x1F, which np.loadtxt strips from a cell as

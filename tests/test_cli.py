@@ -3,12 +3,15 @@
 import dataclasses
 import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cakit
 from cakit import ca, evaluation, kca, tables
 from cakit.cli import FIT_OPTIONS, _read_method_config, build_parser, main, parse_method_config
 
@@ -193,12 +196,15 @@ class TestFit:
         assert f"config: ws_alpha defaulted to {0.1 / max_score:g}\n" in capsys.readouterr().err
         assert f"{0.1 / max_score:g}" == "0.008"
 
-    def test_ws_fit_applies_stopword_kernel(self, fisher_tsv, tmp_path):
+    @pytest.mark.parametrize("method", ["ws", "gini"])
+    def test_fit_applies_stopword_kernel(self, fisher_tsv, tmp_path, method):
         scores = tmp_path / "scores.txt"
         scores.write_text("blue light 8.0\nmedium dark 6.5\n")
         sw = tmp_path / "sw.txt"
         sw.write_text("blue\nfair\n")
-        base = ["fit", fisher_tsv, "--method", "ws", "--dim", "2", "--ws-scores", str(scores)]
+        base = ["fit", fisher_tsv, "--method", method, "--dim", "2"]
+        if method == "ws":
+            base += ["--ws-scores", str(scores)]
         fits = {}
         for alpha in (None, "0", "-0.5"):
             out = tmp_path / f"emb{alpha}.tsv"
@@ -206,8 +212,8 @@ class TestFit:
                 "--sw-alpha-row", alpha, "--sw-alpha-col", alpha, "--stopwords", str(sw)]
             assert main(base + flags + ["--out", str(out)]) == 0
             fits[alpha] = ca.read_embeddings(out)
-        assert fits[None].method_tag == "ws"
-        assert fits["0"].method_tag == fits["-0.5"].method_tag == "ws+sw"
+        assert fits[None].method_tag == method
+        assert fits["0"].method_tag == fits["-0.5"].method_tag == f"{method}+sw"
         scale = np.abs(fits[None].F).max()
         np.testing.assert_allclose(fits["0"].F, fits[None].F, atol=1e-10 * scale)
         assert np.abs(fits["-0.5"].F - fits[None].F).max() > 1e-3 * scale
@@ -433,6 +439,37 @@ class TestDemo:
         assert "rotated_covariance" in stdout
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4 + 5
+
+
+def test_module_runs_count_fit_eval_in_a_fresh_interpreter(tmp_path, monkeypatch):
+    # `python -m cakit.cli` from a directory outside the checkout: it imports
+    # src/ when the suite does, the installed copy when that is what the suite
+    # imports; each file equals the one `main` writes in this process
+    src = str(Path(cakit.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    rng = np.random.default_rng(1)
+    words = [f"w{i:02d}" for i in range(30)]
+    corpus = " ".join(rng.choice(words, size=3000)) + "\n"
+    pairs = "".join(f"{a} {b} {s:.2f}\n"
+                    for a, b, s in zip(words, words[3:], rng.uniform(0, 10, size=27)))
+    steps = [["count", "corpus.txt", "--window", "2", "--out", "table.tsv"],
+             ["fit", "table.tsv", "--method", "ws", "--ws-scores", "pairs.txt", "--dim", "5",
+              "--out", "ws.tsv"],
+             ["eval", "ws.tsv", "--wordsim", "pairs.txt", "--out", "report.tsv"]]
+    for where in ("module", "main"):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "corpus.txt").write_text(corpus)
+        (tmp_path / where / "pairs.txt").write_text(pairs)
+    for argv in steps:
+        subprocess.run([sys.executable, "-m", "cakit.cli", *argv], cwd=tmp_path / "module",
+                       env=env, check=True, capture_output=True, timeout=120)
+    monkeypatch.chdir(tmp_path / "main")
+    for argv in steps:
+        assert main(argv) == 0
+    for name in ("table.tsv", "ws.tsv", "report.tsv"):
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    assert int((tmp_path / "main" / "report.tsv").read_text().split("\t")[-2]) == 27
 
 
 class TestMethodConfig:

@@ -333,8 +333,11 @@ class TestLoadMatchesPerLineReference:
 
 
 def test_leading_byte_order_mark_is_ignored(tmp_path):
+    # the column parse reads the tab file, the loop the others
     for name, text in (("tab", "Cat\tdog\t5\nsun\tmoon\t3\n"),
-                       ("header", "w1,w2,score\nCat,dog,5\nsun,moon,3\n")):
+                       ("header", "w1,w2,score\nCat,dog,5\nsun,moon,3\n"),
+                       ("tab header", "w1\tw2\tscore\nCat\tdog\t5\nsun\tmoon\t3\n"),
+                       ("space", "Cat dog 5\nsun moon 3\n")):
         plain, marked = tmp_path / f"{name}.txt", tmp_path / f"{name}.bom.txt"
         plain.write_text(text, encoding="utf-8")
         marked.write_text(text, encoding="utf-8-sig")

@@ -140,6 +140,19 @@ class TestRotatedCovariance:
             0.5 * nuclear_norm(residual_matrix(t)), abs=1e-12
         )
 
+    def test_is_read_from_the_gini_fit(self):
+        # the CA-Gini identity rests on the one fit path: value and rotation
+        # are the gini fit's, bit for bit, on tall, wide and symmetric tables
+        rng = np.random.default_rng(73)
+        upper = np.triu(rng.integers(0, 9, size=(9, 9)))
+        words = [f"w{i}" for i in range(9)]
+        for t in (fisher_table(), ContingencyTable.from_counts(rng.integers(0, 30, size=(30, 17))),
+                  ContingencyTable.from_counts(upper + np.triu(upper, 1).T + 1, words, words)):
+            dec = fit_kca(t, KcaMethod("gini")).decomposition
+            rot = rotated_covariance(t)
+            assert rot.value == 0.5 * float(np.sum(dec.S))
+            assert rot.rotation.tobytes() == (dec.U @ dec.V.T).tobytes()
+
     def test_optimality_over_random_rotations(self):
         rng = np.random.default_rng(61)
         counts = rng.integers(1, 20, size=(5, 4))
