@@ -9,7 +9,10 @@ maps and as word vectors.
 
 The embedding TSV and coordinate CSV share the label checks and number
 parser of :mod:`cakit.tables`; floats are written via ``repr`` (exact),
-each distinct magnitude formatted once.
+one call per coordinate.  An embeddings file of a set whose G is F up to
+the signs of its columns, bit for bit, as a fit of a symmetric table under
+equal kernels gives, carries G by reference: one ``col=row`` line of the
+column signs in place of the column points.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .linalg import Decomposition
 from .tables import (
     ContingencyTable,
+    _bad_label,
     _check_labels,
     _equal_fields,
     _parse_numbers,
@@ -45,10 +49,11 @@ class EmbeddingSet:
     again from the fit's table and method, and the first read of
     ``decomposition`` calls that once and keeps the result.  F, G and the
     singular values are the set's own read-only copies, the labels tuples.
-    A NaN or infinite value in them raises ``ValueError``, so no writer
-    emits a file that its reader rejects.  Two sets are equal, and hash
-    alike, when every field but ``decompose`` is, so a set read back from
-    its file equals the fit.
+    A NaN or infinite value in them, or a label that is not a string or
+    repeats within its point set, raises ``ValueError``, as every reader
+    does, so no writer emits a file that its reader rejects.  Two sets are
+    equal, and hash alike, when every field but ``decompose`` is, so a set
+    read back from its file equals the fit.
     """
 
     F: np.ndarray = field(hash=False)
@@ -64,8 +69,12 @@ class EmbeddingSet:
     def __post_init__(self):
         for name in ("F", "G", "singular_values"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
-        for name in ("row_labels", "col_labels"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, axis in (("row_labels", "row"), ("col_labels", "col")):
+            labels = tuple(getattr(self, name))
+            bad = _bad_label(axis, labels)
+            if bad is not None:
+                raise ValueError(bad[1])
+            object.__setattr__(self, name, labels)
         k = self.singular_values.shape[0]
         if self.F.shape != (len(self.row_labels), k):
             raise ValueError(
@@ -115,70 +124,80 @@ def fit_linear_ca(t: ContingencyTable, k: int | None = None) -> EmbeddingSet:
     return fit_kca(t, method_from_name("linear"), k)
 
 
-def _point_lines(e: EmbeddingSet, sep: str):
-    """One line per labeled point: point set ("row"/"col"), label, k coordinates via repr.
+def _point_lines(which: str, labels, coords: np.ndarray, sep: str):
+    """One line per labeled point: point set ("row"/"col"), label, k coordinates via repr."""
+    for label, row in zip(labels, coords.tolist()):
+        yield sep.join([which, label, *map(repr, row)]) + "\n"
 
-    ``repr`` runs once per distinct magnitude of F and G together, and a
-    coordinate whose sign bit is set is written as "-" then its
-    magnitude's text: for a finite float ``repr(-x) == "-" + repr(x)``,
-    and -0.0 gives "-0.0".  So a G that is F up to the signs of its
-    columns, as a fit of a symmetric table with equal kernels gives, needs
-    no ``repr`` of its own, and no string is built per coordinate.
+
+def _column_signs(e: EmbeddingSet) -> np.ndarray | None:
+    """The signs s, each 1.0 or -1.0, with ``G == F * s`` bit for bit, or None.
+
+    None unless the point sets share their labels and k >= 1.  Multiplying
+    by -1.0 flips only the sign bit, so the test compares bits and a zero
+    that ``F * s`` would give the other sign fails it.
     """
-    coords = np.concatenate([e.F, e.G])
-    magnitudes, index = np.unique(np.abs(coords).ravel(), return_inverse=True)
-    texts = np.array([repr(x) for x in magnitudes.tolist()], dtype=object)
-    # before each coordinate, the separator, with the sign attached
-    cells = np.empty((len(coords), 2 * coords.shape[1]), dtype=object)
-    cells[:, 0::2] = sep
-    cells[:, 0::2][np.signbit(coords)] = sep + "-"
-    cells[:, 1::2] = texts[index.reshape(coords.shape)]
-    points = itertools.chain(zip(itertools.repeat("row"), e.row_labels),
-                             zip(itertools.repeat("col"), e.col_labels))
-    for (which, label), row in zip(points, cells.tolist()):
-        yield "".join([which, sep, label, *row, "\n"])
+    if e.k == 0 or e.col_labels != e.row_labels:
+        return None
+    flipped = np.signbit(e.F[0]) != np.signbit(e.G[0]) if len(e.F) else np.zeros(e.k, bool)
+    signs = np.where(flipped, -1.0, 1.0)
+    return signs if (e.F * signs).tobytes() == e.G.tobytes() else None
 
 
 def export_coordinates(e: EmbeddingSet, path) -> None:
     """Write a CSV of both point sets: point_set,label,dim_1..dim_k.
 
-    A label with a comma or line break, which a CSV reader would split, one
-    beginning with a double quote, which it would unquote, or one repeated
-    within a point set raises ``ValueError`` before opening the file.
+    A label with a comma or line break, which a CSV reader would split, or
+    one beginning with a double quote, which it would unquote, raises
+    ``ValueError`` before opening the file.
     """
     for which, labels in (("row", e.row_labels), ("col", e.col_labels)):
         _check_labels(path, which, labels, ",")
     header = ["point_set", "label"] + [f"dim_{i + 1}" for i in range(e.k)]
-    _write_atomic(path, itertools.chain([",".join(header) + "\n"], _point_lines(e, ",")))
+    _write_atomic(path, itertools.chain([",".join(header) + "\n"],
+                                        _point_lines("row", e.row_labels, e.F, ","),
+                                        _point_lines("col", e.col_labels, e.G, ",")))
 
 
 def write_embeddings(e: EmbeddingSet, path) -> None:
-    """Text embedding format: one header line, then one line per labeled point.
+    """Text embedding format: one header line, the row points, then the column points.
 
     Header: n_row_labels, n_col_labels, k, method_tag, then the k singular
-    values.  Body lines: point set ("row"/"col"), label, k coordinates.
+    values.  Point lines: point set ("row"/"col"), label, k coordinates.
     Tab-separated, floats via repr, so writing and re-reading is exact.
-    A label or method tag that :func:`read_embeddings` would split or
-    reject (not a string, a tab, newline or carriage return, or a label
-    repeated within a point set) raises ``ValueError`` before the file is
-    opened.
+    When the column labels are the row labels, k >= 1 and G is F times a
+    sign per column, bit for bit (:func:`_column_signs`), one line
+    ``col=row`` followed by the k signs, each ``1`` or ``-1``, takes the
+    place of the column points.  A label or method tag that
+    :func:`read_embeddings` would split (a tab, newline or carriage return)
+    raises ``ValueError`` before the file is opened.
     """
     for which, labels in (("row", e.row_labels), ("col", e.col_labels),
                           ("method", [e.method_tag])):
         _check_labels(path, which, labels, "\t")
     header = [str(len(e.row_labels)), str(len(e.col_labels)), str(e.k), e.method_tag,
               *map(repr, e.singular_values.tolist())]
-    _write_atomic(path, itertools.chain(["\t".join(header) + "\n"], _point_lines(e, "\t")))
+    signs = _column_signs(e)
+    if signs is None:
+        cols = _point_lines("col", e.col_labels, e.G, "\t")
+    else:
+        cols = ["\t".join(["col=row", *("1" if s > 0 else "-1" for s in signs.tolist())]) + "\n"]
+    _write_atomic(path, itertools.chain(["\t".join(header) + "\n"],
+                                        _point_lines("row", e.row_labels, e.F, "\t"), cols))
 
 
 def read_embeddings(path) -> EmbeddingSet:
     """Read the text embedding format written by :func:`write_embeddings`.
 
-    A header with fewer than four fields, counts that are not nonnegative
-    integers, other than ``k`` singular values or ones that are negative
-    or not sorted descending, a malformed point line,
-    a label repeated within a point set, or a value that is not a finite
-    number raises ``ValueError`` naming the file and line.
+    A ``col=row`` line gives G as F times its column signs; the file then
+    holds no column points.  A header with fewer than four fields, counts
+    that are not nonnegative integers, other than ``k`` singular values or
+    ones that are negative or not sorted descending, a malformed point
+    line, a label repeated within a point set, or a value that is not a
+    finite number raises ``ValueError`` naming the file and line, as does
+    a ``col=row`` line with other than k signs of ``1`` or ``-1``, a second
+    one, one beside column points, or one under a header whose n_cols is
+    not n_rows.
     """
     lines = _read_lines(path)
     if not lines:
@@ -201,10 +220,21 @@ def read_embeddings(path) -> EmbeddingSet:
     singular_values = _parse_numbers(path, [head_line], ["\t".join(head[4:])], k)[0]
     # point set -> labels, coordinate texts, line numbers
     points = {"row": ([], [], []), "col": ([], [], [])}
+    signs, signs_line = None, None
     for lineno, line in lines[1:]:
+        which, _, rest = line.partition("\t")
+        if which == "col=row":
+            if line.count("\t") != k:
+                raise ValueError(f"{path}:{lineno}: expected {k} column signs")
+            if signs is not None:
+                raise ValueError(f"{path}:{lineno}: a second 'col=row' line")
+            signs, signs_line = rest.split("\t") if k else [], lineno
+            bad = [s for s in signs if s not in ("1", "-1")]
+            if bad:
+                raise ValueError(f"{path}:{lineno}: column sign {bad[0]!r} is not 1 or -1")
+            continue
         if line.count("\t") != k + 1:
             raise ValueError(f"{path}:{lineno}: expected {k} coordinates")
-        which, _, rest = line.partition("\t")
         if which not in points:
             raise ValueError(f"{path}:{lineno}: unknown point set {which!r}")
         label, _, text = rest.partition("\t")
@@ -212,13 +242,22 @@ def read_embeddings(path) -> EmbeddingSet:
         labels.append(label)
         texts.append(text)
         linenos.append(lineno)
+    if signs is not None:
+        if n_cols != n_rows:
+            raise ValueError(f"{path}:{signs_line}: a 'col=row' line needs n_cols = n_rows, "
+                             f"the header gives {n_rows} and {n_cols}")
+        if points["col"][0]:
+            raise ValueError(f"{path}:{signs_line}: a 'col=row' line beside "
+                             f"{len(points['col'][0])} col point lines")
+        points["col"] = points["row"]
     for which, (labels, _, linenos) in points.items():
         _check_labels(path, which, labels, "\t", linenos)
     (row_labels, F_texts, F_lines), (col_labels, G_texts, G_lines) = points.values()
     if (len(F_texts), len(G_texts)) != (n_rows, n_cols):
         raise ValueError(f"{path}: expected {n_rows} row and {n_cols} col point lines, "
                          f"got {len(F_texts)} and {len(G_texts)}")
-    F, G = _parse_numbers(path, F_lines, F_texts, k), _parse_numbers(path, G_lines, G_texts, k)
+    F = _parse_numbers(path, F_lines, F_texts, k)
+    G = _parse_numbers(path, G_lines, G_texts, k) if signs is None else F * np.array(signs, float)
     try:  # of what the set checks, only the header's singular values can still fail
         return EmbeddingSet(F, G, row_labels, col_labels, singular_values, head[3])
     except ValueError as exc:

@@ -306,8 +306,9 @@ def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
 class KernelRoot:
     """A root K^{1/2} or K^{-1/2} of one kernel: ``diag(d) + b 11^T``, or ``dense``.
 
-    ``d`` of None is the identity.  ``root @ X`` multiplies from the left;
-    roots are symmetric, so ``(root @ X.T).T`` is ``X @ root``.
+    ``d`` of None is the identity.  ``root @ X`` multiplies from the left,
+    and ``root.scale(X)`` does so in X's buffer where it can; roots are
+    symmetric, so ``(root @ X.T).T`` is ``X @ root``.
     """
 
     d: np.ndarray | None = field(default=None, hash=False)
@@ -321,6 +322,14 @@ class KernelRoot:
             return self.dense @ X
         Y = X if self.d is None else self.d[:, None] * X
         return Y + self.b * X.sum(axis=0) if self.b else Y
+
+    def scale(self, X: np.ndarray) -> np.ndarray:
+        """``self @ X``, in X's own buffer when the root is diagonal; X may then change."""
+        if self.dense is not None or self.b:
+            return self @ X
+        if self.d is not None:
+            X *= self.d[:, None]
+        return X
 
 
 def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelRoot, KernelRoot]:
@@ -401,11 +410,13 @@ def _sandwich_svd(t: ContingencyTable, m: KcaMethod):
     assoc = association_matrix(t, m)
     Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
     Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
-    sandwich = (Lc @ (Lr @ assoc.values).T).T
-    if _symmetric_sandwich(assoc, m):  # in place: no second V x V array during the eigh
+    symmetric = _symmetric_sandwich(assoc, m)
+    # built in the association's own buffer where the roots are diagonal
+    sandwich = Lc.scale(Lr.scale(assoc.values).T).T
+    del assoc  # the sandwich holds the only V x V array left
+    if symmetric:  # in place: no second V x V array during the eigh
         sandwich += sandwich.T
         sandwich *= 0.5
-    del assoc  # a V x V array that the solve does not read
     # looked up at call time, so a replacement linalg.svd reaches every fit
     return (Lr, Lr_inv), (Lc, Lc_inv), linalg.svd(sandwich)
 

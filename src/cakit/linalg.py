@@ -63,11 +63,16 @@ class Decomposition:
 
 
 def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per left vector: entry of largest magnitude made nonnegative (argmax
-    # returns the lowest index of ties); the matching right vector is flipped
-    # with it.  Flips the fresh factors in place.
-    top = np.argmax(np.abs(U), axis=0)
-    signs = np.where(U[top, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    # Per left vector: entry of largest magnitude made nonnegative, the lowest
+    # index of ties; the matching right vector is flipped with it.  Flips the
+    # fresh factors in place.  The entry is the column's largest or its
+    # smallest, so argmax and argmin (each the lowest index of its ties) find
+    # it with no |U| array.
+    cols = np.arange(U.shape[1])
+    hi, lo = np.argmax(U, axis=0), np.argmin(U, axis=0)
+    up, down = U[hi, cols], -U[lo, cols]
+    top = np.where(up > down, hi, np.where(down > up, lo, np.minimum(hi, lo)))
+    signs = np.where(U[top, cols] < 0, -1.0, 1.0)
     U *= signs
     V *= signs
     return U, V
@@ -92,9 +97,9 @@ def svd(M) -> Decomposition:
     A = _as_matrix(M)
     try:
         if A.shape[0] == A.shape[1] and np.array_equal(A, A.T):
-            lam, Q = np.linalg.eigh(A)
+            lam, U = np.linalg.eigh(A)
             order = np.argsort(-np.abs(lam), kind="stable")
-            lam, U = lam[order], Q[:, order]
+            lam, U = lam[order], U[:, order]  # rebound: eigh's own array is freed
             S = np.abs(lam)
             V = U * np.where(lam < 0, -1.0, 1.0)
         else:

@@ -163,7 +163,11 @@ def contingency_from_observations(obs: Observations) -> ContingencyTable:
 def residual_matrix(t: ContingencyTable) -> np.ndarray:
     """Centered frequency matrix N/n - r c^T / n^2; rows and columns sum to zero."""
     n = t.n
-    return t.counts / n - np.outer(t.r, t.c) / (n * n)
+    expected = np.outer(t.r, t.c)
+    expected /= n * n
+    residual = t.counts / n
+    residual -= expected
+    return residual
 
 
 # The decimal strings of the integers below this bound.  In the seed-1

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -358,6 +359,27 @@ class TestSymmetricTable:
         assert_same_coordinates(permuted.G, base.G[p], name)
 
 
+class TestSandwichInPlace:
+    """The fit builds the sandwich in the association's buffer where the roots are
+    diagonal; every output is the bytes of the sandwich built as a product."""
+
+    @pytest.mark.parametrize("name", list(METHOD_CASES))
+    def test_fit_is_bit_identical_to_the_product_sandwich(self, name):
+        for counts, labels in ((metamorphic_counts(), None), (symmetric_counts(), WORDS)):
+            t = ContingencyTable.from_counts(counts, labels, labels)
+            m = case_method(name, t)
+            assoc, (Lr, _), (Lc, _), sandwich = build_sandwich(t, m)
+            if kca._symmetric_sandwich(assoc, m):
+                sandwich = 0.5 * (sandwich + sandwich.T)
+            dec = linalg.svd(sandwich)
+            power = dec.S[:K] ** m.exponent
+            emb = fit_kca(t, m, K)
+            for got, want in ((emb.F, (Lr @ dec.U[:, :K]) * power),
+                              (emb.G, (Lc @ dec.V[:, :K]) * power),
+                              (emb.singular_values, dec.S[:K])):
+                assert got.tobytes() == want.tobytes(), name
+
+
 # one case per kernel kind, and per kind that takes stop words one with them,
 # the same on both axes
 KIND_CASES = {"identity": ID, "identity+sw": ID_SW_ROW, "inverse_marginal": IM,
@@ -558,16 +580,6 @@ class TestEmbeddingsFile:
         with pytest.raises(ValueError, match=rf"emb\.tsv:3: duplicate row label '{label}'"):
             read_embeddings(path)
 
-    def test_writer_rejects_duplicate_labels_before_opening(self, tmp_path):
-        emb = fit_linear_ca(fisher_table(), 2)
-        labels = (emb.row_labels[0],) + emb.row_labels[:-1]
-        dup = EmbeddingSet(F=emb.F, G=emb.G, row_labels=labels, col_labels=emb.col_labels,
-                           singular_values=emb.singular_values, method_tag=emb.method_tag)
-        path = tmp_path / "emb.tsv"
-        with pytest.raises(ValueError, match="duplicate row label"):
-            write_embeddings(dup, path)
-        assert not path.exists()
-
     @pytest.mark.parametrize("writer, bad", [
         (write_embeddings, "a\tb"), (write_embeddings, "a\nb"), (write_embeddings, "a\rb"),
         (export_coordinates, "a,b"), (export_coordinates, "a\nb"), (export_coordinates, "a\rb"),
@@ -592,16 +604,15 @@ class TestEmbeddingsFile:
             write_embeddings(emb, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("writer", [write_embeddings, export_coordinates])
-    def test_writers_reject_labels_that_are_not_strings(self, tmp_path, writer):
-        # a table rejects such labels when it is made; an embedding set does not
+    @pytest.mark.parametrize("row_labels, message", [
+        (("blue", "blue", "medium", "dark"), "duplicate row label 'blue'"),
+        ((1, "light", "medium", "dark"), "row label 1 is not a string"),
+    ])
+    def test_a_set_rejects_labels_every_reader_rejects(self, row_labels, message):
+        # the table's rule, so no writer and no evaluation meets such a set
         emb = fit_linear_ca(fisher_table(), 2)
-        emb = dataclasses.replace(emb, row_labels=(1, *emb.row_labels[1:]))
-        path = tmp_path / "out"
-        message = f"^{re.escape(str(path))}: row label 1 is not a string$"
-        with pytest.raises(ValueError, match=message):
-            writer(emb, path)
-        assert not path.exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(emb, row_labels=row_labels)
 
     @pytest.mark.parametrize("field", ["F", "G", "singular_values"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -623,30 +634,66 @@ class TestEmbeddingsFile:
             read_embeddings(path)
 
 
-def reference_point_lines(e, sep):
-    """The per-cell formatter the writers replaced: ``repr`` of every coordinate."""
+def reference_point_lines(e, sep, sets=("row", "col")):
+    """The per-cell formatter: ``repr`` of every coordinate of the point ``sets``."""
     for which, labels, coords in (("row", e.row_labels, e.F), ("col", e.col_labels, e.G)):
-        for label, row in zip(labels, coords.tolist()):
+        for label, row in zip(labels, coords.tolist() if which in sets else []):
             yield sep.join([which, label, *map(repr, row)]) + "\n"
 
 
-def reference_bytes(e, writer):
-    """What ``writer`` wrote through the per-cell formatter."""
+def reference_signs(e):
+    """Per column, "1" if G's column is F's bit for bit, else "-1" if it is
+    -F's, when the labels agree and k >= 1; None when any column is neither."""
+    if e.k == 0 or e.row_labels != e.col_labels:
+        return None
+    signs = []
+    for f, g in zip(e.F.T.tolist(), e.G.T.tolist()):
+        bits = [struct.pack("<d", y) for y in g]
+        if [struct.pack("<d", x) for x in f] == bits:
+            signs.append("1")
+        elif [struct.pack("<d", -x) for x in f] == bits:
+            signs.append("-1")
+        else:
+            return None
+    return signs
+
+
+def reference_bytes(e, writer, by_reference=True):
+    """What ``writer`` writes through the per-cell formatter.
+
+    ``write_embeddings`` writes a G that is F up to column signs as one
+    ``col=row`` line of the signs, unless ``by_reference`` is False, which
+    gives the column points as every file did before that line.
+    """
     if writer is write_embeddings:
         sep = "\t"
         header = [str(len(e.row_labels)), str(len(e.col_labels)), str(e.k), e.method_tag,
                   *map(repr, e.singular_values.tolist())]
+        signs = reference_signs(e) if by_reference else None
     else:
-        sep = ","
+        sep, signs = ",", None
         header = ["point_set", "label"] + [f"dim_{i + 1}" for i in range(e.k)]
-    return "".join([sep.join(header) + "\n", *reference_point_lines(e, sep)]).encode()
+    if signs is None:
+        body = list(reference_point_lines(e, sep))
+    else:
+        body = [*reference_point_lines(e, sep, ("row",)), "\t".join(["col=row", *signs]) + "\n"]
+    return "".join([sep.join(header) + "\n", *body]).encode()
 
 
-def coordinate_set(F, G):
+def coordinate_set(F, G, shared=False):
+    """A set of coordinates F and G, labelled ``p{i}`` on both axes when ``shared``."""
     k = F.shape[1]
-    return EmbeddingSet(F=F, G=G, row_labels=tuple(f"r{i}" for i in range(len(F))),
-                        col_labels=tuple(f"c{j}" for j in range(len(G))),
+    row_labels = tuple(f"{'p' if shared else 'r'}{i}" for i in range(len(F)))
+    return EmbeddingSet(F=F, G=G, row_labels=row_labels,
+                        col_labels=tuple(f"{'p' if shared else 'c'}{j}" for j in range(len(G))),
                         singular_values=np.arange(k, 0, -1.0), method_tag="test")
+
+
+def one_ulp(F):
+    """F with its last coordinate moved one ulp up."""
+    F = F.copy()
+    F[-1, -1] = np.nextafter(F[-1, -1], np.inf)
+    return F
 
 
 def _coordinate_cases():
@@ -658,9 +705,20 @@ def _coordinate_cases():
     zeros = np.array([[0.0, -0.0, 1.5], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [-1.5, 0.0, -0.0]])
     extremes = np.array([[5e-324, -5e-324, 1e308], [-1e308, 2.2250738585072014e-308, -0.0],
                          [1.7976931348623157e308, -1.7976931348623157e308, 4.9e-324]])
+    signs = np.array([1.0, -1.0, -1.0, 1.0])
+    flipped_zero = F * signs
+    F_zero = F.copy()
+    F_zero[2, 1] = flipped_zero[2, 1] = 0.0  # F * signs would hold -0.0 there
     return {
         # the symmetric eigh path with equal kernels: G is F up to column signs
-        "G = F signs": (F, F * np.array([1.0, -1.0, -1.0, 1.0])),
+        "G = F signs": (F, F * signs),
+        "G = F signs, shared labels": (F, F * signs, True),
+        "G = F signs but one zero, shared labels": (F_zero, flipped_zero, True),
+        "G = F, zeros of both signs, shared labels": (zeros, zeros.copy(), True),
+        "G = -F, zeros of both signs, shared labels": (zeros, -zeros, True),
+        "G = F but one ulp, shared labels": (F, one_ulp(F), True),
+        "k = 0, shared labels": (np.zeros((3, 0)), np.zeros((3, 0)), True),
+        "no points, shared labels": (np.zeros((0, 2)), np.zeros((0, 2)), True),
         # kpca_cd-like: no magnitude shared between F and G
         "unrelated G": (F, rng.normal(size=(5, 4))),
         "repeated values": (repeated, -repeated[::-1]),
@@ -671,8 +729,20 @@ def _coordinate_cases():
     }
 
 
+# the coordinate cases whose embeddings file carries G by reference
+BY_REFERENCE = {"G = F signs, shared labels", "G = F, zeros of both signs, shared labels",
+                "G = -F, zeros of both signs, shared labels", "no points, shared labels"}
+
+
+def assert_bit_identical(got, want):
+    for a, b in ((got.F, want.F), (got.G, want.G), (got.singular_values, want.singular_values)):
+        assert a.tobytes() == b.tobytes()  # np.signbit included
+    assert got == want
+
+
 class TestWritersMatchPerCellReference:
-    """The writers format each magnitude once and write the per-cell formatter's bytes."""
+    """The writers write the per-cell formatter's bytes, G by reference where it is F
+    up to column signs, and the reader reads them back bit for bit."""
 
     @pytest.mark.parametrize("writer", [write_embeddings, export_coordinates],
                              ids=lambda w: w.__name__)
@@ -683,19 +753,71 @@ class TestWritersMatchPerCellReference:
         writer(e, path)
         assert path.read_bytes() == reference_bytes(e, writer)
         if writer is write_embeddings:
-            back = read_embeddings(path)
-            for got, want in ((back.F, e.F), (back.G, e.G)):
-                np.testing.assert_array_equal(got, want)
-                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            assert ("col=row" in path.read_text()) == (case in BY_REFERENCE)
+            assert_bit_identical(read_embeddings(path), e)
 
     @pytest.mark.parametrize("writer", [write_embeddings, export_coordinates],
                              ids=lambda w: w.__name__)
     @pytest.mark.parametrize("name", list(METHOD_CASES))
     def test_every_method_fit(self, tmp_path, writer, name):
+        path = tmp_path / "out"
         for counts, labels in ((metamorphic_counts(), None), (symmetric_counts(), WORDS)):
             e = fit_case(name, counts, labels, labels)
-            writer(e, tmp_path / "out")
-            assert (tmp_path / "out").read_bytes() == reference_bytes(e, writer), name
+            writer(e, path)
+            assert path.read_bytes() == reference_bytes(e, writer), name
+            if writer is write_embeddings:
+                # equal kernels on a symmetric table: kpca_cd's differ, and so do
+                # the stop-word alphas of the +sw cases
+                by_reference = labels is not None and name in SYMMETRIC_SANDWICH - {"kpca_cd"}
+                assert ("col=row" in path.read_text()) == by_reference, name
+                assert_bit_identical(read_embeddings(path), e)
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_SANDWICH - {"kpca_cd"}))
+    def test_a_file_with_column_points_reads_to_the_same_set(self, tmp_path, name):
+        # as every file was written before G was carried by reference
+        e = fit_case(name, symmetric_counts(), WORDS, WORDS)
+        path = tmp_path / "emb.tsv"
+        path.write_bytes(reference_bytes(e, write_embeddings, by_reference=False))
+        assert_bit_identical(read_embeddings(path), e)
+
+
+# a one-point, one-dimension file and a fit file, each with a malformed col=row line
+def _by_reference_file(lines):
+    return "1\t1\t1\tt\t1.0\nrow\ta\t0.5\n" + "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_by_reference_file(["col=row\t1\t1"]), "{path}:3: expected 1 column signs"),
+    (_by_reference_file(["col=row"]), "{path}:3: expected 1 column signs"),
+    ("1\t1\t2\tt\t2.0\t1.0\nrow\ta\t1\t2\ncol=row\t1\n", "{path}:3: expected 2 column signs"),
+    (_by_reference_file(["col=row\t+1"]), "{path}:3: column sign '+1' is not 1 or -1"),
+    (_by_reference_file(["col=row\t1.0"]), "{path}:3: column sign '1.0' is not 1 or -1"),
+    (_by_reference_file(["col=row\t-0"]), "{path}:3: column sign '-0' is not 1 or -1"),
+    (_by_reference_file(["col=row\t"]), "{path}:3: column sign '' is not 1 or -1"),
+    (_by_reference_file(["col\ta\t0.5", "col=row\t1"]),
+     "{path}:4: a 'col=row' line beside 1 col point lines"),
+    (_by_reference_file(["col=row\t1", "col\ta\t0.5"]),
+     "{path}:3: a 'col=row' line beside 1 col point lines"),
+    (_by_reference_file(["col=row\t1", "col=row\t1"]), "{path}:4: a second 'col=row' line"),
+    ("1\t2\t1\tt\t1.0\nrow\ta\t0.5\ncol=row\t-1\n",
+     "{path}:3: a 'col=row' line needs n_cols = n_rows, the header gives 1 and 2"),
+], ids=["too many signs", "no signs", "too few signs", "plus sign", "float sign",
+        "negative zero sign", "empty sign", "col points before", "col points after",
+        "two col=row lines", "n_cols other than n_rows"])
+def test_col_row_line_rejections(tmp_path, text, message):
+    path = tmp_path / "emb.tsv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(path=path))}$"):
+        read_embeddings(path)
+
+
+def test_col_row_line_reads_to_signed_copies_of_f(tmp_path):
+    path = tmp_path / "emb.tsv"
+    path.write_text("2\t2\t2\tt\t2.0\t1.0\nrow\ta\t1.5\t-0.0\nrow\tb\t0.0\t2.5\n"
+                    "col=row\t-1\t1\n", encoding="utf-8")
+    e = read_embeddings(path)
+    assert e.col_labels == e.row_labels == ("a", "b")
+    assert e.G.tobytes() == np.array([[-1.5, -0.0], [-0.0, 2.5]]).tobytes()
 
 
 def eager_decomposition(t, m):
@@ -828,6 +950,8 @@ def read_embeddings_text(path, text):
     (lambda path: small_embedding_set(F=np.ones((2, 2)), G=np.ones((3, 2)),
                                       singular_values=np.array([-1.0, -2.0])),
      "singular values must be nonnegative"),
+    (lambda path: small_embedding_set(col_labels=("x", "y", "x")), "duplicate col label 'x'"),
+    (lambda path: small_embedding_set(col_labels=("x", b"y", "z")), "col label b'y' is not a string"),
     (lambda path: small_embedding_set().coordinates("H"), "point set must be 'F' or 'G', got 'H'"),
     (lambda path: read_embeddings_text(path, ""), "empty embeddings file: {path}"),
     (lambda path: read_embeddings_text(path, "2\t-1\t1\tt\t1.0\n"),
@@ -839,7 +963,7 @@ def read_embeddings_text(path, text):
     (lambda path: read_embeddings_text(path, "1\t1\t1\tt\t-1.0\nrow\ta\t0.5\ncol\tx\t0.5\n"),
      "{path}:1: singular values must be nonnegative"),
 ], ids=["F shape", "G shape", "unsorted singular values", "negative singular values",
-        "unknown point set name", "empty file", "negative header count", "unknown point set line",
+        "duplicate col label", "non-string col label", "unknown point set name", "empty file", "negative header count", "unknown point set line",
         "unsorted header singular values", "negative header singular value"])
 def test_input_rejections(tmp_path, call, message):
     path = tmp_path / "emb.tsv"

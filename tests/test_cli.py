@@ -369,6 +369,31 @@ class TestEval:
         assert rc == 1
         assert "error: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["F", "G"])
+    def test_a_col_row_file_reports_the_bytes_of_its_column_points(self, tmp_path, which):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("the cat sat on the mat and the dog sat on a log by the cat\n" * 3
+                          + "a dog and a cat on the mat\n")
+        table, emb_path = tmp_path / "t.tsv", tmp_path / "emb.tsv"
+        assert main(["count", str(corpus), "--window", "2", "--out", str(table)]) == 0
+        assert main(["fit", str(table), "--dim", "3", "--out", str(emb_path)]) == 0
+        lines = emb_path.read_text(encoding="utf-8").splitlines()
+        assert lines[-1].startswith("col=row\t")
+        # the same set with its column points, as every file was written before
+        emb = ca.read_embeddings(emb_path)
+        points = tmp_path / "points.tsv"
+        points.write_text("".join(line + "\n" for line in lines[:-1]) + "".join(
+            "\t".join(["col", label, *map(repr, row)]) + "\n"
+            for label, row in zip(emb.col_labels, emb.G.tolist())), encoding="utf-8")
+        ws = tmp_path / "ws.txt"
+        ws.write_text("cat dog 8\nmat log 6\ncat mat 2\nthe a 5\nsat on 3\n")
+        reports = []
+        for path in (emb_path, points):
+            reports.append(tmp_path / f"{path.stem}.report")
+            assert main(["eval", str(path), "--which", which, "--wordsim", str(ws),
+                         "--out", str(reports[-1])]) == 0
+        assert reports[0].read_bytes() == reports[1].read_bytes()
+
     def test_zero_vector_warning_is_one_plain_stderr_line(self, tmp_path, capsys):
         F = np.array([[1.0, 0.0], [0.0, 0.0], [0.6, 0.8]])
         emb = ca.EmbeddingSet(F=F, G=F, row_labels=("a", "b", "c"), col_labels=("a", "b", "c"),

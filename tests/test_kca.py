@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -861,6 +862,35 @@ def test_fit_agrees_across_blas_thread_counts(tmp_path):
         np.testing.assert_allclose(two[name], one[name], rtol=0, atol=1e-10 * S1, err_msg=name)
     for name in ("F", "G"):
         assert np.all(np.sum(one[name] * two[name], axis=0) > 0), name
+
+
+def sparse_symmetric_table(V, seed=0):
+    """A symmetric V x V table about 14% nonzero, as `cakit count` writes on Zipf text."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.poisson(0.15, size=(V, V)).astype(float))
+    counts = upper + np.triu(upper, 1).T
+    counts[np.arange(V), np.arange(V)] += 1.0
+    words = [f"w{i}" for i in range(V)]
+    return ContingencyTable.from_counts(counts, words, words)
+
+
+@pytest.mark.parametrize("name", ["linear", "gini", "gtest", "sgns", "kpca_cd"])
+def test_fit_peak_memory_in_vxv_arrays(name):
+    # the sandwich is built in the association's buffer and the eigenvectors
+    # are sorted and signed with no V x V temporary: the sandwich, eigh's
+    # vectors and their sorted copy, then U and V.  tracemalloc does not see
+    # numpy's own copy of the input and LAPACK's work array inside eigh.
+    V = 500
+    t = sparse_symmetric_table(V)
+    assert t.symmetric  # computed and kept before the trace
+    m = method_from_name(name)
+    tracemalloc.start()
+    try:
+        fit_kca(t, m, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * V * V * 8, peak / (V * V * 8)
 
 
 class TestWsKernelFit:

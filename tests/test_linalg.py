@@ -5,7 +5,14 @@ import re
 import numpy as np
 import pytest
 
-from cakit.linalg import Decomposition, NotPositiveDefiniteError, nuclear_norm, spd_sqrt, svd
+from cakit.linalg import (
+    Decomposition,
+    NotPositiveDefiniteError,
+    _apply_sign_convention,
+    nuclear_norm,
+    spd_sqrt,
+    svd,
+)
 
 
 def random_spd(rng, m, lo=0.5, hi=2.0):
@@ -49,6 +56,20 @@ class TestSvd:
             for j in range(dec.U.shape[1]):
                 i = int(np.argmax(np.abs(dec.U[:, j])))
                 assert dec.U[i, j] >= 0
+
+    def test_sign_convention_finds_the_lowest_index_of_tied_magnitudes(self):
+        # columns of few distinct values, so most hold the largest magnitude
+        # more than once and of both signs, and some are all +0.0 or -0.0
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            U = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=(rng.integers(1, 6), 6))
+            U[:, 0] = rng.choice([0.0, -0.0], size=len(U))
+            V = rng.normal(size=(4, 6))
+            top = np.argmax(np.abs(U), axis=0)  # the lowest index of each column's ties
+            signs = np.where(U[top, np.arange(6)] < 0, -1.0, 1.0)
+            got_U, got_V = _apply_sign_convention(U.copy(), V.copy())
+            assert got_U.tobytes() == (U * signs).tobytes()
+            assert got_V.tobytes() == (V * signs).tobytes()
 
     def test_singular_values_permutation_invariant(self):
         rng = np.random.default_rng(13)

@@ -85,6 +85,13 @@ class TestResidualMatrix:
         assert np.abs(xi.sum(axis=1)).max() < 1e-12
         assert np.abs(xi.sum(axis=0)).max() < 1e-12
 
+    def test_subtracting_in_place_writes_the_bytes_of_the_expression(self):
+        rng = np.random.default_rng(37)
+        for shape in ((3, 5), (40, 40), (17, 9)):
+            t = ContingencyTable.from_counts(rng.integers(0, 30, size=shape) + 0.5)
+            expected = t.counts / t.n - np.outer(t.r, t.c) / (t.n * t.n)
+            assert residual_matrix(t).tobytes() == expected.tobytes()
+
     def test_margins_vanish_on_random_tables(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -503,7 +510,8 @@ def reference_read_tsv(path):
 
 
 def reference_read_embeddings(path):
-    """The embeddings reader that split every line into all of its cells."""
+    """The embeddings reader that split every line into all of its cells, a
+    ``col=row`` line included."""
     lines = tables._read_lines(path)
     if not lines:
         raise ValueError(f"empty embeddings file: {path}")
@@ -524,8 +532,19 @@ def reference_read_embeddings(path):
         raise ValueError(f"{where}: header lists {len(head) - 4} singular values, expected k={k}")
     singular_values = reference_parse_numbers(path, [head_line], [head[4:]])[0]
     points = {"row": ([], [], []), "col": ([], [], [])}
+    by_reference = []  # (line number, signs) of each col=row line
     for lineno, line in lines[1:]:
         cells = line.split("\t")
+        if cells[0] == "col=row":  # G is F times these column signs
+            if len(cells) != k + 1:
+                raise ValueError(f"{path}:{lineno}: expected {k} column signs")
+            if by_reference:
+                raise ValueError(f"{path}:{lineno}: a second 'col=row' line")
+            for sign in cells[1:]:
+                if sign not in ("1", "-1"):
+                    raise ValueError(f"{path}:{lineno}: column sign {sign!r} is not 1 or -1")
+            by_reference.append((lineno, cells[1:]))
+            continue
         if len(cells) != k + 2:
             raise ValueError(f"{path}:{lineno}: expected {k} coordinates")
         if cells[0] not in points:
@@ -534,6 +553,14 @@ def reference_read_embeddings(path):
         labels.append(cells[1])
         rows.append(cells[2:])
         linenos.append(lineno)
+    for lineno, _ in by_reference:
+        if n_cols != n_rows:
+            raise ValueError(f"{path}:{lineno}: a 'col=row' line needs n_cols = n_rows, "
+                             f"the header gives {n_rows} and {n_cols}")
+        if points["col"][0]:
+            raise ValueError(f"{path}:{lineno}: a 'col=row' line beside "
+                             f"{len(points['col'][0])} col point lines")
+        points["col"] = points["row"]
     for which, (labels, _, linenos) in points.items():
         tables._check_labels(path, which, labels, "\t", linenos)
     (row_labels, F_rows, F_lines), (col_labels, G_rows, G_lines) = points.values()
@@ -542,6 +569,9 @@ def reference_read_embeddings(path):
                          f"got {len(F_rows)} and {len(G_rows)}")
     F = reference_parse_numbers(path, F_lines, F_rows).reshape(len(F_rows), k)
     G = reference_parse_numbers(path, G_lines, G_rows).reshape(len(G_rows), k)
+    for _, signs in by_reference:
+        G = np.array([[-x if sign == "-1" else x for x, sign in zip(row, signs)]
+                      for row in F.tolist()]).reshape(F.shape)
     if np.any(np.diff(singular_values) > 0):
         raise ValueError(f"{where}: singular values must be sorted descending")
     if np.any(singular_values < 0):
@@ -580,6 +610,9 @@ def outcome(read, path):
 ODD_CELLS = ["1_0", "١", " 4 ", "", "  ", "#1", "1#", '"1"', "nan", "-inf", "1e999", "-1",
              "-0", "4\x1c", "\x1f4", "4\xa0", "4\x0c", " 4", "𝟙", "1e-400", ".5", "5.",
              "0x10", "1,5", "abc"]
+
+# column signs of a col=row line: the two it takes, more often, and ones it rejects
+SIGN_CELLS = ["1", "-1"] * 20 + ["+1", "1.0", "0", "-0", "", " 1", "١"]
 
 # all-digit cells at the edges of the integer decode: leading zeros, 15 digits
 # (the most it decodes) and 16 (which go to np.loadtxt, one above 2**53)
@@ -635,6 +668,16 @@ EMBEDDING_FILES = {
     "k=2 separator 0x1c": "1\t1\t2\tws\t2\t1\nrow\ta\t1\t2\x1c\ncol\tx\t3\t0\n",
     "k=2 ragged": "1\t1\t2\tws\t2\t1\nrow\ta\t1\ncol\tx\t3\t0\n",
     "k=2 inf": "1\t1\t2\tws\t2\t1\nrow\ta\t1\t2\ncol\tx\t-inf\t0\n",
+    "k=2 col=row": "2\t2\t2\tws\t2\t1\nrow\ta\t1\t-0.0\nrow\tb\t0\t-3e-300\ncol=row\t-1\t1\n",
+    "k=2 col=row first": "1\t1\t2\tws\t2\t1\ncol=row\t1\t1\nrow\ta\t1\t2\n",
+    "k=2 col=row odd cells": "1\t1\t2\tws\t2\t1\nrow\ta\t1_0\t 4 \ncol=row\t1\t-1\n",
+    "k=2 col=row non-finite": "1\t1\t2\tws\t2\t1\nrow\ta\tinf\t2\ncol=row\t1\t-1\n",
+    "k=2 col=row duplicate label": "2\t2\t2\tws\t2\t1\nrow\ta\t1\t2\nrow\ta\t3\t4\n"
+                                   "col=row\t1\t-1\n",
+    "k=2 col=row short": "1\t1\t2\tws\t2\t1\nrow\ta\t1\t2\ncol=row\t1\n",
+    "k=2 col=row bad sign": "1\t1\t2\tws\t2\t1\nrow\ta\t1\t2\ncol=row\t1\t 1\n",
+    "k=2 col=row missing row": "2\t2\t2\tws\t2\t1\nrow\ta\t1\t2\ncol=row\t1\t-1\n",
+    "k=0 col=row": "1\t1\t0\tlinear_ca\nrow\ta\ncol=row\n",
 }
 
 
@@ -749,11 +792,13 @@ class TestCodecMatchesPerRowReference:
     def test_seeded_embeddings_of_odd_cells(self, tmp_path):
         rng = np.random.default_rng(61)
         path = tmp_path / "emb.tsv"
-        accepted = 0
+        accepted = by_reference = 0
         for n in range(300):
             n_rows, n_cols, k = rng.integers(0, 3), rng.integers(1, 3), rng.integers(1, 4)
-            cells = np.array([repr(x) for x in rng.normal(size=(1 + n_rows + n_cols) * k)],
-                             dtype=object).reshape(-1, k)
+            if n % 3 == 2 and rng.random() < 0.8:  # a file that carries G by reference
+                n_cols = n_rows
+            normal = rng.normal(size=(1 + n_rows + n_cols) * k).tolist()
+            cells = np.array([repr(x) for x in normal], dtype=object).reshape(-1, k)
             if n % 2:
                 cells[:] = digit_cells(rng, cells.shape)
             odd = rng.random(cells.shape) < 0.06
@@ -762,11 +807,19 @@ class TestCodecMatchesPerRowReference:
             lines = ["\t".join([str(n_rows), str(n_cols), str(k), "ws", *cells[0]])]
             lines += ["\t".join([which, f"p{j}", *row])
                       for j, (which, row) in enumerate(zip(sets, cells[1:]))]
+            if n % 3 == 2:
+                # the col points become one col=row line, at times with a col
+                # point left, a sign too many or too few, or a second line
+                signs = rng.choice(SIGN_CELLS, size=k + rng.choice([0] * 8 + [-1, 1]))
+                lines = lines[:1 + n_rows + (rng.random() < 0.1)]
+                lines += ["\t".join(["col=row", *signs])] * (1 + (rng.random() < 0.05))
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             got = outcome(ca.read_embeddings, path)
             assert got == outcome(reference_read_embeddings, path), lines
             accepted += got[0] != "ValueError"
+            by_reference += got[0] != "ValueError" and n % 3 == 2
         assert 50 < accepted < 250, accepted  # both outcomes are exercised
+        assert 10 < by_reference < 60, by_reference  # col=row lines among them
 
     @pytest.mark.parametrize("texts", [("1\t2\t3", "4"), ("1", "2\t3\t4"),
                                        ("12\t3", "4\t5\t6", "7")])
@@ -843,8 +896,8 @@ def _write_failing_table(path, monkeypatch):
 def _write_failing_embeddings(write, path, monkeypatch):
     """``write`` a fit whose coordinates fail to format, after its header line is out.
 
-    The writers format the header first, then each coordinate magnitude
-    through the module's ``repr``; the third call raises, which is a
+    The writers format the header first, then each coordinate through
+    the module's ``repr``; the third call raises, which is a
     coordinate for both writers (``write_embeddings`` formats the two
     singular values in its header, ``export_coordinates`` none).
     """
