@@ -217,7 +217,7 @@ def read_embeddings(path) -> EmbeddingSet:
         raise ValueError(f"{where}: header counts {head[:3]} must be nonnegative")
     if len(head) != 4 + k:
         raise ValueError(f"{where}: header lists {len(head) - 4} singular values, expected k={k}")
-    singular_values = _parse_numbers(path, [head_line], ["\t".join(head[4:])], k)[0]
+    singular_values = _parse_numbers(path, [head_line], ["\t".join(head[4:])], [k])
     # point set -> labels, coordinate texts, line numbers
     points = {"row": ([], [], []), "col": ([], [], [])}
     signs, signs_line = None, None
@@ -256,8 +256,9 @@ def read_embeddings(path) -> EmbeddingSet:
     if (len(F_texts), len(G_texts)) != (n_rows, n_cols):
         raise ValueError(f"{path}: expected {n_rows} row and {n_cols} col point lines, "
                          f"got {len(F_texts)} and {len(G_texts)}")
-    F = _parse_numbers(path, F_lines, F_texts, k)
-    G = _parse_numbers(path, G_lines, G_texts, k) if signs is None else F * np.array(signs, float)
+    F = _parse_numbers(path, F_lines, F_texts, [k] * n_rows).reshape(n_rows, k)
+    G = (_parse_numbers(path, G_lines, G_texts, [k] * n_cols).reshape(n_cols, k)
+         if signs is None else F * np.array(signs, float))
     try:  # of what the set checks, only the header's singular values can still fail
         return EmbeddingSet(F, G, row_labels, col_labels, singular_values, head[3])
     except ValueError as exc:

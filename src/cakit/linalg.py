@@ -62,20 +62,16 @@ class Decomposition:
         return (self.U * self.S) @ self.V.T
 
 
-def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per left vector: entry of largest magnitude made nonnegative, the lowest
-    # index of ties; the matching right vector is flipped with it.  Flips the
-    # fresh factors in place.  The entry is the column's largest or its
-    # smallest, so argmax and argmin (each the lowest index of its ties) find
-    # it with no |U| array.
+def _sign_convention(U: np.ndarray) -> np.ndarray:
+    """The sign, 1.0 or -1.0, per column of U that makes its entry of largest magnitude
+    nonnegative, the lowest index of ties; the matching right vector takes the same sign."""
+    # The entry is the column's largest or its smallest, so argmax and argmin
+    # (each the lowest index of its ties) find it with no |U| array.
     cols = np.arange(U.shape[1])
     hi, lo = np.argmax(U, axis=0), np.argmin(U, axis=0)
     up, down = U[hi, cols], -U[lo, cols]
     top = np.where(up > down, hi, np.where(down > up, lo, np.minimum(hi, lo)))
-    signs = np.where(U[top, cols] < 0, -1.0, 1.0)
-    U *= signs
-    V *= signs
-    return U, V
+    return np.where(U[top, cols] < 0, -1.0, 1.0)
 
 
 def svd(M) -> Decomposition:
@@ -83,34 +79,42 @@ def svd(M) -> Decomposition:
 
     A square M equal to its transpose, bit for bit, is decomposed by one
     ``eigh``, ``M = Q diag(lam) Q^T``: ``S = |lam|`` (stably sorted
-    descending), ``U = Q`` and ``V = Q sign(lam)`` with sign(0) = +1.
-    Any other matrix takes the general SVD; none is symmetrised.
+    descending), ``U = Q`` and ``V = U sign(lam)`` with sign(0) = +1, bit
+    for bit: the zero rule and the sign convention below act on U, and V
+    is made from the finished U.  Any other matrix takes the general SVD;
+    none is symmetrised.
 
     On the rows where M is all zero, U is exactly 0 for every triplet above
     the :attr:`Decomposition.flagged_small` threshold (U = M V S^-1 there),
     and so is V on the all-zero columns; roundoff would otherwise leave
-    solver-dependent noise in those rows.
+    solver-dependent noise in those rows.  The general SVD flips V by U's
+    signs.
 
     Raises ``np.linalg.LinAlgError`` if the underlying factorization does
     not converge; never returns unconverged output.
     """
     A = _as_matrix(M)
+    symmetric = A.shape[0] == A.shape[1] and np.array_equal(A, A.T)
     try:
-        if A.shape[0] == A.shape[1] and np.array_equal(A, A.T):
+        if symmetric:
             lam, U = np.linalg.eigh(A)
             order = np.argsort(-np.abs(lam), kind="stable")
             lam, U = lam[order], U[:, order]  # rebound: eigh's own array is freed
             S = np.abs(lam)
-            V = U * np.where(lam < 0, -1.0, 1.0)
         else:
             U, S, Vt = np.linalg.svd(A, full_matrices=False)
             V = Vt.T
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD did not converge: {exc}") from exc
-    kept = ~Decomposition(U=U, S=S, V=V).flagged_small
+    kept = ~Decomposition(U=U, S=S, V=U).flagged_small  # which reads S alone
     U[np.ix_(~A.any(axis=1), kept)] = 0.0
-    V[np.ix_(~A.any(axis=0), kept)] = 0.0
-    U, V = _apply_sign_convention(U, V)
+    signs = _sign_convention(U)
+    U *= signs
+    if symmetric:
+        V = U * np.where(lam < 0, -1.0, 1.0)
+    else:
+        V[np.ix_(~A.any(axis=0), kept)] = 0.0
+        V *= signs
     return Decomposition(U=U, S=S, V=V)
 
 

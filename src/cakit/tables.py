@@ -10,9 +10,10 @@ This module also owns the text-file policy of the package (the table TSV
 here, the embedding and coordinate files of :mod:`cakit.ca`): a writer
 rejects a label its reader would split or that repeats before it opens the
 file and replaces the file whole or not at all, and a reader rejects a
-malformed line or value naming ``path:line``.  A table whose cells are all
-1-15 ASCII digits is decoded as integers, a block of rows at a time; every
-other file goes through ``np.loadtxt`` and the per-row check.
+malformed line or value naming ``path:line``.  A symmetric table is written
+as its lower triangle, any other in full.  A table whose cells are all 1-15
+ASCII digits is decoded as integers, a block of cells at a time; every
+other file goes through ``np.loadtxt`` or the per-row check.
 
 It owns the package's record rule too: a frozen dataclass holding an array
 compares through :func:`_equal_fields` and marks each array field
@@ -253,34 +254,45 @@ _DIGIT_BLOCK = 1 << 16
 _MAX_DIGITS = 15
 
 
-def _parse_digits(texts, width: int) -> np.ndarray | None:
-    """``len(texts)`` x ``width`` floats when every cell is 1-15 ASCII digits, else None.
+def _line_of(linenos, widths, cell: int):
+    """The line of the text that holds flat cell ``cell`` when text i holds ``widths[i]`` cells."""
+    return linenos[int(np.searchsorted(np.cumsum(widths), cell, side="right"))]
 
-    Only texts whose first one is all digits and tabs are tried.  They are
-    decoded a block of rows at a time: each block is joined with newlines
-    and viewed as bytes, which must be digits, tabs and newlines with every
-    ``width``-th separator a newline.  Each value is summed from its units
-    digit up, exactly, so it is the float that ``float`` reads from the cell.
+
+def _parse_digits(texts, widths: np.ndarray) -> np.ndarray | None:
+    """The ``widths.sum()`` cells of ``texts`` as floats when each is 1-15 ASCII digits, else None.
+
+    Only texts whose first one is all digits and tabs, and that each hold a
+    cell, are tried.  They are decoded a block of about ``_DIGIT_BLOCK``
+    cells at a time, whole texts to a block: each block is joined with
+    newlines and viewed as bytes, which must be digits, tabs and newlines,
+    text i's ``widths[i]`` cells separated by tabs and ended by a newline.
+    Each value is summed from its units digit up, exactly, so it is the
+    float that ``float`` reads from the cell.
     """
     first = texts[0].replace("\t", "") if texts else ""
-    if not (width and first.isascii() and first.isdigit()):
+    if not (widths.all() and first.isascii() and first.isdigit()):
         return None
-    values = np.empty((len(texts), width))
-    rows = max(1, _DIGIT_BLOCK // width)
-    pattern = np.full(width, ord("\t"), dtype=np.uint8)
-    pattern[-1] = ord("\n")
-    for start in range(0, len(texts), rows):
-        block = texts[start:start + rows]
-        data = np.frombuffer(("\n".join(block) + "\n").encode(), dtype=np.uint8)
+    bounds = np.concatenate(([0], np.cumsum(widths)))  # text i holds cells bounds[i]:bounds[i+1]
+    values = np.empty(int(bounds[-1]))
+    start = 0
+    while start < len(texts):
+        stop = max(start + 1,
+                   int(np.searchsorted(bounds, bounds[start] + _DIGIT_BLOCK, side="right")) - 1)
+        data = np.frombuffer(("\n".join(texts[start:stop]) + "\n").encode(), dtype=np.uint8)
         digits = data - np.uint8(ord("0"))
         ends = np.flatnonzero(digits > 9)  # the separator after each cell
-        if ends.size != len(block) * width or not (
-                data[ends].reshape(len(block), width) == pattern).all():
+        first_cell = bounds[start]
+        if ends.size != bounds[stop] - first_cell:
+            return None
+        separators = np.full(ends.size, ord("\t"), dtype=np.uint8)
+        separators[bounds[start + 1:stop + 1] - first_cell - 1] = ord("\n")
+        if not (data[ends] == separators).all():
             return None
         lengths = np.diff(ends, prepend=-1) - 1
         if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
             return None
-        cells = values[start:start + len(block)].reshape(-1)  # a view: the rows are whole
+        cells = values[first_cell:bounds[stop]]
         cells[:] = digits[ends - 1]
         place, scale = 1, 10.0
         longer = np.flatnonzero(lengths > place)
@@ -288,40 +300,47 @@ def _parse_digits(texts, width: int) -> np.ndarray | None:
             cells[longer] += digits[ends[longer] - 1 - place] * scale
             place, scale = place + 1, scale * 10.0
             longer = longer[lengths[longer] > place]
+        start = stop
     return values
 
 
-def _parse_numbers(path, linenos, texts, width: int) -> np.ndarray:
-    """``len(texts)`` x ``width`` floats, ``width`` tab-separated cells per text.
+def _parse_numbers(path, linenos, texts, widths) -> np.ndarray:
+    """The cells of ``texts`` as one flat float array, ``widths[i]`` tab-separated cells in text i.
 
     Texts whose cells are all 1-15 ASCII digits, as in a count table, are
-    decoded as integers, a block of rows at a time (:func:`_parse_digits`);
-    the test that sends them there reads the first text only.  Every other
-    call, and one whose decode fails, goes to one ``np.loadtxt``
-    call over every row; it reads each cell to the value ``float`` reads or
-    rejects it, except for the separators in ``_FLOAT_REJECTS`` and an
-    empty text, which it skips.  Texts holding either, or a call that
-    fails, returns another shape or reads a non-finite value, go to the
-    per-row conversion, which decides: it reads what ``float`` reads, and
-    the first row with a bad or non-finite value is named as ``path:line``.
+    decoded as integers, a block of about ``_DIGIT_BLOCK`` cells at a time
+    (:func:`_parse_digits`); the test that sends them there reads the first
+    text only.  Every other call, and one whose decode fails, goes to one
+    ``np.loadtxt`` call over every text when they all hold the same number
+    of cells; it reads each cell to the value ``float`` reads or rejects
+    it, except for the separators in ``_FLOAT_REJECTS`` and an empty text,
+    which it skips.  Texts of unequal widths or holding either, or a call
+    that fails, returns another shape or reads a non-finite value, go to
+    the per-row conversion, which decides: it reads what ``float`` reads,
+    and the first row with a bad or non-finite value is named as
+    ``path:line``.
     """
-    values = _parse_digits(texts, width)
+    widths = np.asarray(widths, dtype=np.intp)
+    values = _parse_digits(texts, widths)
     if values is not None:
         return values
-    if texts and all(texts) and not any(c in t for t in texts for c in _FLOAT_REJECTS):
+    width = int(widths[0]) if widths.size and (widths == widths[0]).all() else None
+    if (width is not None and all(texts)
+            and not any(c in t for t in texts for c in _FLOAT_REJECTS)):
         with contextlib.suppress(ValueError):
             values = np.loadtxt(texts, delimiter="\t", comments=None, dtype=float, ndmin=2)
     if values is not None and values.shape == (len(texts), width) and np.isfinite(values).all():
-        return values
-    values = np.empty((len(texts), width))
-    for i, (lineno, text) in enumerate(zip(linenos, texts)):
+        return values.reshape(-1)
+    ends = np.cumsum(widths).tolist()
+    values = np.empty(ends[-1] if ends else 0)
+    for lineno, text, width, end in zip(linenos, texts, widths.tolist(), ends):
         try:
-            values[i] = np.array(text.split("\t") if width else [], dtype=float)
+            values[end - width:end] = np.array(text.split("\t") if width else [], dtype=float)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    bad = ~np.isfinite(values).all(axis=1)
+    bad = ~np.isfinite(values)
     if bad.any():
-        raise ValueError(f"{path}:{linenos[int(np.argmax(bad))]}: non-finite value")
+        raise ValueError(f"{path}:{_line_of(linenos, widths, np.argmax(bad))}: non-finite value")
     return values
 
 
@@ -352,49 +371,91 @@ def _write_atomic(path, lines) -> None:
 def write_tsv(t: ContingencyTable, path) -> None:
     """Write the TSV table format: header of column labels, one labeled row per line.
 
-    One row formatter writes integers below 2**53 as integers and all other
-    cells via ``repr``, so :func:`read_tsv` reads back the exact counts.  Labels
-    that :func:`read_tsv` would split or reject (tab, newline or carriage
-    return, or a duplicate) raise ``ValueError`` before the file is opened.
+    A symmetric table (:attr:`ContingencyTable.symmetric`) is written as its
+    lower triangle, row i holding its cells 0..i; every other table is
+    written in full.  One row formatter writes integers below 2**53 as
+    integers and all other cells via ``repr``, so :func:`read_tsv` reads
+    back the exact counts.  Labels that :func:`read_tsv` would split or
+    reject (tab, newline or carriage return, or a duplicate) raise
+    ``ValueError`` before the file is opened.
     """
     _check_labels(path, "row", t.row_labels, "\t")
     _check_labels(path, "column", t.col_labels, "\t")
+    rows = (row[:i + 1] for i, row in enumerate(t.counts)) if t.symmetric else t.counts
     body = (label + "\t" + "\t".join(_decimal_cells(row)) + "\n"
-            for label, row in zip(t.row_labels, t.counts))
+            for label, row in zip(t.row_labels, rows))
     _write_atomic(path, itertools.chain(["\t" + "\t".join(t.col_labels) + "\n"], body))
 
 
-def read_tsv(path) -> ContingencyTable:
-    """Read the TSV table format written by :func:`write_tsv`.
+def _mirror(cells: np.ndarray, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose lower triangle, row by row, is ``cells``.
 
-    Empty lines are skipped, but a line of whitespace is data: it is the
-    header of a table whose column labels are all whitespace.  A file
-    without data rows or a duplicate row or column label raises
-    ``ValueError`` naming the file; a ragged row or a cell that is not a
-    finite nonnegative number names the file and line.  A table whose cells
-    are all 1-15 ASCII digits, as ``cakit count`` writes, is decoded as
-    integers, a block of rows at a time; any other goes through
-    ``np.loadtxt`` and the per-row check (:func:`_parse_numbers`).
+    Row i and column i are filled from the row's own cells, so no second
+    n x n array is made.
+    """
+    counts = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        row = cells[start:start + i + 1]
+        counts[i, :i + 1] = row
+        counts[:i, i] = row[:i]
+        start += i + 1
+    return counts
+
+
+def read_tsv(path) -> ContingencyTable:
+    """Read the TSV table format written by :func:`write_tsv`, in full or as a triangle.
+
+    A file is a triangle when the header names two or more columns and its
+    first data row holds one cell under the first column label: row i must
+    then be labelled with column label i and hold i + 1 cells, and there
+    must be a row per column; the result mirrors the triangle.  Any other
+    file holds a full row per line.  Empty lines are skipped, but a line of
+    whitespace is data: it is the header of a table whose column labels are
+    all whitespace.  A file without data rows raises ``ValueError`` naming
+    the file; a duplicate row or column label, a ragged row, a triangle's
+    row out of order, missing or extra, or a cell that is not a finite
+    nonnegative number names the file and line.  A table whose cells are
+    all 1-15 ASCII digits, as ``cakit count`` writes, is decoded as
+    integers; any other goes through ``np.loadtxt`` or the per-row check
+    (:func:`_parse_numbers`).
     """
     lines = _read_lines(path)
     if len(lines) < 2:
         raise ValueError(f"empty table file, no data rows: {path}")
-    col_labels = lines[0][1].split("\t")[1:]
+    head_line, header = lines[0]
+    col_labels = header.split("\t")[1:]
+    n = len(col_labels)
+    _check_labels(path, "column", col_labels, "\t", [head_line] * n)
+    first = lines[1][1]
+    triangle = n >= 2 and first.count("\t") == 1 and first.partition("\t")[0] == col_labels[0]
     linenos, row_labels, texts = [], [], []
-    for lineno, line in lines[1:]:
-        tabs = line.count("\t")
-        if tabs != len(col_labels):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(col_labels) + 1} cells, got {tabs + 1}"
-            )
+    for i, (lineno, line) in enumerate(lines[1:]):
         label, _, text = line.partition("\t")
+        if triangle:
+            if i == n:
+                raise ValueError(f"{path}:{lineno}: row {label!r} after the last row of a "
+                                 f"triangle of {n} columns")
+            if label != col_labels[i]:
+                raise ValueError(f"{path}:{lineno}: row label {label!r} of a triangle is not "
+                                 f"column label {i + 1}, {col_labels[i]!r}")
+        tabs = line.count("\t")
+        width = i + 1 if triangle else n
+        if tabs != width:
+            raise ValueError(f"{path}:{lineno}: expected {width + 1} cells, got {tabs + 1}")
         linenos.append(lineno)
         row_labels.append(label)
         texts.append(text)
-    _check_labels(path, "row", row_labels, "\t")
-    _check_labels(path, "column", col_labels, "\t")
-    counts = _parse_numbers(path, linenos, texts, len(col_labels))
-    negative = (counts < 0).any(axis=1)
+    if triangle and len(texts) < n:
+        raise ValueError(f"{path}:{linenos[-1]}: a triangle of {n} columns ends after "
+                         f"{len(texts)} rows")
+    _check_labels(path, "row", row_labels, "\t", linenos)
+    widths = range(1, n + 1) if triangle else [n] * len(texts)
+    cells = _parse_numbers(path, linenos, texts, widths)
+    negative = cells < 0
     if negative.any():
-        raise ValueError(f"{path}:{linenos[int(np.argmax(negative))]}: negative count")
+        raise ValueError(f"{path}:{_line_of(linenos, widths, np.argmax(negative))}: "
+                         "negative count")
+    counts = _mirror(cells, n) if triangle else cells.reshape(len(texts), n)
+    del cells, negative  # the table's copy is made without them
     return ContingencyTable(counts, row_labels, col_labels)

@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from cakit import kca, linalg
+from cakit import ca, kca, linalg
 from cakit.ca import (
     EmbeddingSet,
     default_dimension,
@@ -322,7 +322,8 @@ class TestSymmetricTable:
         # the oracle: the general SVD of the sandwich as built, not symmetrised
         _, (Lr, _), (Lc, _), sandwich = build_sandwich(t, m)
         U, S, Vt = np.linalg.svd(sandwich)
-        U, V = linalg._apply_sign_convention(U, Vt.T)
+        signs = linalg._sign_convention(U)
+        U, V = U * signs, Vt.T * signs
         assert_same_spectrum(fast.decomposition.S, S, name)
         # compare the dimensions that the spectral gap determines, signs included
         gaps = -np.diff(S)
@@ -771,6 +772,22 @@ class TestWritersMatchPerCellReference:
                 by_reference = labels is not None and name in SYMMETRIC_SANDWICH - {"kpca_cd"}
                 assert ("col=row" in path.read_text()) == by_reference, name
                 assert_bit_identical(read_embeddings(path), e)
+
+    def test_sgns_with_an_all_zero_row_carries_g_by_reference(self, tmp_path):
+        # shift_k = 1.5 clamps one word's shifted PMI to 0 on every cell; its
+        # row of F and G holds zeros whose signs G = F s must carry too
+        t = ContingencyTable.from_counts(symmetric_counts(), WORDS, WORDS)
+        m = build_method("sgns", ID, ID, {"shift_k": 1.5}, t)
+        assert (~association_matrix(t, m).values.any(axis=1)).sum() == 1
+        e = fit_kca(t, m, 6)
+        zero = ~e.F.any(axis=1)
+        signs = ca._column_signs(e)
+        assert zero.sum() == 1 and signs is not None and (signs < 0).any()
+        assert np.signbit(e.G[zero]).tobytes() != np.signbit(e.F[zero]).tobytes()
+        path = tmp_path / "emb.tsv"
+        write_embeddings(e, path)
+        assert "\ncol=row\t" in path.read_text()
+        assert_bit_identical(read_embeddings(path), e)
 
     @pytest.mark.parametrize("name", sorted(SYMMETRIC_SANDWICH - {"kpca_cd"}))
     def test_a_file_with_column_points_reads_to_the_same_set(self, tmp_path, name):

@@ -8,7 +8,7 @@ import pytest
 from cakit.linalg import (
     Decomposition,
     NotPositiveDefiniteError,
-    _apply_sign_convention,
+    _sign_convention,
     nuclear_norm,
     spd_sqrt,
     svd,
@@ -67,9 +67,7 @@ class TestSvd:
             V = rng.normal(size=(4, 6))
             top = np.argmax(np.abs(U), axis=0)  # the lowest index of each column's ties
             signs = np.where(U[top, np.arange(6)] < 0, -1.0, 1.0)
-            got_U, got_V = _apply_sign_convention(U.copy(), V.copy())
-            assert got_U.tobytes() == (U * signs).tobytes()
-            assert got_V.tobytes() == (V * signs).tobytes()
+            assert _sign_convention(U).tobytes() == signs.tobytes()
 
     def test_singular_values_permutation_invariant(self):
         rng = np.random.default_rng(13)
@@ -250,6 +248,23 @@ class TestZeroRows:
         k = dec.S.shape[0]
         np.testing.assert_allclose(dec.U.T @ dec.U, np.eye(k), atol=1e-12)
         np.testing.assert_allclose(dec.V.T @ dec.V, np.eye(k), atol=1e-12)
+
+
+    def test_symmetric_right_vectors_are_the_left_times_the_eigenvalue_signs(self):
+        # bit for bit, the signed zeros of the all-zero rows included
+        rng = np.random.default_rng(61)
+        for n in (6, 30):
+            A = symmetric_with_spectrum(rng, rng.normal(size=n))
+            zero = rng.choice(n, size=2, replace=False)
+            A[zero, :] = A[:, zero] = 0.0
+            dec = svd(A)
+            live = int(np.flatnonzero(A.any(axis=1))[0])
+            s = np.where(np.signbit(dec.U[live]) != np.signbit(dec.V[live]), -1.0, 1.0)
+            assert dec.V.tobytes() == (dec.U * s).tobytes()
+            kept = ~dec.flagged_small
+            # negative eigenvalues, and their zeros of both signs, among the kept triplets
+            assert (s[kept] < 0).any() and np.signbit(dec.V[zero][:, kept]).any()
+            assert not np.signbit(dec.V[zero][:, kept]).all()
 
 
 @pytest.mark.parametrize("call, message", [

@@ -6,6 +6,7 @@ import importlib
 import logging
 import pkgutil
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,13 +387,13 @@ class TestTsvRoundTrip:
     def test_duplicate_row_label_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("\tx\ty\nw\t1\t2\nv\t1\t1\nw\t3\t4\n")
-        with pytest.raises(ValueError, match=r"dup\.tsv: duplicate row label 'w'"):
+        with pytest.raises(ValueError, match=r"dup\.tsv:4: duplicate row label 'w'"):
             read_tsv(path)
 
     def test_duplicate_column_label_rejected(self, tmp_path):
         path = tmp_path / "dup.tsv"
         path.write_text("\tx\tx\nw\t1\t2\n")
-        with pytest.raises(ValueError, match=r"dup\.tsv: duplicate column label 'x'"):
+        with pytest.raises(ValueError, match=r"dup\.tsv:1: duplicate column label 'x'"):
             read_tsv(path)
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
@@ -411,6 +412,139 @@ class TestTsvRoundTrip:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_tsv(path)
+
+
+TRIANGLE = "\ta\tb\tc\na\t1\nb\t2\t3\n\nc\t4\t5\t6\n"  # the blank line is line 4
+
+
+class TestTriangle:
+    """A symmetric table's file holds its lower triangle; the reader mirrors it."""
+
+    @staticmethod
+    def round_trip(tmp_path, t):
+        path = tmp_path / "t.tsv"
+        write_tsv(t, path)
+        assert path.read_bytes() == triangle_tsv_bytes(t)
+        back = read_tsv(path)
+        assert back.row_labels == t.row_labels and back.col_labels == t.col_labels
+        assert back.counts.tobytes() == t.counts.tobytes()
+        assert outcome(read_tsv, path) == outcome(reference_read_tsv, path)
+        return path
+
+    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
+    def test_integers_on_both_sides_of_the_lookup_bound(self, tmp_path, monkeypatch, block):
+        bound = tables._DECIMALS_BOUND
+        counts = symmetric_counts(np.random.default_rng(block), 60, 2 * bound)
+        counts[0, 1:4] = counts[1:4, 0] = bound - 1, bound, bound + 1
+        words = [f"w{i}" for i in range(60)]
+        decoded = []
+        parse_digits = tables._parse_digits
+        monkeypatch.setattr(tables, "_DIGIT_BLOCK", block)
+        monkeypatch.setattr(tables, "_parse_digits",
+                            lambda *a: decoded.append(parse_digits(*a)) or decoded[-1])
+        self.round_trip(tmp_path, ContingencyTable.from_counts(counts, words, words))
+        # the rows of a triangle keep the integer decode, in blocks of any size
+        assert decoded and all(d is not None and d.shape == (60 * 61 // 2,) for d in decoded)
+
+    @pytest.mark.parametrize("big", [2**53 - 1, 2**53, 2**53 + 2, 2**60])
+    def test_integers_above_two_to_the_53(self, tmp_path, big):
+        counts = symmetric_counts(np.random.default_rng(big % 1013), 12, 9)
+        counts[3, 7] = counts[7, 3] = big
+        counts[5, 5] = 2.0**62
+        words = [f"w{i}" for i in range(12)]
+        self.round_trip(tmp_path, ContingencyTable.from_counts(counts, words, words))
+
+    def test_a_non_integer_table_takes_the_per_row_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(83)
+        counts = symmetric_counts(rng, 15, 50)
+        counts[rng.random(counts.shape) < 0.3] += 0.5
+        counts = np.minimum(counts, counts.T)  # symmetric again
+        counts[2, 2] = 1e-300
+        words = [f"w{i}" for i in range(15)]
+        t = ContingencyTable.from_counts(counts, words, words)
+        assert t.symmetric
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("the rows of a triangle differ in width")
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        self.round_trip(tmp_path, t)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_the_smallest_tables(self, tmp_path, n):
+        counts = np.array([[3.0, 1.0], [1.0, 0.0]])[:n, :n]
+        path = self.round_trip(tmp_path, ContingencyTable.from_counts(counts, "ab"[:n], "ab"[:n]))
+        # one column: the triangle is the full table
+        assert path.read_text() == {1: "\ta\na\t3\n", 2: "\ta\tb\na\t3\nb\t1\t0\n"}[n]
+
+    def test_a_counted_table_that_dropped_a_zero_marginal_word(self, tmp_path, caplog):
+        # w's neighbours are all rare, so its counts go to the cut sink
+        tokens = "a b a b r1 w r2 r3 w r4 a b c a c b".split()
+        with caplog.at_level(logging.WARNING, logger="cakit.tables"):
+            t = count_cooccurrences(tokens, CooccurrenceConfig(window=1, min_count=2))
+        assert "dropping zero-marginal rows: w" in caplog.text and "w" not in t.row_labels
+        assert t.symmetric and t.shape == (3, 3)
+        self.round_trip(tmp_path, t)
+
+    def test_a_full_symmetric_file_reads_to_the_same_table(self, tmp_path):
+        # as every table file was written before the triangle
+        words = [f"w{i}" for i in range(40)]
+        t = ContingencyTable.from_counts(symmetric_counts(np.random.default_rng(89), 40, 9000),
+                                         words, words)
+        full = tmp_path / "full.tsv"
+        full.write_bytes(cell_by_cell_tsv(t))
+        triangle = self.round_trip(tmp_path, t)
+        assert outcome(read_tsv, full) == outcome(read_tsv, triangle)
+
+    @pytest.mark.parametrize("edit, message", [
+        (("b\t2\t3", "b\t2"), "t.tsv:3: expected 3 cells, got 2"),
+        (("b\t2\t3", "b\t2\t3\t9"), "t.tsv:3: expected 3 cells, got 4"),
+        (("c\t4\t5\t6", "c\t4\t5"), "t.tsv:5: expected 4 cells, got 3"),
+        (("b\t2\t3", "c\t2\t3"), "t.tsv:3: row label 'c' of a triangle is not column "
+                                  "label 2, 'b'"),
+        (("\nc\t4\t5\t6\n", "\n"), "t.tsv:3: a triangle of 3 columns ends after 2 rows"),
+        (("c\t4\t5\t6\n", "c\t4\t5\t6\nd\t1\t1\t1\t1\n"),
+         "t.tsv:6: row 'd' after the last row of a triangle of 3 columns"),
+        (("c\t4\t5\t6", "c\t4\t-5\t6"), "t.tsv:5: negative count"),
+        (("c\t4\t5\t6", "c\t4\tnan\t6"), "t.tsv:5: non-finite value"),
+        (("b\t2\t3", "b\tinf\t3"), "t.tsv:3: non-finite value"),
+        (("c\t4\t5\t6", "c\t4\tx\t6"), "t.tsv:5: could not convert string to float: 'x'"),
+        (("\tb\tc", "\tb\ta"), "t.tsv:1: duplicate column label 'a'"),
+    ], ids=["row of i cells", "row of i + 2 cells", "last row short", "label out of order",
+            "missing row", "extra row", "negative cell", "nan cell", "inf cell", "word cell",
+            "duplicate column label"])
+    def test_rejections_name_the_line(self, tmp_path, edit, message):
+        path = tmp_path / "t.tsv"
+        assert edit[0] in TRIANGLE
+        path.write_text(TRIANGLE.replace(*edit, 1), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(tmp_path))}/{re.escape(message)}$"):
+            read_tsv(path)
+        assert outcome(read_tsv, path) == outcome(reference_read_tsv, path)
+
+    def test_the_untouched_file_is_read(self, tmp_path):
+        path = tmp_path / "t.tsv"
+        path.write_text(TRIANGLE, encoding="utf-8")
+        assert read_tsv(path).counts.tolist() == [[1, 2, 4], [2, 3, 5], [4, 5, 6]]
+
+    def test_reading_makes_no_second_full_array(self, tmp_path):
+        # the cells of the triangle take half a V x V array, its mirror one
+        n = 500
+        words = [f"w{i:03d}" for i in range(n)]
+        t = ContingencyTable.from_counts(symmetric_counts(np.random.default_rng(97), n, 5000),
+                                         words, words)
+        full, triangle = tmp_path / "full.tsv", tmp_path / "triangle.tsv"
+        full.write_bytes(cell_by_cell_tsv(t))
+        write_tsv(t, triangle)
+        peaks = {}
+        for path in (full, triangle):
+            read_tsv(path)  # first-call allocations are not the reader's
+            tracemalloc.start()
+            try:
+                read_tsv(path)
+                peaks[path] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[triangle] <= peaks[full] + 0.5 * n * n * 8, peaks
 
 
 def reference_cell(x):
@@ -453,6 +587,42 @@ class TestTsvGoldenBytes:
         assert path.read_bytes() == cell_by_cell_tsv(t)
         np.testing.assert_array_equal(read_tsv(path).counts, t.counts)
 
+    def test_equal_labels_with_asymmetric_counts_keep_the_full_form(self, tmp_path):
+        counts = symmetric_counts(np.random.default_rng(73), 9, 50)
+        counts[2, 6] += 1.0
+        words = [f"w{i}" for i in range(9)]
+        t = ContingencyTable.from_counts(counts, words, words)
+        assert not t.symmetric
+        write_tsv(t, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == cell_by_cell_tsv(t)
+
+    def test_a_symmetric_table_is_written_as_its_lower_triangle(self, tmp_path):
+        words = [f"w{i}" for i in range(9)]
+        t = ContingencyTable.from_counts(symmetric_counts(np.random.default_rng(79), 9, 50),
+                                         words, words)
+        write_tsv(t, tmp_path / "t.tsv")
+        assert (tmp_path / "t.tsv").read_bytes() == triangle_tsv_bytes(t)
+        assert (tmp_path / "t.tsv").read_text().split("\n")[1:3] == [
+            "w0\t" + reference_cell(t.counts[0, 0]),
+            "\t".join(["w1", *map(reference_cell, t.counts[1, :2])])]
+
+
+def symmetric_counts(rng, n, high):
+    """A seeded symmetric n x n matrix of integers below ``high`` with empty cells."""
+    upper = np.triu(rng.integers(0, high, size=(n, n)).astype(float))
+    upper[rng.random((n, n)) < 0.2] = 0.0
+    counts = upper + np.triu(upper, 1).T
+    np.fill_diagonal(counts, np.diag(counts) + 1.0)  # no empty row
+    return counts
+
+
+def triangle_tsv_bytes(t):
+    """A symmetric table's file as a triangle: row i holds its cells 0..i, cell by cell."""
+    lines = ["\t" + "\t".join(t.col_labels)]
+    for i, (label, row) in enumerate(zip(t.row_labels, t.counts.tolist())):
+        lines.append("\t".join([label, *map(reference_cell, row[:i + 1])]))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
 
 def reference_tsv_bytes(t):
     """The bytes the two-branch writer wrote: a table of integers below 2**53
@@ -484,28 +654,78 @@ def reference_parse_numbers(path, linenos, rows):
     return values
 
 
+def reference_lines(path):
+    """Numbered non-empty lines of a UTF-8 file, split at LF only."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        return [(n, line) for n, line in enumerate(fh.read().split("\n"), start=1) if line]
+
+
+def reference_check_labels(path, axis, labels, linenos):
+    """A file's labels hold no CR and none repeats on its axis, else ``path:line``."""
+    seen = set()
+    for label, lineno in zip(labels, linenos):
+        if "\r" in label:
+            raise ValueError(f"{path}:{lineno}: {axis} label {label!r} contains '\\t' "
+                             "or a line break")
+        if label in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate {axis} label {label!r}")
+        seen.add(label)
+
+
 def reference_read_tsv(path):
-    """The table reader that split every line into all of its cells."""
-    lines = tables._read_lines(path)
+    """The table reader that split every line into all of its cells.
+
+    A triangle's rows are parsed one at a time and mirrored cell by cell.
+    """
+    lines = reference_lines(path)
     if len(lines) < 2:
         raise ValueError(f"empty table file, no data rows: {path}")
-    col_labels = lines[0][1].split("\t")[1:]
+    head_line, header = lines[0]
+    col_labels = header.split("\t")[1:]
+    n = len(col_labels)
+    reference_check_labels(path, "column", col_labels, [head_line] * n)
+    first = lines[1][1].split("\t")
+    triangle = n >= 2 and len(first) == 2 and first[0] == col_labels[0]
     linenos, row_labels, rows = [], [], []
-    for lineno, line in lines[1:]:
+    for i, (lineno, line) in enumerate(lines[1:]):
         cells = line.split("\t")
-        if len(cells) != len(col_labels) + 1:
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(col_labels) + 1} cells, got {len(cells)}"
-            )
+        if triangle and i >= n:
+            raise ValueError(f"{path}:{lineno}: row {cells[0]!r} after the last row of a "
+                             f"triangle of {n} columns")
+        if triangle and cells[0] != col_labels[i]:
+            raise ValueError(f"{path}:{lineno}: row label {cells[0]!r} of a triangle is not "
+                             f"column label {i + 1}, {col_labels[i]!r}")
+        expected = i + 2 if triangle else n + 1
+        if len(cells) != expected:
+            raise ValueError(f"{path}:{lineno}: expected {expected} cells, got {len(cells)}")
         linenos.append(lineno)
         row_labels.append(cells[0])
         rows.append(cells[1:])
-    tables._check_labels(path, "row", row_labels, "\t")
-    tables._check_labels(path, "column", col_labels, "\t")
-    counts = reference_parse_numbers(path, linenos, rows)
-    negative = (counts < 0).any(axis=1)
-    if negative.any():
-        raise ValueError(f"{path}:{linenos[int(np.argmax(negative))]}: negative count")
+    if triangle and len(rows) < n:
+        raise ValueError(f"{path}:{linenos[-1]}: a triangle of {n} columns ends after "
+                         f"{len(rows)} rows")
+    reference_check_labels(path, "row", row_labels, linenos)
+    if not triangle:
+        counts = reference_parse_numbers(path, linenos, rows)
+        negative = (counts < 0).any(axis=1)
+        if negative.any():
+            raise ValueError(f"{path}:{linenos[int(np.argmax(negative))]}: negative count")
+        return ContingencyTable.from_counts(counts, row_labels, col_labels)
+    values = []
+    for lineno, row in zip(linenos, rows):
+        try:
+            values.append(np.array(row, dtype=float))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for problem, bad in (("non-finite value", lambda x: not np.isfinite(x).all()),
+                         ("negative count", lambda x: (x < 0).any())):
+        for lineno, row in zip(linenos, values):
+            if bad(row):
+                raise ValueError(f"{path}:{lineno}: {problem}")
+    counts = np.zeros((n, n))
+    for i, row in enumerate(values):
+        for j, x in enumerate(row):
+            counts[i, j] = counts[j, i] = x
     return ContingencyTable.from_counts(counts, row_labels, col_labels)
 
 
@@ -789,6 +1009,40 @@ class TestCodecMatchesPerRowReference:
             accepted += got[0] != "ValueError"
         assert 100 < accepted < 350, accepted  # both outcomes are exercised
 
+    def test_seeded_triangles_of_odd_cells(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(71)
+        path = tmp_path / "t.tsv"
+        accepted = 0
+        for n in range(400):
+            size = int(rng.integers(2, 6))
+            words = [f"w{j}" for j in range(size)]
+            rows = []
+            for i in range(size):
+                cells = (digit_cells(rng, (i + 1,)) if n % 2
+                         else rng.integers(0, 100, size=i + 1).astype(str).astype(object))
+                odd = rng.random(i + 1) < (0.1 if n % 4 < 2 else 0.02)
+                cells[odd] = rng.choice(ODD_CELLS, size=int(odd.sum()))
+                rows.append("\t".join([words[i], *cells]))
+            fault, i = rng.integers(0, 16), rng.integers(size)
+            if fault == 0:  # a cell too few
+                rows[i] = rows[i].rsplit("\t", 1)[0]
+            elif fault == 1:  # a cell too many
+                rows[i] += "\t7"
+            elif fault == 2:  # a label out of order
+                rows[i] = "w9" + rows[i][2:]
+            elif fault == 3:  # a row missing
+                del rows[i]
+            elif fault == 4:  # a row after the last
+                rows.append("\t".join(["w9", *"1" * (size + 1)]))
+            path.write_text("\n".join(["\t".join(["", *words]), *rows]) + "\n", encoding="utf-8")
+            got = outcome(read_tsv, path)
+            assert got == outcome(reference_read_tsv, path), rows
+            with monkeypatch.context() as m:  # a block boundary after every row
+                m.setattr(tables, "_DIGIT_BLOCK", 1)
+                assert outcome(read_tsv, path) == got, rows
+            accepted += got[0] != "ValueError"
+        assert 100 < accepted < 350, accepted  # both outcomes are exercised
+
     def test_seeded_embeddings_of_odd_cells(self, tmp_path):
         rng = np.random.default_rng(61)
         path = tmp_path / "emb.tsv"
@@ -829,7 +1083,7 @@ class TestCodecMatchesPerRowReference:
         long_row = 1 + [t.count("\t") for t in texts].index(2)
         message = f"p:{long_row}: could not broadcast input array from shape (3,) into shape (2,)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            tables._parse_numbers("p", list(range(1, len(texts) + 1)), texts, 2)
+            tables._parse_numbers("p", list(range(1, len(texts) + 1)), texts, [2] * len(texts))
 
     def test_a_count_table_is_decoded_without_loadtxt(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(67)
