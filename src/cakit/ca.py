@@ -44,10 +44,12 @@ class EmbeddingSet:
     ``singular_values`` is the truncated, descending, nonnegative spectrum
     of the fitted matrix.  ``decomposition`` is the full (untruncated)
     generalized SVD of the association under the kernel metrics that the
-    coordinates were derived from, or None for a set that was read from a
-    file.  A fit does not keep it: it passes ``decompose``, which solves it
-    again from the fit's table and method, and the first read of
-    ``decomposition`` calls that once and keeps the result.  F, G and the
+    coordinates were derived from, or None for a set that no fit made.  A
+    fit does not keep it: :func:`cakit.kca.fit_kca` sets ``decompose``,
+    which solves it again from the fit's table and method, and the first
+    read of ``decomposition`` calls that once and keeps the result.  No
+    argument sets ``decompose``, so a set read from a file or made by
+    ``dataclasses.replace`` has none.  F, G and the
     singular values are the set's own read-only copies, the labels tuples.
     A NaN or infinite value in them, or a label that is not a string or
     repeats within its point set, raises ``ValueError``, as every reader
@@ -62,7 +64,8 @@ class EmbeddingSet:
     col_labels: tuple[str, ...]
     singular_values: np.ndarray = field(hash=False)
     method_tag: str
-    decompose: Callable[[], Decomposition] | None = field(default=None, repr=False, compare=False)
+    decompose: Callable[[], Decomposition] | None = field(default=None, init=False, repr=False,
+                                                          compare=False)
 
     __eq__ = _equal_fields
 

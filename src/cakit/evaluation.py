@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
 from .ca import EmbeddingSet
 from .corpus import _token_ids
-from .tables import _read_only, _read_text
+from .tables import _equal_fields, _read_only, _read_text
 
 
+@dataclass(frozen=True, init=False)
 class WordSimDataset:
     """Word pairs and their human scores, dictionary-encoded.
 
@@ -37,8 +38,15 @@ class WordSimDataset:
     float array, one entry per pair.  ``words_a``, ``words_b`` and
     :attr:`triples` are derived from them.  ``WordSimDataset(triples)``
     builds one from (word_a, word_b, score) triples, each pair in the word
-    order given; :func:`load_wordsim` builds one from a file.
+    order given; :func:`load_wordsim` builds one from a file.  Two datasets
+    are equal, and hash alike, when their fields are.
     """
+
+    vocab: tuple[str, ...]
+    ids: np.ndarray = field(hash=False)
+    scores: np.ndarray = field(hash=False)
+
+    __eq__ = _equal_fields
 
     def __init__(self, triples):
         words_a, words_b, scores = tuple(zip(*triples)) or ((), (), ())
@@ -56,9 +64,9 @@ class WordSimDataset:
     def _set(self, vocab, ids, scores) -> None:
         if not len(ids):
             raise ValueError("word-similarity dataset is empty")
-        self.vocab = tuple(vocab)
-        self.ids = _read_only(ids, np.intp)
-        self.scores = _read_only(scores)
+        object.__setattr__(self, "vocab", tuple(vocab))
+        object.__setattr__(self, "ids", _read_only(ids, np.intp))
+        object.__setattr__(self, "scores", _read_only(scores))
 
     @property
     def words_a(self) -> tuple[str, ...]:

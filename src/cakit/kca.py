@@ -34,7 +34,7 @@ Kernels are described by their structure and never built as matrices
 unless given as one: identity and inverse-marginal kernels, with stop
 words or without, are diagonal, the kpca_cd kernel ``(1-e) I + e 11^T``
 has the closed-form root ``a I + b 11^T``, and only an explicit kernel is
-dense.
+dense; :meth:`KernelRoot.scale` applies each other root in place.
 """
 
 from __future__ import annotations
@@ -306,9 +306,9 @@ def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
 class KernelRoot:
     """A root K^{1/2} or K^{-1/2} of one kernel: ``diag(d) + b 11^T``, or ``dense``.
 
-    ``d`` of None is the identity.  ``root @ X`` multiplies from the left,
-    and ``root.scale(X)`` does so in X's buffer where it can; roots are
-    symmetric, so ``(root @ X.T).T`` is ``X @ root``.
+    ``d`` of None is the identity.  :meth:`scale` multiplies from the left,
+    in the given array's own buffer unless the root is dense; roots are
+    symmetric, so ``scale(X.T).T`` is ``X`` times the root.
     """
 
     d: np.ndarray | None = field(default=None, hash=False)
@@ -317,18 +317,15 @@ class KernelRoot:
 
     __eq__ = _equal_fields
 
-    def __matmul__(self, X: np.ndarray) -> np.ndarray:
+    def scale(self, X: np.ndarray) -> np.ndarray:
+        """The root times X: X itself, scaled in place, or for a dense root a new array."""
         if self.dense is not None:
             return self.dense @ X
-        Y = X if self.d is None else self.d[:, None] * X
-        return Y + self.b * X.sum(axis=0) if self.b else Y
-
-    def scale(self, X: np.ndarray) -> np.ndarray:
-        """``self @ X``, in X's own buffer when the root is diagonal; X may then change."""
-        if self.dense is not None or self.b:
-            return self @ X
+        sums = self.b * X.sum(axis=0) if self.b else None  # read before X changes
         if self.d is not None:
             X *= self.d[:, None]
+        if sums is not None:
+            X += sums
         return X
 
 
@@ -386,15 +383,16 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
     (Lr, _), (Lc, _), dec = _sandwich_svd(t, m)
     S = dec.S[:k]
     scale = S**m.exponent
-    return EmbeddingSet(
-        F=(Lr @ dec.U[:, :k]) * scale,
-        G=(Lc @ dec.V[:, :k]) * scale,
+    emb = EmbeddingSet(
+        F=Lr.scale(dec.U[:, :k]) * scale,
+        G=Lc.scale(dec.V[:, :k]) * scale,
         row_labels=t.row_labels,
         col_labels=t.col_labels,
         singular_values=S,
         method_tag=m.tag,
-        decompose=functools.partial(_decomposition, t, m),
     )
+    object.__setattr__(emb, "decompose", functools.partial(_decomposition, t, m))
+    return emb
 
 
 def _symmetric_sandwich(assoc: AssociationMatrix, m: KcaMethod) -> bool:
@@ -411,9 +409,9 @@ def _sandwich_svd(t: ContingencyTable, m: KcaMethod):
     Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
     Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
     symmetric = _symmetric_sandwich(assoc, m)
-    # built in the association's own buffer where the roots are diagonal
+    # built in the association's own buffer unless a root is dense
     sandwich = Lc.scale(Lr.scale(assoc.values).T).T
-    del assoc  # the sandwich holds the only V x V array left
+    del assoc  # after a dense root, frees the association the sandwich was made from
     if symmetric:  # in place: no second V x V array during the eigh
         sandwich += sandwich.T
         sandwich *= 0.5
@@ -424,7 +422,7 @@ def _sandwich_svd(t: ContingencyTable, m: KcaMethod):
 def _decomposition(t: ContingencyTable, m: KcaMethod) -> Decomposition:
     """The full generalized SVD of the association under the kernel metrics."""
     (_, Lr_inv), (_, Lc_inv), dec = _sandwich_svd(t, m)
-    return Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V)
+    return Decomposition(U=Lr_inv.scale(dec.U), S=dec.S, V=Lc_inv.scale(dec.V))
 
 
 def build_gamma(labels, pairs, alpha: float) -> np.ndarray:

@@ -54,24 +54,24 @@ class Decomposition:
     @property
     def flagged_small(self) -> np.ndarray:
         """Boolean mask of singular values flagged as numerically zero."""
-        if self.S.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self.S <= 1e-12 * (self.S[0] if self.S[0] > 0 else 1.0)
+        return _flagged_small(self.S)
 
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
 
 
+def _flagged_small(S: np.ndarray) -> np.ndarray:
+    """Boolean mask of the descending singular values ``S`` flagged as numerically zero."""
+    if S.size == 0:
+        return np.zeros(0, dtype=bool)
+    return S <= 1e-12 * (S[0] if S[0] > 0 else 1.0)
+
+
 def _sign_convention(U: np.ndarray) -> np.ndarray:
     """The sign, 1.0 or -1.0, per column of U that makes its entry of largest magnitude
     nonnegative, the lowest index of ties; the matching right vector takes the same sign."""
-    # The entry is the column's largest or its smallest, so argmax and argmin
-    # (each the lowest index of its ties) find it with no |U| array.
-    cols = np.arange(U.shape[1])
-    hi, lo = np.argmax(U, axis=0), np.argmin(U, axis=0)
-    up, down = U[hi, cols], -U[lo, cols]
-    top = np.where(up > down, hi, np.where(down > up, lo, np.minimum(hi, lo)))
-    return np.where(U[top, cols] < 0, -1.0, 1.0)
+    top = np.abs(U).argmax(axis=0)  # argmax takes the lowest index of its ties
+    return np.where(U[top, np.arange(U.shape[1])] < 0, -1.0, 1.0)
 
 
 def svd(M) -> Decomposition:
@@ -106,7 +106,7 @@ def svd(M) -> Decomposition:
             V = Vt.T
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD did not converge: {exc}") from exc
-    kept = ~Decomposition(U=U, S=S, V=U).flagged_small  # which reads S alone
+    kept = ~_flagged_small(S)
     U[np.ix_(~A.any(axis=1), kept)] = 0.0
     signs = _sign_convention(U)
     U *= signs

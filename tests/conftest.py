@@ -1,6 +1,7 @@
 """Prints a one-line pass/fail summary per acceptance criterion; shared fixtures."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,3 +43,18 @@ def record_calls(monkeypatch):
         return calls
 
     return record
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(call)``: the most bytes ``tracemalloc`` sees held at once during ``call()``."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

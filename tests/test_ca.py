@@ -143,7 +143,7 @@ def build_sandwich(t, m):
     assoc = association_matrix(t, m)
     Lr = kernel_root(m.row_kernel, assoc.r, t.row_labels)
     Lc = kernel_root(m.col_kernel, assoc.c, t.col_labels)
-    return assoc, Lr, Lc, (Lc[0] @ (Lr[0] @ assoc.values).T).T
+    return assoc, Lr, Lc, Lc[0].scale(Lr[0].scale(assoc.values.copy()).T).T
 
 
 def symmetric_to_roundoff(M):
@@ -330,7 +330,7 @@ class TestSymmetricTable:
         determined = np.minimum(np.r_[np.inf, gaps[:5]], gaps[:6]) > 1e-4 * S[0]
         assert determined.sum() >= 3, (name, S)
         power = S[:6] ** m.exponent
-        oracle_F, oracle_G = (Lr @ U[:, :6]) * power, (Lc @ V[:, :6]) * power
+        oracle_F, oracle_G = Lr.scale(U[:, :6]) * power, Lc.scale(V[:, :6]) * power
         scale = max(np.abs(oracle_F).max(), np.abs(oracle_G).max())
         for fast_X, oracle_X in ((fast.F, oracle_F), (fast.G, oracle_G)):
             np.testing.assert_allclose(fast_X[:, determined], oracle_X[:, determined], rtol=0,
@@ -375,8 +375,8 @@ class TestSandwichInPlace:
             dec = linalg.svd(sandwich)
             power = dec.S[:K] ** m.exponent
             emb = fit_kca(t, m, K)
-            for got, want in ((emb.F, (Lr @ dec.U[:, :K]) * power),
-                              (emb.G, (Lc @ dec.V[:, :K]) * power),
+            for got, want in ((emb.F, Lr.scale(dec.U[:, :K]) * power),
+                              (emb.G, Lc.scale(dec.V[:, :K]) * power),
                               (emb.singular_values, dec.S[:K])):
                 assert got.tobytes() == want.tobytes(), name
 
@@ -845,7 +845,7 @@ def eager_decomposition(t, m):
         sandwich += sandwich.T
         sandwich *= 0.5
     dec = linalg.svd(sandwich)
-    return linalg.Decomposition(U=Lr_inv @ dec.U, S=dec.S, V=Lc_inv @ dec.V)
+    return linalg.Decomposition(U=Lr_inv.scale(dec.U), S=dec.S, V=Lc_inv.scale(dec.V))
 
 
 def field_arrays(emb):
@@ -885,6 +885,13 @@ class TestDecompositionOnRequest:
     def test_a_set_read_from_a_file_has_none(self, tmp_path):
         write_embeddings(fit_linear_ca(fisher_table(), 2), tmp_path / "emb.tsv")
         assert read_embeddings(tmp_path / "emb.tsv").decomposition is None
+
+    def test_a_set_replaced_from_a_fit_has_none(self):
+        # the fit's decomposition would describe the fit, not the halved set
+        emb = fit_linear_ca(fisher_table(), 2)
+        half = dataclasses.replace(emb, F=emb.F / 2, G=emb.G / 2,
+                                   singular_values=emb.singular_values / 2)
+        assert half.decomposition is None and emb.decomposition is not None
 
 
 class TestEquality:
@@ -940,7 +947,7 @@ class TestEquality:
         F[1, 1] = np.nextafter(F[1, 1], np.inf)
         assert emb != dataclasses.replace(emb, F=F)
         assert emb != dataclasses.replace(emb, method_tag="gini")
-        assert emb == dataclasses.replace(emb, decompose=None)
+        assert emb == dataclasses.replace(emb)
         assert emb != small_embedding_set() and emb != "linear_ca"
 
 

@@ -210,10 +210,11 @@ class TestKernelGiniCovariance:
         dec = fit_kca(t, m).decomposition
         Lr, _ = kernel_root(m.row_kernel, t.r, t.row_labels)
         Lc, _ = kernel_root(m.col_kernel, t.c, t.col_labels)
-        Er, Ec = Lr @ np.eye(t.shape[0]), Lc @ np.eye(t.shape[1])  # columns K^{1/2} e_a
+        Er, Ec = Lr.scale(np.eye(t.shape[0])), Lc.scale(np.eye(t.shape[1]))  # columns K^{1/2} e_a
         rows = [t.row_labels.index(a) for a, _ in obs]
         cols = [t.col_labels.index(b) for _, b in obs]
-        return Er[:, rows].T, Ec[:, cols].T, (Lr @ dec.U) @ (Lc @ dec.V).T, dec.S
+        R = Lr.scale(dec.U.copy()) @ Lc.scale(dec.V.copy()).T
+        return Er[:, rows].T, Ec[:, cols].T, R, dec.S
 
     @pytest.mark.parametrize("name", ["linear", "gini", "kpca_cd", "linear+sw", "explicit"])
     def test_optimum_is_half_the_spectrum(self, name):

@@ -6,14 +6,13 @@ import importlib
 import logging
 import pkgutil
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import cakit
-from cakit import ca, cli, gini, kca, linalg, tables
+from cakit import ca, cli, evaluation, gini, kca, linalg, tables
 from cakit.ca import EmbeddingSet, fit_linear_ca
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import FISHER_COL_LABELS, FISHER_COUNTS, FISHER_ROW_LABELS, fisher_table
@@ -261,7 +260,7 @@ class TestRecordRule:
                     assert (f.compare if f.hash is None else f.hash) is False, (cls, f.name)
         assert checked == {"AssociationMatrix", "ContingencyTable", "Decomposition",
                            "EmbeddingSet", "KcaMethod", "KernelRoot", "KernelSpec",
-                           "RotatedCovariance"}
+                           "RotatedCovariance", "WordSimDataset"}
 
     def test_equal_results_compare_and_hash_alike(self):
         t = fisher_table()
@@ -278,6 +277,16 @@ class TestRecordRule:
             assert first != "result"
         dec = linalg.svd(M)
         assert dec != dataclasses.replace(dec, S=2.0 * dec.S)
+
+    def test_two_loads_of_a_pair_file_are_equal_and_frozen(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("a\tb\t1.5\nb\tc\t2\n", encoding="utf-8")
+        first, second = evaluation.load_wordsim(path), evaluation.load_wordsim(path)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert first != evaluation.WordSimDataset([("a", "b", 1.5), ("b", "c", 3.0)])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.scores = np.zeros(2)
 
 
 class TestSymmetric:
@@ -526,7 +535,7 @@ class TestTriangle:
         path.write_text(TRIANGLE, encoding="utf-8")
         assert read_tsv(path).counts.tolist() == [[1, 2, 4], [2, 3, 5], [4, 5, 6]]
 
-    def test_reading_makes_no_second_full_array(self, tmp_path):
+    def test_reading_makes_no_second_full_array(self, tmp_path, traced_peak):
         # the cells of the triangle take half a V x V array, its mirror one
         n = 500
         words = [f"w{i:03d}" for i in range(n)]
@@ -538,12 +547,7 @@ class TestTriangle:
         peaks = {}
         for path in (full, triangle):
             read_tsv(path)  # first-call allocations are not the reader's
-            tracemalloc.start()
-            try:
-                read_tsv(path)
-                peaks[path] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[path] = traced_peak(lambda: read_tsv(path))
         assert peaks[triangle] <= peaks[full] + 0.5 * n * n * 8, peaks
 
 
