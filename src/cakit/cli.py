@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import numpy as np
 
@@ -179,11 +178,10 @@ def cmd_eval(args) -> int:
     for path in args.wordsim:
         try:
             dataset = evaluation.load_wordsim(path)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                report = evaluation.evaluate(emb, args.which, dataset)
-            for warning in caught:
-                _err(f"warning: {warning.message}")
+            report = evaluation.evaluate(emb, args.which, dataset)
+            if report.pairs_zero:
+                _err(f"warning: {report.pairs_zero} of {report.pairs_used} pairs involve "
+                     "a zero vector; their cosine is 0")
             rows.append(f"{emb.method_tag}\t{path}\t{report.spearman_rho:.6f}"
                         f"\t{report.pairs_used}\t{report.pairs_skipped}\n")
         except (ValueError, OSError) as exc:

@@ -19,7 +19,6 @@ retained count can only shrink as the threshold rises.
 from __future__ import annotations
 
 import itertools
-import logging
 import re
 import string
 from dataclasses import dataclass
@@ -27,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tables import ContingencyTable, _read_text
-
-logger = logging.getLogger(__name__)
 
 _PUNCT_TO_SPACE = str.maketrans({ch: " " for ch in string.punctuation})
 _CHUNK = 1 << 18  # characters of text per chunk, before the cut at whitespace
@@ -176,8 +173,7 @@ def load_stopwords(path) -> set[str]:
     """Newline-delimited UTF-8 word list; duplicates collapse into the set.
 
     A byte-order mark at the start of the file is not part of the first word.
+    An empty file gives the empty set; the caller decides whether that is an
+    error, as ``cakit fit`` does when no stop word is a label.
     """
-    words = {word for word in map(str.strip, _read_text(path).split("\n")) if word}
-    if not words:
-        logger.warning("stop-word file %s is empty", path)
-    return words
+    return {word for word in map(str.strip, _read_text(path).split("\n")) if word}

@@ -8,16 +8,14 @@ so matching pairs to embedding labels looks up each distinct word once.
 Embeddings are scored by ranking pair cosines against human similarity
 judgements.  Out-of-vocabulary pairs are skipped and counted, never
 zero-filled, so coverage is always visible next to the correlation.
-Pairs touching a zero vector score cosine 0, with one warning per
-evaluation that counts them; a pair of identical nonzero vectors scores
-exactly 1, so such pairs tie in the ranking.  NaN and infinite scores are
-rejected.
+Pairs touching a zero vector score cosine 0, and the report counts them;
+a pair of identical nonzero vectors scores exactly 1, so such pairs tie in
+the ranking.  NaN and infinite scores are rejected.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -102,6 +100,7 @@ class EvalReport:
     spearman_rho: float
     pairs_used: int
     pairs_skipped: int
+    pairs_zero: int
 
 
 def _split_line(line: str) -> list[str]:
@@ -197,10 +196,8 @@ def _parse_lines(path, text: str) -> WordSimDataset:
 
 
 def cosine(u, v) -> float:
-    """u.v / (|u| |v|), as :func:`evaluate` scores a pair; a zero vector gives 0 with a warning."""
-    sims, touched = _pair_cosines(np.array([u, v], dtype=float), np.array([0]), np.array([1]))
-    if touched:
-        warnings.warn("cosine of a zero vector is defined as 0", stacklevel=2)
+    """u.v / (|u| |v|), as :func:`evaluate` scores a pair; a zero vector gives 0."""
+    sims, _ = _pair_cosines(np.array([u, v], dtype=float), np.array([0]), np.array([1]))
     return float(sims[0])
 
 
@@ -269,14 +266,13 @@ def evaluate(e: EmbeddingSet, which: str, d: WordSimDataset) -> EvalReport:
     ``which`` selects the row ("F") or column ("G") coordinates.  The pairs
     :meth:`WordSimDataset.lookup` matches to their labels are scored; the
     others, with a word out of vocabulary, are skipped and counted.
+    ``pairs_zero`` counts the scored pairs that touch an all-zero vector,
+    whose cosine is 0.
     """
     labels, coords = e.coordinates(which)
     ia, ib, human = d.lookup(labels)
     if not len(ia):
         raise ValueError("zero usable pairs: every dataset word is out of vocabulary")
-    sims, touched = _pair_cosines(coords, ia, ib)
-    if touched:
-        warnings.warn(f"{touched} of {len(sims)} pairs involve a zero vector; "
-                      "their cosine is 0", stacklevel=2)
+    sims, zero = _pair_cosines(coords, ia, ib)
     return EvalReport(spearman(sims, human), pairs_used=len(sims),
-                      pairs_skipped=len(d) - len(sims))
+                      pairs_skipped=len(d) - len(sims), pairs_zero=zero)

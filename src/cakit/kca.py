@@ -370,7 +370,8 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
     Takes the SVD of ``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T`` through
     :func:`cakit.linalg.svd`, which takes one ``eigh`` when the sandwich is
     symmetric, and returns the coordinates ``F = K_r^{1/2} U_s S^p`` and
-    ``G = K_c^{1/2} V_s S^p``.
+    ``G = K_c^{1/2} V_s S^p``; an ``S^p`` that is not finite raises before
+    either is formed.
     The fit keeps no V x V factor: ``decomposition``, the full generalized
     SVD of A under the kernel metrics (see the module docstring), is solved
     again from ``t`` and ``m`` when first read.  ``k`` defaults to
@@ -382,7 +383,10 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
         raise ValueError(f"dimension k={k} out of range 1..{min(t.shape)}")
     (Lr, _), (Lc, _), dec = _sandwich_svd(t, m)
     S = dec.S[:k]
-    scale = S**m.exponent
+    with np.errstate(all="ignore"):
+        scale = S**m.exponent
+    if not np.isfinite(scale).all():
+        raise ValueError(f"singular values to the power exponent={m.exponent} are not finite")
     emb = EmbeddingSet(
         F=Lr.scale(dec.U[:, :k]) * scale,
         G=Lc.scale(dec.V[:, :k]) * scale,

@@ -196,9 +196,21 @@ def _format_count(x: float) -> str:
 
 
 def _read_text(path) -> str:
-    """The text of a UTF-8 file, without a leading byte-order mark; every reader's one open."""
+    """The text of a UTF-8 file, without a leading byte-order mark; every reader's one open.
+
+    A byte that is not UTF-8 raises naming ``path:line``, the lines numbered
+    as the readers number them: LF, CR LF and a lone CR each end one.
+    """
     with open(path, encoding="utf-8-sig") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            fh.buffer.seek(0)
+            data = fh.buffer.read()
+            bad = len(data) - len(exc.object) + exc.start  # exc.object: the bytes after a BOM
+    before = data[:bad]
+    line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+    raise ValueError(f"{path}:{line}: byte 0x{data[bad]:02x} is not UTF-8")
 
 
 def _read_lines(path) -> list[tuple[int, str]]:

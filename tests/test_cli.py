@@ -72,9 +72,6 @@ class TestCount:
         assert "rare" not in tables.read_tsv(out).row_labels
 
 
-NON_FINITE_COORDINATES = "coordinates or singular values are NaN or infinite"
-
-
 class TestFit:
     def test_linear_fit_writes_embeddings(self, fisher_tsv, tmp_path, capsys):
         out = tmp_path / "emb.tsv"
@@ -251,7 +248,10 @@ class TestFit:
         (["--exponent", "nan"], "exponent must be finite, got nan"),
         (["--exponent=inf"], "exponent must be finite, got inf"),
         (["--exponent=-inf"], "exponent must be finite, got -inf"),
-        (["--exponent", "-1000"], NON_FINITE_COORDINATES),  # S**-1000 overflows
+        (["--exponent", "-1000"],  # S**-1000 overflows
+         "singular values to the power exponent=-1000.0 are not finite"),
+        (["--method", "sgns", "--shift-k", "1000", "--exponent", "-1"],  # S is 0
+         "singular values to the power exponent=-1.0 are not finite"),
         (["--method", "sgns", "--shift-k", "inf"], "sgns shift_k must be finite and > 0, got inf"),
         (["--method", "sgns", "--shift-k", "nan"], "sgns shift_k must be finite and > 0, got nan"),
         (["--method", "gini", "--sw-alpha-row", "nan", "--stopwords", "{sw}"],
@@ -264,7 +264,7 @@ class TestFit:
          "pair-score alpha must be finite, got nan"),
         (["--method", "ws", "--ws-scores", "{scores}", "--ws-alpha", "inf"],
          "pair-score alpha must be finite, got inf"),
-    ], ids=["nan", "inf", "-inf", "-1000", "shift_k inf", "shift_k nan",
+    ], ids=["nan", "inf", "-inf", "-1000", "sgns zero S", "shift_k inf", "shift_k nan",
             "sw_alpha_row nan", "sw_alpha_row inf", "sw_alpha_col nan", "ws_alpha nan",
             "ws_alpha inf"])
     def test_non_finite_fit_writes_no_file(self, fisher_tsv, tmp_path, capsys, flags, message):
@@ -277,11 +277,11 @@ class TestFit:
             warnings.simplefilter("always")
             rc = main([arg.format(sw=sw, scores=scores) for arg in argv])
         assert rc == 1
-        assert f"error: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if not line.startswith("config: ")] == [f"error: {message}"]
         assert not out.exists()
-        # a parameter is checked before any arithmetic; only S**-1000 warns, as it overflows
-        overflow = ["overflow encountered in power"] if "-1000" in flags else []
-        assert [str(w.message) for w in caught] == overflow
+        # a parameter is checked before any arithmetic, and S**p before F and G
+        assert not caught
 
     def test_fit_is_byte_deterministic(self, fisher_tsv, tmp_path):
         out1 = tmp_path / "e1.tsv"
@@ -360,7 +360,7 @@ class TestEval:
 
     @pytest.mark.parametrize("header", ["4\t5", "4\t5\t2\tlinear_ca\t0.5", "4\t5\t2\tx\tnan\t0.1"])
     def test_malformed_embeddings_exit_1_with_error(self, embeddings, tmp_path, capsys, header):
-        lines = open(embeddings, encoding="utf-8").read().splitlines()
+        lines = Path(embeddings).read_text(encoding="utf-8").splitlines()
         bad = tmp_path / "bad_emb.tsv"
         bad.write_text("\n".join([header] + lines[1:]) + "\n")
         ws = tmp_path / "ws.txt"
@@ -464,6 +464,32 @@ class TestDemo:
         assert "rotated_covariance" in stdout
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 4 + 5
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])
+@pytest.mark.parametrize("kind", ["table", "corpus", "stopwords", "embeddings", "pairs", "config"])
+def test_a_byte_that_is_not_utf8_names_path_and_line(fisher_tsv, tmp_path, capsys, kind, bom):
+    emb, pairs, out = tmp_path / "emb.tsv", tmp_path / "pairs.txt", str(tmp_path / "out.tsv")
+    assert main(["fit", fisher_tsv, "--dim", "2", "--out", str(emb)]) == 0
+    pairs.write_text("blue light 8\nmedium dark 6\nblue dark 2\n")
+    good = {"table": Path(fisher_tsv).read_bytes(), "corpus": b"the cat\nsat on\nthe mat\n",
+            "stopwords": b"the\nof\nblue\n", "embeddings": emb.read_bytes(),
+            "pairs": pairs.read_bytes(), "config": b"# gini\nmethod=gini\ndim=2\n"}[kind]
+    # the Latin-1 e-acute opens line 3; line 1 ends in CR LF and line 2 in a lone CR
+    first, second, rest = good.split(b"\n", 2)
+    bad = tmp_path / f"{kind}.txt"
+    bad.write_bytes(bom + first + b"\r\n" + second + b"\r\xe9" + rest)
+    argv = {"table": ["fit", bad, "--out", out],
+            "corpus": ["count", bad, "--out", out],
+            "stopwords": ["fit", fisher_tsv, "--sw-alpha-row", "1", "--stopwords", bad,
+                          "--out", out],
+            "embeddings": ["eval", bad, "--wordsim", pairs],
+            "pairs": ["eval", emb, "--wordsim", bad],
+            "config": ["fit", fisher_tsv, "--config", bad, "--out", out]}[kind]
+    capsys.readouterr()
+    assert main(list(map(str, argv))) == 1
+    assert f"{bad}:3: byte 0xe9 is not UTF-8\n" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_module_runs_count_fit_eval_in_a_fresh_interpreter(tmp_path, monkeypatch):

@@ -418,14 +418,14 @@ class TestLoadStopwords:
         with pytest.raises(FileNotFoundError):
             load_stopwords(tmp_path / "nope.txt")
 
-    def test_empty_file_warns(self, tmp_path, caplog):
+    def test_empty_file_is_the_empty_set_and_logs_nothing(self, tmp_path, caplog):
         path = tmp_path / "sw.txt"
         path.write_text("\n\n")
         import logging
 
-        with caplog.at_level(logging.WARNING):
+        with caplog.at_level(logging.DEBUG):
             assert load_stopwords(path) == set()
-        assert "empty" in caplog.text
+        assert not caplog.records
 
     def test_bundled_list_is_loadable(self):
         words = load_stopwords(bundled_stopwords_path())

@@ -4,7 +4,6 @@ import gc
 import itertools
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -60,16 +59,16 @@ def reference_spearman(xs, ys) -> float:
 def reference_evaluate(e, which, d) -> EvalReport:
     labels, coords = e.coordinates(which)
     index = {lbl: i for i, lbl in enumerate(labels)}
-    sims, human, skipped = [], [], 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # one zero-vector warning per pair
-        for a, b, score in d.triples:
-            if a not in index or b not in index:
-                skipped += 1
-                continue
-            sims.append(cosine(coords[index[a]], coords[index[b]]))
-            human.append(score)
-    return EvalReport(reference_spearman(sims, human), len(sims), skipped)
+    sims, human, skipped, zero = [], [], 0, 0
+    for a, b, score in d.triples:
+        if a not in index or b not in index:
+            skipped += 1
+            continue
+        u, v = coords[index[a]], coords[index[b]]
+        sims.append(cosine(u, v))
+        human.append(score)
+        zero += not (u.any() and v.any())
+    return EvalReport(reference_spearman(sims, human), len(sims), skipped, zero)
 
 
 # The per-line loop load_wordsim ran before it parsed a tab file whole,
@@ -464,9 +463,10 @@ class TestCosine:
     def test_45_degrees(self):
         assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.7071067811865475, abs=1e-12)
 
-    def test_zero_vector_warns_and_returns_zero(self):
-        with pytest.warns(UserWarning, match="zero vector"):
-            assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+    def test_zero_vector_returns_zero(self):
+        assert cosine([0.0, 0.0], [1.0, 0.0]) == 0.0
+        assert cosine([1.0, 0.0], [0.0, 0.0]) == 0.0
+        assert cosine([0.0, 0.0], [0.0, 0.0]) == 0.0
 
     def test_a_vector_with_itself_is_exactly_one(self):
         # u.u / (|u| |u|) rounds to 1.0000000000000002 for about half of these
@@ -488,10 +488,8 @@ class TestCosine:
                                  for a, b in zip(idx, jdx)))
         ranked = []
         monkeypatch.setattr(evaluation, "spearman", lambda sims, human: ranked.append(sims) or 0.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            evaluate(emb, "F", d)
-            want = np.array([cosine(F[a], F[b]) for a, b in zip(idx, jdx)])
+        evaluate(emb, "F", d)
+        want = np.array([cosine(F[a], F[b]) for a, b in zip(idx, jdx)])
         assert ranked[0].tobytes() == want.tobytes()
         assert (want[:10] == 1.0).all()
 
@@ -659,11 +657,11 @@ class TestEvaluate:
                 for a, b in (rng.choice(len(words), size=2, replace=False) for _ in range(300))
             )
             d = WordSimDataset(triples)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                got = evaluate(emb, "F", d)
+            got = evaluate(emb, "F", d)
             want = reference_evaluate(emb, "F", d)
-            assert (got.pairs_used, got.pairs_skipped) == (want.pairs_used, want.pairs_skipped)
+            assert (got.pairs_used, got.pairs_skipped, got.pairs_zero) == (
+                want.pairs_used, want.pairs_skipped, want.pairs_zero)
+            assert got.pairs_zero > 0
             assert got.pairs_skipped > 0
             assert abs(got.spearman_rho - want.spearman_rho) <= 1e-12
 
@@ -683,17 +681,15 @@ class TestEvaluate:
         triples = tuple((labels[a], labels[b], float(rng.integers(10)))
                         for a, b in zip(idx, jdx))
         d = WordSimDataset(triples)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            want_sims = [cosine(F[a], F[b]) for a, b in zip(idx, jdx)]
-            got = evaluate(emb, "F", d)
+        want_sims = [cosine(F[a], F[b]) for a, b in zip(idx, jdx)]
+        got = evaluate(emb, "F", d)
         same = (F[idx] == F[jdx]).all(axis=1) & F[idx].any(axis=1)
         assert same.sum() >= 58 + 12
         want_sims = np.where(same, 1.0, want_sims)
         assert got.spearman_rho == reference_spearman(want_sims.tolist(),
                                                        [s for _, _, s in triples])
 
-    def test_sgns_zero_rows_warn_once_with_count(self, tmp_path):
+    def test_sgns_zero_rows_are_counted(self, tmp_path):
         # SGNS with shift_k=5 zeroes every row but the first of this 3x3 table
         t = ContingencyTable.from_counts(
             np.array([[1.0, 0, 0], [0, 20, 20], [0, 20, 20]]), list("abc"), list("abc")
@@ -703,12 +699,8 @@ class TestEvaluate:
         path = tmp_path / "ws.txt"
         path.write_text("a a 10\na b 2\nb c 4\nc c 1\n")
         d = load_wordsim(path)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = evaluate(emb, "F", d)
-        assert [str(w.message) for w in caught] == [
-            "3 of 4 pairs involve a zero vector; their cosine is 0"
-        ]
+        report = evaluate(emb, "F", d)
+        assert (report.pairs_used, report.pairs_zero) == (4, 3)
         assert report == reference_evaluate(emb, "F", d)
 
     def test_g_side_selects_column_coordinates(self, tmp_path):

@@ -466,7 +466,7 @@ def test_a_parameter_the_method_does_not_read_is_rejected(param, name):
         build(name, **given)
 
 
-class TestMaterializeKernel:
+class TestKernelRoot:
     """Structured kernel roots against the dense materialized kernel."""
 
     def test_identity(self):
