@@ -15,7 +15,7 @@ from .kca import (
     fit_ws_kca,
     method_from_name,
 )
-from .linalg import Decomposition, NotPositiveDefiniteError, nuclear_norm, spd_sqrt, svd
+from .linalg import Decomposition, NotPositiveDefiniteError, nuclear_norm, svd
 from .tables import ContingencyTable, contingency_from_observations, read_tsv, residual_matrix, write_tsv
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "read_tsv",
     "residual_matrix",
     "rotated_covariance",
-    "spd_sqrt",
     "spearman",
     "svd",
     "tokenize",

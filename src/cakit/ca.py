@@ -204,7 +204,7 @@ def read_embeddings(path) -> EmbeddingSet:
     """
     lines = _read_lines(path)
     if not lines:
-        raise ValueError(f"empty embeddings file: {path}")
+        raise ValueError(f"{path}: empty embeddings file")
     head_line, header = lines[0]
     head = header.split("\t")
     where = f"{path}:{head_line}"

@@ -53,7 +53,7 @@ def parse_method_config(text: str, where: str = "line ") -> dict:
     ``line N: `` by default.
     """
     config: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -190,7 +190,7 @@ def _parse_lines(path, text: str) -> WordSimDataset:
         a, b = cells[0].lower(), cells[1].lower()
         scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
     if not scores:
-        raise ValueError(f"no usable lines in {path}")
+        raise ValueError(f"{path}: no usable lines")
     return WordSimDataset(tuple((a, b, math.fsum(vs) / len(vs))
                                 for (a, b), vs in scores.items()))
 

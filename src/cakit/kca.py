@@ -30,11 +30,11 @@ pair-score (ws) association that folds ``11^T + alpha S`` (S the external
 word similarity scores) into the table and its marginals through Hadamard
 products.  Only :data:`KERNELS` pairs a method name with its row and column kernels.
 
-Kernels are described by their structure and never built as matrices
-unless given as one: identity and inverse-marginal kernels, with stop
-words or without, are diagonal, the kpca_cd kernel ``(1-e) I + e 11^T``
-has the closed-form root ``a I + b 11^T``, and only an explicit kernel is
-dense; :meth:`KernelRoot.scale` applies each other root in place.
+Kernels are described by their structure and never built as matrices:
+every kernel root is ``diag(d) + b 11^T``.  Identity and inverse-marginal
+kernels, with stop words or without, are diagonal, and the kpca_cd kernel
+``(1-e) I + e 11^T`` has the closed-form root ``a I + b 11^T``;
+:meth:`KernelRoot.scale` applies each root in place.
 """
 
 from __future__ import annotations
@@ -48,12 +48,12 @@ import numpy as np
 
 from . import linalg
 from .ca import EmbeddingSet, default_dimension
-from .linalg import Decomposition, NotPositiveDefiniteError, spd_sqrt
+from .linalg import Decomposition, NotPositiveDefiniteError
 # perfbench/test_perfbench.py asserts kca.svd is linalg.svd; ROADMAP item 1 drops both
 from .linalg import svd  # noqa: F401
 from .tables import ContingencyTable, _equal_fields, _read_only, residual_matrix
 
-KERNEL_KINDS = ("identity", "inverse_marginal", "kpca_cd", "explicit")
+KERNEL_KINDS = ("identity", "inverse_marginal", "kpca_cd")
 _WEIGHTED = ("identity", "inverse_marginal")  # the kinds that stop words reweight
 _CENTERED = ("linear", "gini", "kpca_cd")  # the associations N/n - r c^T/n^2
 _ZERO_SUM = (*_CENTERED, "ws")  # those whose symmetric form sums to zero along both axes
@@ -68,32 +68,22 @@ class KernelSpec:
       identity          -> I
       inverse_marginal  -> D(marginal)^{-1}
       kpca_cd           -> 1 on the diagonal, exp(2*alpha) off it (needs exp(2*alpha) < 1)
-      explicit          -> a given SPD matrix
     An identity or inverse-marginal kernel with stop ``words`` is that kernel
     times D(w), w_i = 1 + alpha for a listed word and 1 for any other (needs
-    1 + alpha > 0); without words it takes no alpha, and an explicit kernel
-    none at all.  Construction checks everything that needs no axis; only
-    an explicit matrix's shape and definiteness wait for :func:`kernel_root`.
-    The matrix is the kernel's own read-only float copy.
+    1 + alpha > 0); without words it takes no alpha.  Construction checks
+    everything, so every valid spec has a root on any axis.
     """
 
     kind: str = "identity"
     alpha: float = 0.0
     words: frozenset = frozenset()
-    matrix: np.ndarray | None = field(default=None, repr=False, hash=False)
-
-    __eq__ = _equal_fields
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if (self.matrix is None) == (self.kind == "explicit"):
-            raise ValueError("an explicit kernel needs a matrix" if self.matrix is None
-                             else f"a kernel of kind {self.kind!r} takes no matrix")
         if isinstance(self.words, str):
             raise ValueError(f"stop words must be a collection, not the string {self.words!r}")
         object.__setattr__(self, "words", frozenset(self.words))
-        object.__setattr__(self, "matrix", _read_only(self.matrix))
         if self.words and self.kind not in _WEIGHTED:
             raise ValueError(f"a kernel of kind {self.kind!r} takes no stop words")
         if self.alpha != 0 and not self.words and self.kind != "kpca_cd":
@@ -304,23 +294,20 @@ def _ws_association(t: ContingencyTable, gamma_r, gamma_c) -> AssociationMatrix:
 
 @dataclass(frozen=True)
 class KernelRoot:
-    """A root K^{1/2} or K^{-1/2} of one kernel: ``diag(d) + b 11^T``, or ``dense``.
+    """A root K^{1/2} or K^{-1/2} of one kernel: ``diag(d) + b 11^T``.
 
     ``d`` of None is the identity.  :meth:`scale` multiplies from the left,
-    in the given array's own buffer unless the root is dense; roots are
-    symmetric, so ``scale(X.T).T`` is ``X`` times the root.
+    in the given array's own buffer; roots are symmetric, so
+    ``scale(X.T).T`` is ``X`` times the root.
     """
 
     d: np.ndarray | None = field(default=None, hash=False)
     b: float = 0.0
-    dense: np.ndarray | None = field(default=None, repr=False, hash=False)
 
     __eq__ = _equal_fields
 
     def scale(self, X: np.ndarray) -> np.ndarray:
-        """The root times X: X itself, scaled in place, or for a dense root a new array."""
-        if self.dense is not None:
-            return self.dense @ X
+        """The root times X: X itself, scaled in place."""
         sums = self.b * X.sum(axis=0) if self.b else None  # read before X changes
         if self.d is not None:
             X *= self.d[:, None]
@@ -334,8 +321,7 @@ def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelR
 
     ``marginal`` is what an inverse-marginal kernel divides by (the
     table's, or the ws association's modified marginals).  ``spec`` is valid
-    by construction; only an explicit kernel can still fail here, on its
-    shape or definiteness.
+    by construction, so this never fails.
     """
     m = len(labels)
     if spec.kind == "identity" and not spec.words:
@@ -347,21 +333,15 @@ def kernel_root(spec: KernelSpec, marginal: np.ndarray, labels) -> tuple[KernelR
             w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
         inv_root = np.sqrt(base / w)
         return KernelRoot(1.0 / inv_root), KernelRoot(inv_root)
-    if spec.kind == "kpca_cd":
-        # |e_i - e_j|^2 is 0 on the diagonal and 2 off it, so K = (1-e) I + e 11^T,
-        # positive definite exactly when e < 1.  Its root is a I + b 11^T with
-        # a + b m = s, the square root of the eigenvalue on 1; Sherman-Morrison
-        # inverts it.
-        e = math.exp(2.0 * spec.alpha)
-        a = math.sqrt(1.0 - e)
-        s = math.sqrt(1.0 - e + e * m)
-        b = (s - a) / m
-        return KernelRoot(np.full(m, a), b), KernelRoot(np.full(m, 1.0 / a), -b / (a * s))
-    K = spec.matrix  # explicit, the one kind left
-    if K.shape != (m, m):
-        raise ValueError(f"explicit kernel shape {K.shape} does not match axis size {m}")
-    root, inv_root = spd_sqrt(K)
-    return KernelRoot(dense=root), KernelRoot(dense=inv_root)
+    # kpca_cd: |e_i - e_j|^2 is 0 on the diagonal and 2 off it, so
+    # K = (1-e) I + e 11^T, positive definite exactly when e < 1.  Its root is
+    # a I + b 11^T with a + b m = s, the square root of the eigenvalue on 1;
+    # Sherman-Morrison inverts it.
+    e = math.exp(2.0 * spec.alpha)
+    a = math.sqrt(1.0 - e)
+    s = math.sqrt(1.0 - e + e * m)
+    b = (s - a) / m
+    return KernelRoot(np.full(m, a), b), KernelRoot(np.full(m, 1.0 / a), -b / (a * s))
 
 
 def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> EmbeddingSet:
@@ -413,9 +393,8 @@ def _sandwich_svd(t: ContingencyTable, m: KcaMethod):
     Lr, Lr_inv = kernel_root(m.row_kernel, assoc.r, t.row_labels)
     Lc, Lc_inv = kernel_root(m.col_kernel, assoc.c, t.col_labels)
     symmetric = _symmetric_sandwich(assoc, m)
-    # built in the association's own buffer unless a root is dense
+    # built in the association's own buffer
     sandwich = Lc.scale(Lr.scale(assoc.values).T).T
-    del assoc  # after a dense root, frees the association the sandwich was made from
     if symmetric:  # in place: no second V x V array during the eigh
         sandwich += sandwich.T
         sandwich *= 0.5

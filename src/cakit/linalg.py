@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: SVD, SPD square roots, nuclear norm.
+"""Dense linear algebra: SVD and nuclear norm.
 
 Every fit in this package reduces to one :func:`svd`; the kernel-CA fit
 (:mod:`cakit.kca`) scales the factors back into the generalized SVD under
@@ -21,17 +21,21 @@ from .tables import _equal_fields
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Raised when a matrix required to be SPD has an eigenvalue <= 0."""
+    """Raised when a kernel's parameters make it not positive definite.
+
+    A stop-word weight ``1 + alpha`` that is not positive, or a kpca_cd
+    alpha with ``exp(2*alpha) >= 1`` (:class:`cakit.kca.KernelSpec`).
+    """
 
 
-def _as_matrix(M, name: str = "matrix") -> np.ndarray:
+def _as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
+        raise ValueError(f"matrix must be 2-dimensional, got shape {A.shape}")
     if A.size == 0:
-        raise ValueError(f"{name} must be non-empty")
+        raise ValueError("matrix must be non-empty")
     if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} contains NaN or Inf entries")
+        raise ValueError("matrix contains NaN or Inf entries")
     return A
 
 
@@ -116,29 +120,6 @@ def svd(M) -> Decomposition:
         V[np.ix_(~A.any(axis=0), kept)] = 0.0
         V *= signs
     return Decomposition(U=U, S=S, V=V)
-
-
-def spd_sqrt(K) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root of an SPD matrix and its inverse, (K^{1/2}, K^{-1/2}).
-
-    Both come from one eigendecomposition; K^{1/2} @ K^{1/2} = K.  Non-SPD
-    input (any eigenvalue <= 0 within tolerance) raises
-    ``NotPositiveDefiniteError`` naming the offending eigenvalue.
-    """
-    A = _as_matrix(K, "kernel matrix")
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"SPD square root needs a square matrix, got {A.shape}")
-    if not np.allclose(A, A.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("SPD square root needs a symmetric matrix")
-    lam, Q = np.linalg.eigh(A)
-    tol = 1e-12 * max(lam[-1], 0.0)
-    if lam[0] <= tol:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: eigenvalue {lam[0]:.6g}"
-        )
-    root = (Q * np.sqrt(lam)) @ Q.T
-    inv_root = (Q / np.sqrt(lam)) @ Q.T
-    return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
 
 
 def nuclear_norm(M) -> float:

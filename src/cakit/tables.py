@@ -198,19 +198,21 @@ def _format_count(x: float) -> str:
 def _read_text(path) -> str:
     """The text of a UTF-8 file, without a leading byte-order mark; every reader's one open.
 
-    A byte that is not UTF-8 raises naming ``path:line``, the lines numbered
-    as the readers number them: LF, CR LF and a lone CR each end one.
+    CR LF and a lone CR each become LF.  A byte that is not UTF-8, or the
+    first bytes of a BOM without the rest, raises naming ``path:line``, the
+    lines numbered as the readers number them.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            return fh.read()
-        except UnicodeDecodeError as exc:
-            fh.buffer.seek(0)
-            data = fh.buffer.read()
-            bad = len(data) - len(exc.object) + exc.start  # exc.object: the bytes after a BOM
-    before = data[:bad]
-    line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
-    raise ValueError(f"{path}:{line}: byte 0x{data[bad]:02x} is not UTF-8")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        bad = len(data) - len(exc.object) + exc.start  # exc.object: the bytes after a BOM
+        before = data[:bad]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise ValueError(f"{path}:{line}: byte 0x{data[bad]:02x} is not UTF-8") from None
+    # searching LF-heavy text for CR LF takes longer than the read, so only text with a CR pays
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _read_lines(path) -> list[tuple[int, str]]:
@@ -434,7 +436,7 @@ def read_tsv(path) -> ContingencyTable:
     """
     lines = _read_lines(path)
     if len(lines) < 2:
-        raise ValueError(f"empty table file, no data rows: {path}")
+        raise ValueError(f"{path}: empty table file, no data rows")
     head_line, header = lines[0]
     col_labels = header.split("\t")[1:]
     n = len(col_labels)
@@ -470,4 +472,7 @@ def read_tsv(path) -> ContingencyTable:
                          "negative count")
     counts = _mirror(cells, n) if triangle else cells.reshape(len(texts), n)
     del cells, negative  # the table's copy is made without them
-    return ContingencyTable(counts, row_labels, col_labels)
+    try:  # of what the table checks, only an all-zero table can still fail
+        return ContingencyTable(counts, row_labels, col_labels)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -57,18 +57,10 @@ def random_table(rng, nr=None, nc=None, hi=20):
 STOPWORDS = frozenset({"r1", "r4", "c0", "c3"})
 PAIR_SCORES = WordSimDataset(
     (("r0", "r3", 9.0), ("r2", "r5", 4.0), ("c1", "c4", 7.0), ("c0", "c5", 2.5)))
-_FEATURES = dict(zip([f"r{i}" for i in range(7)] + [f"c{j}" for j in range(6)],
-                     np.random.default_rng(5).normal(size=(13, 3))))
 
 
 def _kernel(kind, **fields):
     return lambda labels: KernelSpec(kind, **fields)
-
-
-def _explicit_kernel(labels):
-    """X X^T + I over per-label feature vectors: SPD."""
-    X = np.array([_FEATURES[lbl] for lbl in labels])
-    return KernelSpec("explicit", matrix=X @ X.T + np.eye(len(labels)))
 
 
 IM, ID = _kernel("inverse_marginal"), _kernel("identity")
@@ -93,7 +85,6 @@ METHOD_CASES = {
     # the ws association is scale-free, its modified marginals scale by s^2
     "ws": ("ws", IM, IM, {}, (-2.0, -3.0)),
     "ws+sw": ("ws", SW_ROW, SW_COL, {}, (-2.0, -3.0)),
-    "explicit": ("linear", _explicit_kernel, _explicit_kernel, {}, (0.0, 0.0)),
 }
 K = 3  # compared dimensions
 
@@ -384,8 +375,7 @@ class TestSandwichInPlace:
 # one case per kernel kind, and per kind that takes stop words one with them,
 # the same on both axes
 KIND_CASES = {"identity": ID, "identity+sw": ID_SW_ROW, "inverse_marginal": IM,
-              "inverse_marginal+sw": SW_ROW, "kpca_cd": _kernel("kpca_cd", alpha=-0.4),
-              "explicit": _explicit_kernel}
+              "inverse_marginal+sw": SW_ROW, "kpca_cd": _kernel("kpca_cd", alpha=-0.4)}
 
 
 class TestSymmetryRule:
@@ -977,7 +967,7 @@ def read_embeddings_text(path, text):
     (lambda path: small_embedding_set(col_labels=("x", "y", "x")), "duplicate col label 'x'"),
     (lambda path: small_embedding_set(col_labels=("x", b"y", "z")), "col label b'y' is not a string"),
     (lambda path: small_embedding_set().coordinates("H"), "point set must be 'F' or 'G', got 'H'"),
-    (lambda path: read_embeddings_text(path, ""), "empty embeddings file: {path}"),
+    (lambda path: read_embeddings_text(path, ""), "{path}: empty embeddings file"),
     (lambda path: read_embeddings_text(path, "2\t-1\t1\tt\t1.0\n"),
      "{path}:1: header counts ['2', '-1', '1'] must be nonnegative"),
     (lambda path: read_embeddings_text(path, "1\t1\t1\tt\t1.0\nrow\ta\t0.5\nmid\tx\t0.5\n"),

@@ -466,7 +466,8 @@ class TestDemo:
         assert len(lines) == 1 + 4 + 5
 
 
-@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no BOM", "BOM"])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf", b"\xef", b"\xef\xbb"],
+                         ids=["no BOM", "BOM", "EF", "EF BB"])
 @pytest.mark.parametrize("kind", ["table", "corpus", "stopwords", "embeddings", "pairs", "config"])
 def test_a_byte_that_is_not_utf8_names_path_and_line(fisher_tsv, tmp_path, capsys, kind, bom):
     emb, pairs, out = tmp_path / "emb.tsv", tmp_path / "pairs.txt", str(tmp_path / "out.tsv")
@@ -475,10 +476,15 @@ def test_a_byte_that_is_not_utf8_names_path_and_line(fisher_tsv, tmp_path, capsy
     good = {"table": Path(fisher_tsv).read_bytes(), "corpus": b"the cat\nsat on\nthe mat\n",
             "stopwords": b"the\nof\nblue\n", "embeddings": emb.read_bytes(),
             "pairs": pairs.read_bytes(), "config": b"# gini\nmethod=gini\ndim=2\n"}[kind]
-    # the Latin-1 e-acute opens line 3; line 1 ends in CR LF and line 2 in a lone CR
-    first, second, rest = good.split(b"\n", 2)
     bad = tmp_path / f"{kind}.txt"
-    bad.write_bytes(bom + first + b"\r\n" + second + b"\r\xe9" + rest)
+    if 0 < len(bom) < 3:  # the start of a BOM alone, which a UTF-8-sig decoder would drop
+        bad.write_bytes(bom)
+        where = f"{bad}:1: byte 0xef"
+    else:
+        # the Latin-1 e-acute opens line 3; line 1 ends in CR LF and line 2 in a lone CR
+        first, second, rest = good.split(b"\n", 2)
+        bad.write_bytes(bom + first + b"\r\n" + second + b"\r\xe9" + rest)
+        where = f"{bad}:3: byte 0xe9"
     argv = {"table": ["fit", bad, "--out", out],
             "corpus": ["count", bad, "--out", out],
             "stopwords": ["fit", fisher_tsv, "--sw-alpha-row", "1", "--stopwords", bad,
@@ -488,8 +494,17 @@ def test_a_byte_that_is_not_utf8_names_path_and_line(fisher_tsv, tmp_path, capsy
             "config": ["fit", fisher_tsv, "--config", bad, "--out", out]}[kind]
     capsys.readouterr()
     assert main(list(map(str, argv))) == 1
-    assert f"{bad}:3: byte 0xe9 is not UTF-8\n" in capsys.readouterr().err
+    assert f"{where} is not UTF-8\n" in capsys.readouterr().err
     assert not os.path.exists(out)
+
+
+def test_text_drops_a_byte_order_mark_and_ends_lines_as_text_mode_does(tmp_path):
+    # CR LF and a lone CR become LF; a form feed or U+0085 is no line break
+    path = tmp_path / "breaks.txt"
+    path.write_bytes("\ufeffa\r\nb\rc\n\x0cd\x85e\r\r\n".encode())
+    assert tables._read_text(path) == "a\nb\nc\n\x0cd\x85e\n\n"
+    path.write_bytes(b"\xef\xbb\xbf")
+    assert tables._read_text(path) == "" and cakit.load_stopwords(path) == set()
 
 
 def test_module_runs_count_fit_eval_in_a_fresh_interpreter(tmp_path, monkeypatch):
@@ -542,6 +557,19 @@ class TestMethodConfig:
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
             parse_method_config("method linear")
+
+    def test_lines_end_at_lf_only(self, fisher_tsv, tmp_path, capsys):
+        # a form feed, say, is no line break: the second line is still line 2
+        cfg = tmp_path / "cfg.txt"
+        for text, message in (
+                ("# note\x0c\nbogus=1\n", "2: unknown configuration key 'bogus'"),
+                ("method=gini\x0cdim=2\nbogus=1\n",
+                 "1: method: invalid choice 'gini\\x0cdim=2' (choose from "
+                 + ", ".join(FIT_OPTIONS["method"][3]["choices"]) + ")")):
+            cfg.write_text(text)
+            assert main(["fit", fisher_tsv, "--config", str(cfg), "--out",
+                         str(tmp_path / "out.tsv")]) == 1
+            assert capsys.readouterr().err == f"error: {cfg}:{message}\n"
 
     def test_string_keys_preserved(self):
         config = parse_method_config("stopwords=sw.txt\nws_scores=men.tsv")

@@ -97,7 +97,7 @@ def reference_load_wordsim(path) -> WordSimDataset:
             a, b = cells[0].lower(), cells[1].lower()
             scores.setdefault((a, b) if a <= b else (b, a), []).append(value)
     if not scores:
-        raise ValueError(f"no usable lines in {path}")
+        raise ValueError(f"{path}: no usable lines")
     return WordSimDataset(tuple((a, b, math.fsum(vs) / len(vs))
                                 for (a, b), vs in scores.items()))
 

@@ -164,12 +164,6 @@ class TestRotatedCovariance:
             assert best >= abs(0.5 * float(np.trace(Q.T @ xi))) - 1e-12
 
 
-def random_spd(rng, m):
-    """SPD matrix with eigenvalues in [0.5, 2]."""
-    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
-    return (Q * rng.uniform(0.5, 2.0, size=m)) @ Q.T
-
-
 def kernel_methods(t, rng):
     """The fits whose association is the centered residual, by name."""
     return {
@@ -178,8 +172,12 @@ def kernel_methods(t, rng):
         "kpca_cd": KcaMethod("kpca_cd", KernelSpec("kpca_cd", alpha=-0.3)),
         "linear+sw": method_from_name("linear", stopwords={"r0", "c1"},
                                       sw_alpha_row=-0.5, sw_alpha_col=0.7),
-        "explicit": KcaMethod("linear", KernelSpec("explicit", matrix=random_spd(rng, t.shape[0])),
-                              KernelSpec("explicit", matrix=random_spd(rng, t.shape[1]))),
+        # a row and a column kernel of different kinds, each with random parameters
+        "mixed": KcaMethod(
+            "linear", KernelSpec("kpca_cd", alpha=float(rng.uniform(-3.0, -0.05))),
+            KernelSpec("inverse_marginal", alpha=float(rng.uniform(-0.9, 2.0)),
+                       words=rng.choice(t.col_labels, int(rng.integers(1, t.shape[1] + 1)),
+                                        replace=False).tolist())),
     }
 
 
@@ -216,7 +214,7 @@ class TestKernelGiniCovariance:
         R = Lr.scale(dec.U.copy()) @ Lc.scale(dec.V.copy()).T
         return Er[:, rows].T, Ec[:, cols].T, R, dec.S
 
-    @pytest.mark.parametrize("name", ["linear", "gini", "kpca_cd", "linear+sw", "explicit"])
+    @pytest.mark.parametrize("name", ["linear", "gini", "kpca_cd", "linear+sw", "mixed"])
     def test_optimum_is_half_the_spectrum(self, name):
         rng = np.random.default_rng(67)
         for _ in range(8):
@@ -226,7 +224,7 @@ class TestKernelGiniCovariance:
             X, Y, R_star, S = self.encode(obs, t, kernel_methods(t, rng)[name])
             assert encoded_covariance(X, Y, R_star) == pytest.approx(0.5 * S.sum(), rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["linear", "gini", "kpca_cd", "linear+sw", "explicit"])
+    @pytest.mark.parametrize("name", ["linear", "gini", "kpca_cd", "linear+sw", "mixed"])
     def test_no_orthogonal_rotation_scores_above_the_optimum(self, name):
         rng = np.random.default_rng(71)
         obs = random_observations(rng, 5, 4, 60)

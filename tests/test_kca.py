@@ -1,5 +1,6 @@
 """Kernel fits: association matrices, structured kernel roots, reductions."""
 
+import dataclasses
 import inspect
 import math
 import os
@@ -18,9 +19,11 @@ from cakit.datasets import fisher_table
 from cakit.evaluation import WordSimDataset
 from cakit.kca import (
     ASSOCIATIONS,
+    KERNEL_KINDS,
     KERNELS,
     READ_BY,
     KcaMethod,
+    KernelRoot,
     KernelSpec,
     association_matrix,
     build_gamma,
@@ -29,7 +32,7 @@ from cakit.kca import (
     kernel_root,
     method_from_name,
 )
-from cakit.linalg import NotPositiveDefiniteError, spd_sqrt, svd
+from cakit.linalg import NotPositiveDefiniteError, svd
 from cakit.tables import ContingencyTable, residual_matrix
 
 
@@ -41,11 +44,21 @@ def random_table(rng, nr=None, nc=None, hi=12, square=False):
     return ContingencyTable.from_counts(counts)
 
 
-def random_spd(rng, m, lo=0.5, hi=2.0):
-    """Well-conditioned SPD matrix with eigenvalues in [lo, hi]."""
-    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
-    lam = rng.uniform(lo, hi, size=m)
-    return (Q * lam) @ Q.T
+def eigh_root(K):
+    """Dense oracle: the symmetric square root of an SPD matrix, from one eigh."""
+    lam, Q = np.linalg.eigh(K)
+    assert lam[0] > 0, lam
+    return (Q * np.sqrt(lam)) @ Q.T
+
+
+def random_kernel(rng, labels):
+    """An axis kernel of a random kind: identity or inverse-marginal, each with a
+    random subset of the labels as stop words and a random alpha, or kpca_cd."""
+    kind = str(rng.choice(["identity", "inverse_marginal", "kpca_cd"]))
+    if kind == "kpca_cd":
+        return KernelSpec("kpca_cd", alpha=float(rng.uniform(-3.0, -0.05)))
+    words = {lbl for lbl in labels if rng.random() < 0.4}
+    return KernelSpec(kind, alpha=float(rng.uniform(-0.9, 2.0)) if words else 0.0, words=words)
 
 
 def materialize_kernel(spec, marginal, labels):
@@ -56,8 +69,6 @@ def materialize_kernel(spec, marginal, labels):
         K = np.full((m, m), math.exp(2.0 * spec.alpha))
         np.fill_diagonal(K, 1.0)
         return K
-    if spec.kind == "explicit":
-        return np.asarray(spec.matrix, dtype=float)
     K = np.eye(m) if spec.kind == "identity" else np.diag(1.0 / marginal)
     # the stop-word weights, all 1 for a kernel without stop words
     w = np.array([1.0 + spec.alpha if lbl in spec.words else 1.0 for lbl in labels])
@@ -75,8 +86,7 @@ def dense_kernels(t, m):
 
 def dense_fit(t, m, k):
     """Oracle fit: SVD of the sandwich built with dense eigh roots; (F, G, S)."""
-    Kr, Kc = dense_kernels(t, m)
-    (Lr, _), (Lc, _) = spd_sqrt(Kr), spd_sqrt(Kc)
+    Lr, Lc = map(eigh_root, dense_kernels(t, m))
     dec = svd(Lr @ association_matrix(t, m).values @ Lc)
     scale = dec.S[:k] ** m.exponent
     return (Lr @ dec.U[:, :k]) * scale, (Lc @ dec.V[:, :k]) * scale, dec.S[:k]
@@ -250,21 +260,8 @@ class TestAssociationMatrix:
 
 
 class TestEquality:
-    """``==`` on kernel specs and methods compares array fields by value, never raises, and
+    """``==`` on methods compares their pair-score arrays by value, never raises, and
     agrees with ``hash``."""
-
-    def test_explicit_kernels_with_equal_matrices_are_equal(self):
-        a, b = (KernelSpec("explicit", matrix=np.eye(3)) for _ in range(2))
-        assert a == b and not a != b
-        # a nested list compares equal to the array, so it hashes alike too
-        c = KernelSpec("explicit", matrix=np.eye(3).tolist())
-        assert a == c and hash(a) == hash(b) == hash(c)
-
-    def test_explicit_kernels_with_different_matrices_are_not(self):
-        a = KernelSpec("explicit", matrix=np.eye(3))
-        assert a != KernelSpec("explicit", matrix=2.0 * np.eye(3))
-        assert a != KernelSpec("explicit", matrix=np.eye(2))
-        assert a != KernelSpec("identity") and a != "explicit"
 
     def test_ws_methods_from_equal_gamma_copies_are_equal(self):
         gamma = build_gamma(("a", "b", "c"), WordSimDataset((("a", "c", 4.0),)), 0.1)
@@ -286,7 +283,7 @@ class TestEquality:
 
 
 class TestMethodArraysAreOwnCopies:
-    """A method keeps read-only copies of its kernel and pair-score matrices, so the
+    """A method keeps read-only copies of its pair-score matrices, so the
     decomposition solved after a fit comes from the arrays the fit read."""
 
     def test_changing_the_callers_pair_scores_leaves_the_decomposition(self):
@@ -297,21 +294,13 @@ class TestMethodArraysAreOwnCopies:
         gr[0, 1] = gr[1, 0] = 5.0
         np.testing.assert_array_equal(emb.decomposition.S[:2], emb.singular_values)
 
-    def test_changing_the_callers_kernel_leaves_the_decomposition(self):
-        K = 2.0 * np.eye(4)
-        m = KcaMethod("gini", row_kernel=KernelSpec("explicit", matrix=K))
-        emb = fit_kca(fisher_table(), m, 2)
-        K[0, 0] = 50.0
-        np.testing.assert_array_equal(emb.decomposition.S[:2], emb.singular_values)
-
     def test_one_pair_score_array_is_copied_once(self):
         gamma = np.ones((3, 3))
         m = method_from_name("ws", gamma_row=gamma, gamma_col=gamma)
         assert m.gamma_row is m.gamma_col and m.gamma_row is not gamma
         two = method_from_name("ws", gamma_row=gamma, gamma_col=gamma.copy())
         assert two.gamma_row is not two.gamma_col and two == m
-        spec = KernelSpec("explicit", matrix=np.eye(3))
-        for array in (m.gamma_row, two.gamma_col, spec.matrix):
+        for array in (m.gamma_row, two.gamma_col):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 0.0
 
@@ -395,23 +384,15 @@ class TestKernelsTable:
      "sgns shift_k must be finite and > 0, got inf"),
     (lambda: method_from_name("sgns", shift_k=math.nan),
      "sgns shift_k must be finite and > 0, got nan"),
-    (lambda: KernelSpec("explicit"), "an explicit kernel needs a matrix"),
-    (lambda: KernelSpec("identity", matrix=np.eye(2)),
-     "a kernel of kind 'identity' takes no matrix"),
-    (lambda: KernelSpec("kpca_cd", alpha=-0.5, matrix=np.eye(2)),
-     "a kernel of kind 'kpca_cd' takes no matrix"),
+    (lambda: KernelSpec("explicit"), "unknown kernel kind 'explicit'"),
     (lambda: KernelSpec("kpca_cd", alpha=-0.5, words={"blue"}),
      "a kernel of kind 'kpca_cd' takes no stop words"),
-    (lambda: KernelSpec("explicit", matrix=np.eye(2), words={"blue"}),
-     "a kernel of kind 'explicit' takes no stop words"),
     (lambda: KernelSpec("identity", alpha=5.0),
      "a kernel of kind 'identity' takes no alpha without stop words"),
     (lambda: KernelSpec("inverse_marginal", alpha=-0.5),
      "a kernel of kind 'inverse_marginal' takes no alpha without stop words"),
     (lambda: KernelSpec("identity", alpha=math.nan),
      "a kernel of kind 'identity' takes no alpha without stop words"),
-    (lambda: KernelSpec("explicit", alpha=0.5, matrix=np.eye(2)),
-     "a kernel of kind 'explicit' takes no alpha"),
     (lambda: KernelSpec("kpca_cd", alpha=math.nan), "kpca_cd alpha must be finite, got nan"),
     (lambda: KernelSpec("kpca_cd", alpha=-math.inf), "kpca_cd alpha must be finite, got -inf"),
     (lambda: KernelSpec("identity", alpha=math.inf, words={"blue"}),
@@ -429,10 +410,9 @@ class TestKernelsTable:
         "a kernel's string of stop words",
         "gtest shift_k", "gini pair scores", "sgns_floor inf", "sgns_floor nan", "exponent inf",
         "exponent -inf", "sgns shift_k inf", "sgns shift_k nan",
-        "explicit without matrix", "identity with matrix", "kpca_cd with matrix",
-        "kpca_cd with words", "explicit with words", "identity alpha without words",
+        "explicit kernel", "kpca_cd with words", "identity alpha without words",
         "inverse-marginal alpha without words", "identity nan alpha without words",
-        "explicit with alpha", "kpca_cd alpha nan", "kpca_cd alpha -inf",
+        "kpca_cd alpha nan", "kpca_cd alpha -inf",
         "stop-word alpha inf", "stop-word weight 0", "kpca_cd alpha 0", "kpca_cd alpha -1e-20",
         "pair-score alpha nan"])
 def test_input_rejections(call, message):
@@ -469,6 +449,12 @@ def test_a_parameter_the_method_does_not_read_is_rejected(param, name):
 class TestKernelRoot:
     """Structured kernel roots against the dense materialized kernel."""
 
+    def test_every_kernel_is_described_by_its_structure(self):
+        assert KERNEL_KINDS == ("identity", "inverse_marginal", "kpca_cd")
+        assert [f.name for f in dataclasses.fields(KernelSpec)] == ["kind", "alpha", "words"]
+        assert [f.name for f in dataclasses.fields(KernelRoot)] == ["d", "b"]
+        assert not hasattr(cakit.linalg, "spd_sqrt")  # no dense root is taken anywhere
+
     def test_identity(self):
         t = fisher_table()
         K = assert_root_matches(KernelSpec("identity"), t.r, t.row_labels)
@@ -481,7 +467,7 @@ class TestKernelRoot:
         t = fisher_table()
         assert_root_matches(KernelSpec("inverse_marginal"), t.c, t.col_labels)
         root, _ = kernel_root(KernelSpec("inverse_marginal"), t.c, t.col_labels)
-        assert root.d.shape == (5,) and root.dense is None  # a vector, not a matrix
+        assert root.d.shape == (5,) and root.b == 0  # a vector, not a matrix
 
     @pytest.mark.parametrize("kind", ["identity", "inverse_marginal"])
     def test_stopword_alpha_zero_is_the_kernel_without_stop_words(self, kind):
@@ -499,7 +485,8 @@ class TestKernelRoot:
         K = assert_root_matches(spec, t.r, t.row_labels)
         base = np.diag(materialize_kernel(KernelSpec(kind), t.r, t.row_labels))
         np.testing.assert_allclose(np.diag(K), [1.5 * base[0], *base[1:]], rtol=1e-15)
-        assert kernel_root(spec, t.r, t.row_labels)[0].dense is None  # a vector, not a matrix
+        root, _ = kernel_root(spec, t.r, t.row_labels)
+        assert root.d.shape == (4,) and root.b == 0  # a vector, not a matrix
 
     def test_stopword_weight_must_stay_positive(self):
         with pytest.raises(NotPositiveDefiniteError, match="1\\+alpha = 0 must be positive"):
@@ -514,7 +501,7 @@ class TestKernelRoot:
             np.testing.assert_allclose(K[~np.eye(7, dtype=bool)], math.exp(2.0 * alpha))
             # the closed-form root equals the eigh root
             root, _ = kernel_root(spec, np.ones(7), labels)
-            np.testing.assert_allclose(root.scale(np.eye(7)), spd_sqrt(K)[0], atol=1e-12)
+            np.testing.assert_allclose(root.scale(np.eye(7)), eigh_root(K), atol=1e-12)
 
     def test_rank_one_root_scales_the_array_it_is_given(self):
         root, inv_root = kernel_root(KernelSpec("kpca_cd", alpha=-0.5), np.ones(7), "abcdefg")
@@ -529,19 +516,6 @@ class TestKernelRoot:
         for alpha in (0.0, 0.3):
             with pytest.raises(NotPositiveDefiniteError, match="alpha"):
                 KernelSpec("kpca_cd", alpha=alpha)
-
-    def test_explicit_kernel_validated(self):
-        labels = ("a", "b")
-        good = np.array([[2.0, 1.0], [1.0, 2.0]])
-        K = assert_root_matches(KernelSpec("explicit", matrix=good), np.ones(2), labels)
-        np.testing.assert_array_equal(K, good)
-        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(NotPositiveDefiniteError):
-            kernel_root(KernelSpec("explicit", matrix=bad), np.ones(2), labels)
-
-    def test_explicit_kernel_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="does not match axis size"):
-            kernel_root(KernelSpec("explicit", matrix=np.eye(3)), np.ones(2), ("a", "b"))
 
     def test_ws_kernels_divide_by_modified_marginals(self):
         rng = np.random.default_rng(139)
@@ -614,18 +588,14 @@ class TestFitKca:
             np.testing.assert_allclose(X, Y, rtol=0, atol=1e-12 * np.abs(Y).max())
 
     def test_gini_stopword_alphas_weight_the_identity_kernels(self):
-        # the fit with D(w) given as explicit kernels, w = 1 + alpha on a stop word
+        # the dense oracle fit under D(w), w = 1 + alpha on a stop word
         t = fisher_table()
-        words = {"blue", "dark", "fair"}
-        sw = fit_kca(t, method_from_name("gini", stopwords=words, sw_alpha_row=-0.5,
-                                         sw_alpha_col=0.7), 3)
-        explicit = [KernelSpec("explicit", matrix=np.diag(
-            [1.0 + alpha if lbl in words else 1.0 for lbl in labels]))
-            for labels, alpha in ((t.row_labels, -0.5), (t.col_labels, 0.7))]
-        dense = fit_kca(t, KcaMethod("gini", *explicit), 3)
-        S = dense.singular_values
+        m = method_from_name("gini", stopwords={"blue", "dark", "fair"}, sw_alpha_row=-0.5,
+                             sw_alpha_col=0.7)
+        sw = fit_kca(t, m, 3)
+        F, G, S = dense_fit(t, m, 3)
         np.testing.assert_allclose(sw.singular_values, S, rtol=0, atol=1e-12 * S[0])
-        for X, Y in ((sw.F, dense.F), (sw.G, dense.G)):
+        for X, Y in ((sw.F, F), (sw.G, G)):
             np.testing.assert_allclose(X, Y, rtol=0, atol=1e-12 * np.abs(Y).max())
 
     def test_sgns_identity_kernels_factorize_shifted_pmi(self):
@@ -723,7 +693,7 @@ class TestFitKca:
         m = method_from_name("gtest")
         A = association_matrix(t, m).values
         Kr, Kc = dense_kernels(t, m)
-        (Lr, _), (Lc, _) = spd_sqrt(Kr), spd_sqrt(Kc)
+        Lr, Lc = eigh_root(Kr), eigh_root(Kc)
         sandwich = Lr @ A @ Lc
         dec = svd(sandwich)
         best = 0.5 * float(dec.S.sum())
@@ -759,16 +729,16 @@ class TestFitKca:
         np.testing.assert_array_equal(dec.S, plain.S)
         np.testing.assert_array_equal(dec.V, plain.V)
 
-    def test_random_explicit_kernels_orthonormal_and_reconstruct(self):
-        # >= 100 random instances of the metric-orthonormality contract
+    def test_random_structured_kernels_orthonormal_and_reconstruct(self):
+        # >= 100 random instances of the metric-orthonormality contract, each
+        # axis's kernel drawn on its own, against the dense kernels
         rng = np.random.default_rng(17)
         associations = ("linear", "gtest", "sgns")
         for i in range(100):
             t = random_table(rng, nr=int(rng.integers(2, 7)), nc=int(rng.integers(2, 7)))
-            Kr = random_spd(rng, t.shape[0])
-            Kc = random_spd(rng, t.shape[1])
-            m = KcaMethod(associations[i % 3], KernelSpec("explicit", matrix=Kr),
-                          KernelSpec("explicit", matrix=Kc))
+            m = KcaMethod(associations[i % 3], random_kernel(rng, t.row_labels),
+                          random_kernel(rng, t.col_labels))
+            Kr, Kc = dense_kernels(t, m)
             emb = fit_kca(t, m, min(t.shape))
             dec = emb.decomposition
             k = dec.S.shape[0]
@@ -817,7 +787,7 @@ class TestFitKca:
                 method_from_name("ws", gamma_row=gamma, gamma_col=gamma),
                 method_from_name("ws", stopwords={"r3"}, sw_alpha_row=-0.5,
                                  gamma_row=gamma, gamma_col=gamma),
-                KcaMethod("gini", KernelSpec("explicit", matrix=random_spd(rng, 6)),
+                KcaMethod("gini", KernelSpec("inverse_marginal", alpha=0.8, words={"r1", "r4"}),
                           KernelSpec("kpca_cd", alpha=-1.0)),
             ]
             for m in methods:
@@ -887,8 +857,6 @@ def test_fit_peak_memory_in_vxv_arrays(name, traced_peak):
     # not see numpy's own copy of the input and LAPACK's work array inside
     # eigh.  What each step buys, probed at this V:
     # - rebinding eigh's vectors after the sort gather frees them: 4.05 without;
-    # - `del assoc` frees the association after a dense root only; before the
-    #   rank-one root scaled in place, kpca_cd read 4.05 without it;
     # - the |U| of the sign convention and an out-of-place residual change
     #   nothing at 3.1; the in-place residual is kept for a 2.5 bound.
     V = 500

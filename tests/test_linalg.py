@@ -1,4 +1,4 @@
-"""Decomposition kernel: SVD, SPD square roots, nuclear norm."""
+"""Dense linear algebra: SVD and nuclear norm."""
 
 import re
 
@@ -7,19 +7,10 @@ import pytest
 
 from cakit.linalg import (
     Decomposition,
-    NotPositiveDefiniteError,
     _sign_convention,
     nuclear_norm,
-    spd_sqrt,
     svd,
 )
-
-
-def random_spd(rng, m, lo=0.5, hi=2.0):
-    """Well-conditioned SPD matrix with eigenvalues in [lo, hi]."""
-    Q = np.linalg.qr(rng.normal(size=(m, m)))[0]
-    lam = rng.uniform(lo, hi, size=m)
-    return (Q * lam) @ Q.T
 
 
 class TestSvd:
@@ -85,52 +76,6 @@ class TestSvd:
     def test_rank_flags_small_values(self):
         dec = svd(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert dec.flagged_small.tolist() == [False, True]
-
-
-class TestSpdSqrt:
-    def test_diagonal_fast_path(self):
-        np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0]))[0], np.diag([2.0, 3.0]))
-
-    def test_identity(self):
-        np.testing.assert_allclose(spd_sqrt(np.eye(3))[0], np.eye(3))
-
-    def test_dense_squares_back(self):
-        K = np.array([[2.0, 1.0], [1.0, 2.0]])
-        root, _ = spd_sqrt(K)
-        np.testing.assert_allclose(root @ root, K, atol=1e-10)
-        np.testing.assert_allclose(root, root.T, atol=1e-14)
-
-    def test_random_spd_squares_back(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            K = random_spd(rng, int(rng.integers(2, 6)))
-            root, _ = spd_sqrt(K)
-            np.testing.assert_allclose(root @ root, K, atol=1e-10)
-            np.testing.assert_allclose(root, root.T, atol=1e-12)
-
-    def test_inverse_root(self):
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            K = random_spd(rng, int(rng.integers(2, 6)))
-            root, inv_root = spd_sqrt(K)
-            np.testing.assert_allclose(inv_root @ root, np.eye(K.shape[0]), atol=1e-12)
-            np.testing.assert_allclose(inv_root, inv_root.T, atol=1e-14)
-
-    def test_indefinite_rejected_with_eigenvalue_in_message(self):
-        with pytest.raises(NotPositiveDefiniteError, match="eigenvalue -1"):
-            spd_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
-
-    def test_singular_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            spd_sqrt(np.ones((3, 3)))
-
-    def test_negative_diagonal_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError, match="-4"):
-            spd_sqrt(np.diag([1.0, -4.0]))
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            spd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 class TestNuclearNorm:
@@ -270,11 +215,7 @@ class TestZeroRows:
 @pytest.mark.parametrize("call, message", [
     (lambda: svd(np.ones(3)), "matrix must be 2-dimensional, got shape (3,)"),
     (lambda: svd(np.ones((0, 3))), "matrix must be non-empty"),
-    (lambda: spd_sqrt(np.ones((2, 2, 2))),
-     "kernel matrix must be 2-dimensional, got shape (2, 2, 2)"),
-    (lambda: spd_sqrt(np.ones((2, 3))), "SPD square root needs a square matrix, got (2, 3)"),
-], ids=["svd of a vector", "svd of an empty matrix", "spd_sqrt of a 3-D array",
-        "spd_sqrt of a non-square matrix"])
+], ids=["svd of a vector", "svd of an empty matrix"])
 def test_input_rejections(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
