@@ -69,6 +69,7 @@ SW_ROW = _kernel("inverse_marginal", alpha=-0.5, words=STOPWORDS)
 SW_COL = _kernel("inverse_marginal", alpha=0.7, words=STOPWORDS)
 ID_SW_ROW = _kernel("identity", alpha=-0.5, words=STOPWORDS)
 ID_SW_COL = _kernel("identity", alpha=0.7, words=STOPWORDS)
+KPCA = _kernel("kpca_cd", alpha=-0.4)
 # name -> (association, row kernel, column kernel, KcaMethod keywords,
 #          powers of s that S and the coordinates take when the counts are scaled by s)
 METHOD_CASES = {
@@ -80,11 +81,14 @@ METHOD_CASES = {
     "gtest": ("gtest", ID, ID, {}, (0.0, 0.0)),
     "sgns": ("sgns", ID, ID, {"shift_k": 0.5}, (0.0, 0.0)),
     "sgns_unclamped": ("sgns", ID, ID, {"shift_k": 2.0, "sgns_floor": -1.0}, (0.0, 0.0)),
-    "kpca_cd": ("kpca_cd", _kernel("kpca_cd", alpha=-0.4), ID, {}, (0.0, 0.0)),
+    "kpca_cd": ("kpca_cd", KPCA, ID, {}, (0.0, 0.0)),
     "linear+sw": ("linear", SW_ROW, SW_COL, {}, (-1.0, -1.5)),
     # the ws association is scale-free, its modified marginals scale by s^2
     "ws": ("ws", IM, IM, {}, (-2.0, -3.0)),
     "ws+sw": ("ws", SW_ROW, SW_COL, {}, (-2.0, -3.0)),
+    # kernels that do not read the counts leave the linear sandwich scale-free;
+    # the one case with a rank-one root on both axes
+    "linear+kpca_cd": ("linear", KPCA, KPCA, {}, (0.0, 0.0)),
 }
 K = 3  # compared dimensions
 
@@ -375,7 +379,7 @@ class TestSandwichInPlace:
 # one case per kernel kind, and per kind that takes stop words one with them,
 # the same on both axes
 KIND_CASES = {"identity": ID, "identity+sw": ID_SW_ROW, "inverse_marginal": IM,
-              "inverse_marginal+sw": SW_ROW, "kpca_cd": _kernel("kpca_cd", alpha=-0.4)}
+              "inverse_marginal+sw": SW_ROW, "kpca_cd": KPCA}
 
 
 class TestSymmetryRule:

@@ -260,8 +260,36 @@ class TestAssociationMatrix:
 
 
 class TestEquality:
-    """``==`` on methods compares their pair-score arrays by value, never raises, and
-    agrees with ``hash``."""
+    """``==`` on kernel specs, kernel roots and methods compares by value, array fields
+    included, never raises, and agrees with ``hash``."""
+
+    def test_kernel_specs_from_equal_word_collections_are_equal(self):
+        a = KernelSpec("identity", alpha=0.5, words={"blue", "dark"})
+        b = KernelSpec("identity", alpha=0.5, words=["dark", "blue", "dark"])
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert a.words == frozenset({"blue", "dark"}) and isinstance(b.words, frozenset)
+
+    def test_kernel_specs_differing_in_any_field_are_not(self):
+        a = KernelSpec("inverse_marginal", alpha=0.5, words={"blue"})
+        for other in (KernelSpec("identity", alpha=0.5, words={"blue"}),
+                      KernelSpec("inverse_marginal", alpha=0.25, words={"blue"}),
+                      KernelSpec("inverse_marginal", alpha=0.5, words={"blue", "dark"}),
+                      KernelSpec("inverse_marginal")):
+            assert a != other and not a == other
+        assert a != "inverse_marginal" and KernelSpec("kpca_cd", alpha=-0.5) != KernelSpec(
+            "kpca_cd", alpha=-0.25)
+
+    def test_kernel_roots_compare_their_diagonals_by_value(self):
+        t = fisher_table()
+        spec = KernelSpec("kpca_cd", alpha=-0.5)
+        first, second = kernel_root(spec, t.r, t.row_labels), kernel_root(spec, t.r, t.row_labels)
+        assert first == second and first[0].d is not second[0].d
+        assert hash(first[0]) == hash(second[0])
+        assert first[0] != first[1]  # the root is not its inverse
+        assert first[0] != kernel_root(KernelSpec("kpca_cd", alpha=-0.25), t.r, t.row_labels)[0]
+        # the identity's d of None is not a diagonal of ones
+        assert KernelRoot() == KernelRoot() and KernelRoot() != KernelRoot(np.ones(4))
+        assert KernelRoot(np.ones(4)) != KernelRoot(np.ones(4), 0.5)
 
     def test_ws_methods_from_equal_gamma_copies_are_equal(self):
         gamma = build_gamma(("a", "b", "c"), WordSimDataset((("a", "c", 4.0),)), 0.1)
@@ -292,6 +320,15 @@ class TestMethodArraysAreOwnCopies:
         gr[0, 2] = gr[2, 0] = gc[1, 3] = gc[3, 1] = 3.0
         emb = fit_ws_kca(t, gr, gc, 2)
         gr[0, 1] = gr[1, 0] = 5.0
+        np.testing.assert_array_equal(emb.decomposition.S[:2], emb.singular_values)
+
+    def test_changing_the_callers_stop_words_leaves_the_decomposition(self):
+        t = fisher_table()
+        words = {"blue", "fair"}
+        m = KcaMethod("gini", row_kernel=KernelSpec("identity", alpha=-0.5, words=words))
+        emb = fit_kca(t, m, 2)
+        words.add("dark")
+        assert m.row_kernel.words == frozenset({"blue", "fair"})
         np.testing.assert_array_equal(emb.decomposition.S[:2], emb.singular_values)
 
     def test_one_pair_score_array_is_copied_once(self):
@@ -395,14 +432,21 @@ class TestKernelsTable:
      "a kernel of kind 'identity' takes no alpha without stop words"),
     (lambda: KernelSpec("kpca_cd", alpha=math.nan), "kpca_cd alpha must be finite, got nan"),
     (lambda: KernelSpec("kpca_cd", alpha=-math.inf), "kpca_cd alpha must be finite, got -inf"),
+    (lambda: KernelSpec("kpca_cd", alpha=math.inf), "kpca_cd alpha must be finite, got inf"),
     (lambda: KernelSpec("identity", alpha=math.inf, words={"blue"}),
      "stop-word alpha must be finite, got inf"),
+    (lambda: KernelSpec("inverse_marginal", alpha=math.nan, words={"blue"}),
+     "stop-word alpha must be finite, got nan"),
     (lambda: KernelSpec("inverse_marginal", alpha=-1.0, words={"blue"}),
      "stop-word weight 1+alpha = 0 must be positive"),
+    (lambda: KernelSpec("identity", alpha=-2.5, words={"blue"}),
+     "stop-word weight 1+alpha = -1.5 must be positive"),
     (lambda: KernelSpec("kpca_cd", alpha=0.0),
      "kpca_cd kernel is not positive definite for alpha = 0: exp(2*alpha) must be < 1"),
     (lambda: KernelSpec("kpca_cd", alpha=-1e-20),  # exp(2*alpha) rounds to 1
      "kpca_cd kernel is not positive definite for alpha = -1e-20: exp(2*alpha) must be < 1"),
+    (lambda: KernelSpec("kpca_cd", alpha=0.3),
+     "kpca_cd kernel is not positive definite for alpha = 0.3: exp(2*alpha) must be < 1"),
     (lambda: build_gamma(("a", "b"), WordSimDataset((("a", "b", 1.0),)), math.nan),
      "pair-score alpha must be finite, got nan"),
 ], ids=["unknown method", "kpca_cd row stop-word alpha", "stop-word alpha without words",
@@ -412,9 +456,10 @@ class TestKernelsTable:
         "exponent -inf", "sgns shift_k inf", "sgns shift_k nan",
         "explicit kernel", "kpca_cd with words", "identity alpha without words",
         "inverse-marginal alpha without words", "identity nan alpha without words",
-        "kpca_cd alpha nan", "kpca_cd alpha -inf",
-        "stop-word alpha inf", "stop-word weight 0", "kpca_cd alpha 0", "kpca_cd alpha -1e-20",
-        "pair-score alpha nan"])
+        "kpca_cd alpha nan", "kpca_cd alpha -inf", "kpca_cd alpha inf",
+        "stop-word alpha inf", "stop-word alpha nan", "stop-word weight 0",
+        "stop-word weight negative", "kpca_cd alpha 0", "kpca_cd alpha -1e-20",
+        "kpca_cd alpha positive", "pair-score alpha nan"])
 def test_input_rejections(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
@@ -516,6 +561,32 @@ class TestKernelRoot:
         for alpha in (0.0, 0.3):
             with pytest.raises(NotPositiveDefiniteError, match="alpha"):
                 KernelSpec("kpca_cd", alpha=alpha)
+
+    def test_random_structured_roots_square_back_and_invert(self):
+        # every kind, with random stop words and alphas, on axes of 1 to 7 labels
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            m = int(rng.integers(1, 8))
+            labels = tuple(f"w{i}" for i in range(m))
+            assert_root_matches(random_kernel(rng, labels), rng.uniform(0.5, 30.0, size=m), labels)
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec("identity", alpha=-0.5, words={"b", "d"}),
+        KernelSpec("inverse_marginal"),
+        KernelSpec("inverse_marginal", alpha=0.7, words={"a"}),
+        KernelSpec("kpca_cd", alpha=-0.4),
+    ], ids=["identity+sw", "inverse_marginal", "inverse_marginal+sw", "kpca_cd"])
+    def test_a_root_scales_from_the_right_through_the_transpose(self, spec):
+        # the sandwich applies the column root as scale(X.T).T
+        marginal = np.array([3.0, 1.0, 7.0, 2.0, 5.0])
+        rng = np.random.default_rng(5)
+        for root in kernel_root(spec, marginal, "abcde"):
+            L = root.scale(np.eye(5))
+            X = rng.normal(size=(3, 5))
+            np.testing.assert_allclose(root.scale(X.T.copy()).T, X @ L, rtol=1e-14, atol=1e-15)
+            view = X.copy()
+            assert root.scale(view.T).base is view  # scaled in the caller's buffer
+            np.testing.assert_allclose(view, X @ L, rtol=1e-14, atol=1e-15)
 
     def test_ws_kernels_divide_by_modified_marginals(self):
         rng = np.random.default_rng(139)
