@@ -1,6 +1,6 @@
 """Correspondence analysis, kernel variants, and word-vector evaluation."""
 
-from .ca import EmbeddingSet, export_coordinates, fit_linear_ca, read_embeddings, write_embeddings
+from .ca import EmbeddingSet, export_coordinates, read_embeddings, write_embeddings
 from .corpus import CooccurrenceConfig, count_cooccurrences, load_stopwords, tokenize
 from .datasets import fisher_table
 from .evaluation import EvalReport, WordSimDataset, cosine, evaluate, load_wordsim, spearman
@@ -9,13 +9,13 @@ from .kca import (
     AssociationMatrix,
     KcaMethod,
     KernelSpec,
+    NotPositiveDefiniteError,
     association_matrix,
     build_gamma,
     fit_kca,
-    fit_ws_kca,
     method_from_name,
 )
-from .linalg import Decomposition, NotPositiveDefiniteError, nuclear_norm, svd
+from .linalg import Decomposition, nuclear_norm, svd
 from .tables import ContingencyTable, contingency_from_observations, read_tsv, residual_matrix, write_tsv
 
 __version__ = "0.1.0"
@@ -42,8 +42,6 @@ __all__ = [
     "export_coordinates",
     "fisher_table",
     "fit_kca",
-    "fit_linear_ca",
-    "fit_ws_kca",
     "gini_variance",
     "load_stopwords",
     "load_wordsim",

@@ -1,11 +1,8 @@
-"""Linear correspondence analysis and the embedding container/formats.
+"""The embedding record and its two files.
 
-Linear CA is the kernel-CA fit (:func:`cakit.kca.fit_kca`) of the centered
-frequency matrix under inverse-marginal kernels: the generalized SVD
-``U S V^T`` of that matrix with ``U^T D(r)^{-1} U = I`` and
-``V^T D(c)^{-1} V = I``, and the principal row/column coordinates
-F = D(r)^{-1} U S and G = D(c)^{-1} V S used both for plotting category
-maps and as word vectors.
+:class:`EmbeddingSet` holds a fit's row and column coordinates F and G,
+its singular values and its method tag; every fit is
+:func:`cakit.kca.fit_kca`, whose linear method is correspondence analysis.
 
 The embedding TSV and coordinate CSV share the label checks and number
 parser of :mod:`cakit.tables`; floats are written via ``repr`` (exact),
@@ -26,7 +23,6 @@ import numpy as np
 
 from .linalg import Decomposition
 from .tables import (
-    ContingencyTable,
     _bad_label,
     _check_labels,
     _equal_fields,
@@ -109,22 +105,6 @@ class EmbeddingSet:
         if which == "G":
             return self.col_labels, self.G
         raise ValueError(f"point set must be 'F' or 'G', got {which!r}")
-
-
-def default_dimension(t: ContingencyTable) -> int:
-    """min(n_rows, n_cols) - 1, floored at 1; the sensible demo default."""
-    return max(1, min(t.shape) - 1)
-
-
-def fit_linear_ca(t: ContingencyTable, k: int | None = None) -> EmbeddingSet:
-    """Correspondence analysis of a table, keeping the top ``k`` dimensions.
-
-    The kernel-CA fit of the linear method; ``k`` defaults to
-    min(shape) - 1.
-    """
-    from .kca import fit_kca, method_from_name  # kca imports this module
-
-    return fit_kca(t, method_from_name("linear"), k)
 
 
 def _point_lines(which: str, labels, coords: np.ndarray, sep: str):

@@ -177,8 +177,11 @@ def cmd_eval(args) -> int:
     failed = False
     for path in args.wordsim:
         try:
-            dataset = evaluation.load_wordsim(path)
-            report = evaluation.evaluate(emb, args.which, dataset)
+            dataset = evaluation.load_wordsim(path)  # whose errors name the file
+            try:
+                report = evaluation.evaluate(emb, args.which, dataset)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
             if report.pairs_zero:
                 _err(f"warning: {report.pairs_zero} of {report.pairs_used} pairs involve "
                      "a zero vector; their cosine is 0")
@@ -186,7 +189,7 @@ def cmd_eval(args) -> int:
                         f"\t{report.pairs_used}\t{report.pairs_skipped}\n")
         except (ValueError, OSError) as exc:
             failed = True
-            _err(f"eval failed for {path}: {exc}")
+            _err(f"eval failed: {exc}")
             rows.append(f"{emb.method_tag}\t{path}\terror\t0\t0\n")
     if args.out:
         tables._write_atomic(args.out, rows)
@@ -204,7 +207,7 @@ def cmd_demo_fisher(args) -> int:
     print(f"gini_col\t{gini.gini_variance(table, 'col'):.6f}")
     rot = gini.rotated_covariance(table)
     print(f"rotated_covariance\t{rot.value:.6f}")
-    emb = ca.fit_linear_ca(table, k=2)
+    emb = kca.fit_kca(table, kca.KcaMethod("linear"), 2)
     ca.export_coordinates(emb, args.out)
     print(f"coordinates\t{args.out}")
     return 0

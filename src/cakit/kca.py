@@ -7,7 +7,9 @@ metrics, read off the SVD of the sandwich
 ``K_r^{1/2} A K_c^{1/2} = U_s S V_s^T`` (:func:`cakit.linalg.svd`): the
 factors ``U = K_r^{-1/2} U_s`` and ``V = K_c^{-1/2} V_s`` satisfy
 ``U^T K_r U = I``, ``V^T K_c V = I`` and ``U S V^T = A``, and the
-coordinates are ``F = K_r U S^p`` and ``G = K_c V S^p``.
+coordinates are ``F = K_r U S^p`` and ``G = K_c V S^p``.  :func:`fit_kca`,
+the package's one fit, keeps min(shape) - 1 dimensions by default; linear
+CA is its ``linear`` method, under the kernels ``D(r)^{-1}`` and ``D(c)^{-1}``.
 
 :func:`_sandwich_svd` is the one place that decides whether the sandwich
 is symmetric, from the table (its ``symmetric``, as ``cakit count`` writes)
@@ -34,7 +36,8 @@ Kernels are described by their structure and never built as matrices:
 every kernel root is ``diag(d) + b 11^T``.  Identity and inverse-marginal
 kernels, with stop words or without, are diagonal, and the kpca_cd kernel
 ``(1-e) I + e 11^T`` has the closed-form root ``a I + b 11^T``;
-:meth:`KernelRoot.scale` applies each root in place.
+:meth:`KernelRoot.scale` applies each root in place.  A kernel that is not
+positive definite raises :class:`NotPositiveDefiniteError` from its :class:`KernelSpec`.
 """
 
 from __future__ import annotations
@@ -47,11 +50,20 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import linalg
-from .ca import EmbeddingSet, default_dimension
-from .linalg import Decomposition, NotPositiveDefiniteError
+from .ca import EmbeddingSet
+from .linalg import Decomposition
 # perfbench/test_perfbench.py asserts kca.svd is linalg.svd; ROADMAP item 1 drops both
 from .linalg import svd  # noqa: F401
 from .tables import ContingencyTable, _equal_fields, _read_only, residual_matrix
+
+
+class NotPositiveDefiniteError(ValueError):
+    """Raised by :class:`KernelSpec` when its parameters make the kernel not positive definite.
+
+    A stop-word weight ``1 + alpha`` that is not positive, or a kpca_cd
+    alpha with ``exp(2*alpha) >= 1``.
+    """
+
 
 KERNEL_KINDS = ("identity", "inverse_marginal", "kpca_cd")
 _WEIGHTED = ("identity", "inverse_marginal")  # the kinds that stop words reweight
@@ -251,7 +263,14 @@ def association_matrix(t: ContingencyTable, m: KcaMethod) -> AssociationMatrix:
     Both take the log ratio on the nonzero cells of N only; an empty cell
     holds 0 (gtest's 0*log(0)=0 convention, or the clamp), or ``sgns_floor``
     for unclamped sgns.
-    ws: see :func:`fit_ws_kca`; its marginals are the modified ones.
+    ws: ``(N o (G_r N G_c) - (G_r N) o (N G_c)) / n^2``, o the Hadamard
+    product and G_r, G_c the pair-score matrices, with the modified
+    marginals ``r' = ((G_r N) o (N G_c)) 1`` and its transpose analogue.
+    All-ones pair-score matrices reduce it to linear CA up to a positive
+    scale.  Scaling both by ``c != 0`` scales the association and both
+    marginals by ``c**2``, which leaves the sandwich, S and every cosine
+    unchanged and divides F and G by ``|c|``, so :func:`build_gamma` fixes
+    the constant part at 1.
     Every other association comes with the table's marginals and symmetry.
     """
     if m.association == "ws":
@@ -355,10 +374,10 @@ def fit_kca(t: ContingencyTable, m: KcaMethod, k: int | None = None) -> Embeddin
     The fit keeps no V x V factor: ``decomposition``, the full generalized
     SVD of A under the kernel metrics (see the module docstring), is solved
     again from ``t`` and ``m`` when first read.  ``k`` defaults to
-    min(shape) - 1.
+    min(shape) - 1, floored at 1.
     """
     if k is None:
-        k = default_dimension(t)
+        k = max(1, min(t.shape) - 1)
     if not 1 <= k <= min(t.shape):
         raise ValueError(f"dimension k={k} out of range 1..{min(t.shape)}")
     (Lr, _), (Lc, _), dec = _sandwich_svd(t, m)
@@ -424,21 +443,3 @@ def build_gamma(labels, pairs, alpha: float) -> np.ndarray:
     for i, j, value in zip(ia.tolist(), ib.tolist(), (alpha * scores + 1.0).tolist()):
         gamma[i, j] = gamma[j, i] = value
     return gamma
-
-
-def fit_ws_kca(t: ContingencyTable, gamma_r, gamma_c, k: int | None = None,
-               exponent: float = 1.0) -> EmbeddingSet:
-    """Fit with external pair scores folded in through Hadamard products.
-
-    With G_r, G_c the pair-score matrices, the fitted association is
-    ``(N o (G_r N G_c) - (G_r N) o (N G_c)) / n^2`` (o = Hadamard, n the
-    original grand total), under inverse-marginal kernels built from the
-    modified marginals ``r' = ((G_r N) o (N G_c)) 1`` and its transpose
-    analogue.  All-ones pair-score matrices reduce to linear CA up to a
-    global positive scale.  Scaling both by ``c != 0`` scales the association
-    and both modified marginals by ``c**2``, which leaves the sandwich, S and
-    every cosine unchanged and divides F and G by ``|c|``, so :func:`build_gamma`
-    fixes the constant part at 1; any other pair-score matrices fit here too.
-    """
-    m = method_from_name("ws", exponent=exponent, gamma_row=gamma_r, gamma_col=gamma_c)
-    return fit_kca(t, m, k)

@@ -20,14 +20,6 @@ import numpy as np
 from .tables import _equal_fields
 
 
-class NotPositiveDefiniteError(ValueError):
-    """Raised when a kernel's parameters make it not positive definite.
-
-    A stop-word weight ``1 + alpha`` that is not positive, or a kpca_cd
-    alpha with ``exp(2*alpha) >= 1`` (:class:`cakit.kca.KernelSpec`).
-    """
-
-
 def _as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
@@ -43,10 +35,10 @@ def _as_matrix(M) -> np.ndarray:
 class Decomposition:
     """Singular triplet ``U @ diag(S) @ V.T``, ``S`` sorted descending and nonnegative.
 
-    From :func:`svd` the factors are orthonormal.  A kernel-CA fit stores
-    the generalized SVD of its association instead, whose factors are
-    orthonormal under the kernel metrics: ``U.T @ K_r @ U = I`` and
-    ``V.T @ K_c @ V = I``.
+    From :func:`svd` the factors are orthonormal.  A kernel-CA fit's
+    ``decomposition``, solved from its table and method on first read, is
+    the generalized SVD of its association, orthonormal under the kernel
+    metrics: ``U.T @ K_r @ U = I`` and ``V.T @ K_c @ V = I``.
     """
 
     U: np.ndarray = field(hash=False)

@@ -12,13 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cakit.ca import fit_linear_ca, read_embeddings
+from cakit.ca import read_embeddings
 from cakit.cli import main
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import fisher_table
 from cakit.evaluation import cosine, evaluate, load_wordsim, spearman
 from cakit.gini import brute_force_covariance, gini_variance, rotated_covariance
-from cakit.kca import KcaMethod, association_matrix, fit_kca, fit_ws_kca, method_from_name
+from cakit.kca import KcaMethod, association_matrix, fit_kca, method_from_name
 from cakit.linalg import nuclear_norm
 from cakit.tables import ContingencyTable, contingency_from_observations, residual_matrix
 
@@ -121,7 +121,7 @@ def test_criterion_03_rotated_covariance_identities():
 
 def test_criterion_04_ca_metric_constraints_on_survey_table():
     t = fisher_table()
-    dec = fit_linear_ca(t, 2).decomposition
+    dec = fit_kca(t, KcaMethod("linear"), 2).decomposition
     k = dec.S.shape[0]
     np.testing.assert_allclose(
         dec.U.T @ np.diag(1.0 / t.r) @ dec.U, np.eye(k), atol=1e-8
@@ -138,7 +138,7 @@ def test_criterion_05_independence_null_case():
         row = rng.integers(1, 9, size=rng.integers(2, 6))
         col = rng.integers(1, 9, size=rng.integers(2, 6))
         t = ContingencyTable.from_counts(np.outer(row, col) + 0.0)
-        emb = fit_linear_ca(t, min(t.shape))
+        emb = fit_kca(t, KcaMethod("linear"), min(t.shape))
         assert np.all(emb.singular_values < 1e-12)
         assert abs(rotated_covariance(t).value) < 1e-12
 
@@ -151,7 +151,7 @@ def test_criterion_06_kernel_reductions():
     ]
     for t in tables:
         k = min(t.shape) - 1
-        base = fit_linear_ca(t, k)
+        base = fit_kca(t, KcaMethod("linear"), k)
         # stop-word kernel at alpha 0 is exactly the linear CA kernel
         sw = method_from_name(
             "linear",
@@ -164,7 +164,8 @@ def test_criterion_06_kernel_reductions():
         np.testing.assert_allclose(emb_sw.G, base.G, atol=1e-10)
         # flat pair scores reproduce the linear CA geometry up to global scale
         nr, nc = t.shape
-        emb_ws = fit_ws_kca(t, np.ones((nr, nr)), np.ones((nc, nc)), k)
+        emb_ws = fit_kca(t, method_from_name("ws", gamma_row=np.ones((nr, nr)),
+                                             gamma_col=np.ones((nc, nc))), k)
         for ws_coords, base_coords in ((emb_ws.F, base.F), (emb_ws.G, base.G)):
             cw = np.array([[cosine(u, v) for v in ws_coords] for u in ws_coords])
             cb = np.array([[cosine(u, v) for v in base_coords] for u in base_coords])
@@ -322,7 +323,7 @@ def test_criterion_11_corpus_scale_pipeline_and_stopword_tuning(tmp_path):
 
     def rho_for(alpha, split):
         if alpha == 0.0:
-            emb = fit_linear_ca(table, 10)
+            emb = fit_kca(table, KcaMethod("linear"), 10)
         else:
             m = method_from_name(
                 "linear", stopwords=set(noise), sw_alpha_row=alpha, sw_alpha_col=alpha

@@ -13,9 +13,7 @@ import pytest
 from cakit import ca, kca, linalg
 from cakit.ca import (
     EmbeddingSet,
-    default_dimension,
     export_coordinates,
-    fit_linear_ca,
     read_embeddings,
     write_embeddings,
 )
@@ -176,14 +174,14 @@ def assert_same_spectrum(actual, expected, name):
 class TestFitLinearCa:
     def test_independence_table_collapses(self):
         t = ContingencyTable.from_counts([[2.0, 4.0], [1.0, 2.0]])
-        emb = fit_linear_ca(t, 1)
+        emb = fit_kca(t, KcaMethod("linear"), 1)
         assert emb.singular_values[0] < 1e-12
         np.testing.assert_allclose(emb.F, 0.0, atol=1e-10)
         np.testing.assert_allclose(emb.G, 0.0, atol=1e-10)
 
     def test_survey_table_metric_constraints(self):
         t = fisher_table()
-        emb = fit_linear_ca(t, 2)
+        emb = fit_kca(t, KcaMethod("linear"), 2)
         dec = emb.decomposition
         k = dec.S.shape[0]
         np.testing.assert_allclose(
@@ -196,7 +194,7 @@ class TestFitLinearCa:
 
     def test_survey_map_pairs_dark_with_dark(self):
         # the two "dark" categories sit nearest each other across point sets
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         f_dark = emb.F[emb.row_labels.index("dark")]
         g_dark = emb.G[emb.col_labels.index("dark")]
         dists_to_cols = np.linalg.norm(emb.G - f_dark, axis=1)
@@ -208,14 +206,14 @@ class TestFitLinearCa:
         # standardized residual is 0.125 * [[1,-1],[-1,1]]: one nonzero
         # singular value 0.25, antisymmetric first axis
         t = ContingencyTable.from_counts([[2.0, 0.0], [0.0, 2.0]])
-        emb = fit_linear_ca(t, 1)
+        emb = fit_kca(t, KcaMethod("linear"), 1)
         assert emb.singular_values[0] == pytest.approx(0.25, abs=1e-12)
         assert emb.F[0, 0] == pytest.approx(-emb.F[1, 0], abs=1e-12)
         assert abs(emb.F[0, 0]) == pytest.approx(0.125, abs=1e-12)
 
     def test_coordinates_derive_from_decomposition(self):
         t = fisher_table()
-        emb = fit_linear_ca(t, 3)
+        emb = fit_kca(t, KcaMethod("linear"), 3)
         dec = emb.decomposition
         F = (dec.U[:, :3] / t.r[:, None]) * dec.S[:3]
         G = (dec.V[:, :3] / t.c[:, None]) * dec.S[:3]
@@ -226,7 +224,7 @@ class TestFitLinearCa:
         rng = np.random.default_rng(67)
         for _ in range(20):
             t = random_table(rng)
-            dec = fit_linear_ca(t, min(t.shape)).decomposition
+            dec = fit_kca(t, KcaMethod("linear"), min(t.shape)).decomposition
             np.testing.assert_allclose(dec.reconstruct(), residual_matrix(t), atol=1e-8)
 
     def test_scale_invariance_on_normalized_tables(self):
@@ -235,8 +233,8 @@ class TestFitLinearCa:
         counts = rng.integers(1, 15, size=(4, 5)) + 0.0
         a = ContingencyTable.from_counts(counts / counts.sum())
         b = ContingencyTable.from_counts(10.0 * counts / (10.0 * counts).sum())
-        fa = fit_linear_ca(a, 3)
-        fb = fit_linear_ca(b, 3)
+        fa = fit_kca(a, KcaMethod("linear"), 3)
+        fb = fit_kca(b, KcaMethod("linear"), 3)
         np.testing.assert_allclose(fa.F, fb.F, atol=1e-9)
         np.testing.assert_allclose(fa.G, fb.G, atol=1e-9)
 
@@ -258,14 +256,14 @@ class TestFitLinearCa:
     def test_k_out_of_range(self):
         t = fisher_table()
         with pytest.raises(ValueError, match="out of range"):
-            fit_linear_ca(t, 0)
+            fit_kca(t, KcaMethod("linear"), 0)
         with pytest.raises(ValueError, match="out of range"):
-            fit_linear_ca(t, 5)
+            fit_kca(t, KcaMethod("linear"), 5)
 
     def test_default_dimension(self):
-        assert default_dimension(fisher_table()) == 3
+        assert fit_kca(fisher_table(), KcaMethod("linear")).k == 3
         one = ContingencyTable.from_counts([[1.0]])
-        assert default_dimension(one) == 1
+        assert fit_kca(one, KcaMethod("linear")).k == 1
 
 
 class TestMetamorphic:
@@ -461,7 +459,7 @@ class TestLogRatioOnTheSupport:
 
 class TestCoordinateExport:
     def test_survey_export_has_nine_points(self, tmp_path):
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         path = tmp_path / "coords.csv"
         export_coordinates(emb, path)
         lines = path.read_text().splitlines()
@@ -482,7 +480,7 @@ class TestCoordinateExport:
         assert path.read_text() == "point_set,label\n"
 
     def test_round_trip_bit_exact(self, tmp_path):
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         path = tmp_path / "coords.csv"
         export_coordinates(emb, path)
         rows = read_coordinates(path)
@@ -493,7 +491,7 @@ class TestCoordinateExport:
 
 class TestEmbeddingsFile:
     def test_round_trip(self, tmp_path):
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         path = tmp_path / "emb.tsv"
         write_embeddings(emb, path)
         back = read_embeddings(path)
@@ -505,7 +503,7 @@ class TestEmbeddingsFile:
         np.testing.assert_array_equal(back.singular_values, emb.singular_values)
 
     def test_rejects_truncated_file(self, tmp_path):
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         path = tmp_path / "emb.tsv"
         write_embeddings(emb, path)
         lines = path.read_text().splitlines()
@@ -516,7 +514,7 @@ class TestEmbeddingsFile:
     @pytest.fixture
     def emb_lines(self, tmp_path):
         path = tmp_path / "emb.tsv"
-        write_embeddings(fit_linear_ca(fisher_table(), 2), path)
+        write_embeddings(fit_kca(fisher_table(), KcaMethod("linear"), 2), path)
         return path, path.read_text().splitlines()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -581,7 +579,7 @@ class TestEmbeddingsFile:
         (export_coordinates, '"quoted" word'),
     ], ids=lambda x: getattr(x, "__name__", repr(x)))
     def test_writers_reject_labels_their_reader_would_split(self, tmp_path, writer, bad):
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         path = tmp_path / "out"
         for rows, cols in ((emb.row_labels[:-1] + (bad,), emb.col_labels),
                            (emb.row_labels, (bad,) + emb.col_labels[1:])):
@@ -593,7 +591,7 @@ class TestEmbeddingsFile:
 
     @pytest.mark.parametrize("bad", ["a\tb", "a\nb", "a\rb"])
     def test_writer_rejects_a_method_tag_its_reader_would_split(self, tmp_path, bad):
-        emb = dataclasses.replace(fit_linear_ca(fisher_table(), 2), method_tag=bad)
+        emb = dataclasses.replace(fit_kca(fisher_table(), KcaMethod("linear"), 2), method_tag=bad)
         path = tmp_path / "emb.tsv"
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: method label .* contains"):
             write_embeddings(emb, path)
@@ -605,14 +603,14 @@ class TestEmbeddingsFile:
     ])
     def test_a_set_rejects_labels_every_reader_rejects(self, row_labels, message):
         # the table's rule, so no writer and no evaluation meets such a set
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             dataclasses.replace(emb, row_labels=row_labels)
 
     @pytest.mark.parametrize("field", ["F", "G", "singular_values"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_values_rejected_at_construction(self, field, bad):
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         parts = dict(F=emb.F.copy(), G=emb.G.copy(), singular_values=emb.singular_values.copy())
         parts[field][-1] = bad
         with pytest.raises(ValueError, match="NaN or infinite"):
@@ -877,12 +875,12 @@ class TestDecompositionOnRequest:
                                            err_msg=name)
 
     def test_a_set_read_from_a_file_has_none(self, tmp_path):
-        write_embeddings(fit_linear_ca(fisher_table(), 2), tmp_path / "emb.tsv")
+        write_embeddings(fit_kca(fisher_table(), KcaMethod("linear"), 2), tmp_path / "emb.tsv")
         assert read_embeddings(tmp_path / "emb.tsv").decomposition is None
 
     def test_a_set_replaced_from_a_fit_has_none(self):
         # the fit's decomposition would describe the fit, not the halved set
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         half = dataclasses.replace(emb, F=emb.F / 2, G=emb.G / 2,
                                    singular_values=emb.singular_values / 2)
         assert half.decomposition is None and emb.decomposition is not None
@@ -928,7 +926,7 @@ class TestEquality:
         emb = small_embedding_set(F=F)
         F[0, 0] = 5.0
         assert emb.F[0, 0] == 1.0
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         with pytest.raises(ValueError, match="read-only"):
             emb.F[0, 0] = 0.0
         for array in (emb.G, emb.singular_values):
@@ -936,7 +934,7 @@ class TestEquality:
                 array[0] = 0.0
 
     def test_sets_that_differ_in_one_coordinate_or_only_the_tag_are_unequal(self):
-        emb = fit_linear_ca(fisher_table(), 2)
+        emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
         F = emb.F.copy()
         F[1, 1] = np.nextafter(F[1, 1], np.inf)
         assert emb != dataclasses.replace(emb, F=F)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -337,7 +338,7 @@ class TestEval:
         lines = captured.out.strip().splitlines()
         assert len(lines) == 3
         assert lines[2].split("\t")[2] == "error"
-        assert "zero usable pairs" in captured.err
+        assert f"{bad}: zero usable pairs" in captured.err
         assert float(lines[1].split("\t")[2]) is not None  # good row stays numeric
 
     def test_non_finite_score_marked_error(self, embeddings, tmp_path, capsys):
@@ -348,6 +349,19 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1].split("\t")[2:] == ["error", "0", "0"]
         assert "bad.txt:2: score 'nan' is not finite" in captured.err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file or directory"),
+        ("blue light 5\nmedium dark 5\nblue dark 5\n", "rank correlation is undefined"),
+    ], ids=["missing-file", "constant-scores"])
+    def test_a_failed_dataset_is_named_once(self, embeddings, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        if text is not None:
+            bad.write_text(text)
+        assert main(["eval", embeddings, "--wordsim", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count(str(bad)) == 1
 
     def test_deterministic_output(self, embeddings, tmp_path):
         ws = tmp_path / "ws.txt"
@@ -494,7 +508,10 @@ def test_a_byte_that_is_not_utf8_names_path_and_line(fisher_tsv, tmp_path, capsy
             "config": ["fit", fisher_tsv, "--config", bad, "--out", out]}[kind]
     capsys.readouterr()
     assert main(list(map(str, argv))) == 1
-    assert f"{where} is not UTF-8\n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{where} is not UTF-8\n" in err
+    if kind == "pairs":  # the reader's error names the file; eval adds no second path
+        assert err.count(str(bad)) == 1
     assert not os.path.exists(out)
 
 
@@ -808,3 +825,12 @@ class TestReadme:
             if argv[0] == "fit":
                 assert args.config is None
                 _read_method_config(args)  # raises on an option the fit does not read
+
+    def test_library_quick_start_runs_and_gives_its_stated_variance(self):
+        text = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+        block = text.split("```python\n", 1)[1].split("```", 1)[0]
+        stated = re.search(r'^gini_variance\(t, "row"\) +# (0\.\d{6}) ', block, re.M).group(1)
+        namespace = {}
+        exec(block, namespace)
+        variance = namespace["gini_variance"](namespace["t"], "row")
+        assert f"{variance:.6f}" == stated == "0.364089"

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import cakit
-from cakit.ca import fit_linear_ca
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import fisher_table
 from cakit.evaluation import WordSimDataset
@@ -25,14 +24,14 @@ from cakit.kca import (
     KcaMethod,
     KernelRoot,
     KernelSpec,
+    NotPositiveDefiniteError,
     association_matrix,
     build_gamma,
     fit_kca,
-    fit_ws_kca,
     kernel_root,
     method_from_name,
 )
-from cakit.linalg import NotPositiveDefiniteError, svd
+from cakit.linalg import svd
 from cakit.tables import ContingencyTable, residual_matrix
 
 
@@ -318,7 +317,7 @@ class TestMethodArraysAreOwnCopies:
         t = fisher_table()
         gr, gc = np.ones((4, 4)), np.ones((5, 5))
         gr[0, 2] = gr[2, 0] = gc[1, 3] = gc[3, 1] = 3.0
-        emb = fit_ws_kca(t, gr, gc, 2)
+        emb = fit_kca(t, method_from_name("ws", gamma_row=gr, gamma_col=gc), 2)
         gr[0, 1] = gr[1, 0] = 5.0
         np.testing.assert_array_equal(emb.decomposition.S[:2], emb.singular_values)
 
@@ -370,7 +369,8 @@ class TestKernelsTable:
     def test_bare_linear_method_fits_linear_ca_not_the_gini_covariance(self):
         t = fisher_table()
         bare = fit_kca(t, KcaMethod("linear"), 2)
-        np.testing.assert_array_equal(bare.singular_values, fit_linear_ca(t, 2).singular_values)
+        np.testing.assert_array_equal(bare.singular_values,
+                                      fit_kca(t, KcaMethod("linear"), 2).singular_values)
         # S_1 is 8.3e-5 for linear CA and 0.106 for the Gini covariance
         assert bare.singular_values[0] < 1e-3 * fit_kca(t, KcaMethod("gini"), 2).singular_values[0]
 
@@ -613,7 +613,7 @@ class TestFitKca:
             t = random_table(rng)
             k = min(t.shape) - 1 or 1
             a = fit_kca(t, method_from_name("linear"), k)
-            b = fit_linear_ca(t, k)
+            b = fit_kca(t, KcaMethod("linear"), k)
             np.testing.assert_allclose(a.F, b.F, atol=1e-10)
             np.testing.assert_allclose(a.G, b.G, atol=1e-10)
 
@@ -727,8 +727,8 @@ class TestFitKca:
 
         gamma_r = build_gamma(t.row_labels, pairs, 0.3)
         gamma_c = build_gamma(t.col_labels, pairs, 0.3)
-        base = fit_ws_kca(t, gamma_r, gamma_c, 4)
-        scaled = fit_ws_kca(t, c * gamma_r, c * gamma_c, 4)
+        base = fit_kca(t, method_from_name("ws", gamma_row=gamma_r, gamma_col=gamma_c), 4)
+        scaled = fit_kca(t, method_from_name("ws", gamma_row=c * gamma_r, gamma_col=c * gamma_c), 4)
         S = base.singular_values
         assert np.all(-np.diff(S) > 1e-3 * S[0]), S
         if math.log2(abs(c)).is_integer():  # a power of two scales exactly
@@ -966,7 +966,7 @@ class TestWsKernelFit:
             raise AssertionError("the general SVD was called")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        emb = fit_ws_kca(t, gamma, gamma, 50)
+        emb = fit_kca(t, method_from_name("ws", gamma_row=gamma, gamma_col=gamma), 50)
         assert eigh_shapes == [t.shape]
         assert np.all(np.isfinite(emb.F)) and emb.k == 50
 
@@ -983,7 +983,7 @@ class TestWsKernelFit:
         gamma = build_gamma(t.row_labels, pairs, alpha=0.1)
         assoc = association_matrix(t, method_from_name("ws", gamma_row=gamma, gamma_col=gamma))
         assert assoc.r.tobytes() == assoc.c.tobytes()
-        emb = fit_ws_kca(t, gamma, gamma, 10)
+        emb = fit_kca(t, method_from_name("ws", gamma_row=gamma, gamma_col=gamma), 10)
         top = np.abs(emb.F).argmax(axis=0), np.arange(10)
         signs = np.sign(emb.G[top] / emb.F[top])
         assert set(signs) <= {-1.0, 1.0}
@@ -1038,8 +1038,9 @@ class TestWsKernelFit:
         for _ in range(5):
             t = random_table(rng, nr=5, nc=4)
             k = 3
-            ws = fit_ws_kca(t, np.ones((5, 5)), np.ones((4, 4)), k)
-            base = fit_linear_ca(t, k)
+            ws = fit_kca(t, method_from_name("ws", gamma_row=np.ones((5, 5)),
+                                             gamma_col=np.ones((4, 4))), k)
+            base = fit_kca(t, KcaMethod("linear"), k)
             np.testing.assert_allclose(
                 cosine_matrix(ws.F), cosine_matrix(base.F), atol=1e-8
             )
@@ -1054,8 +1055,8 @@ class TestWsKernelFit:
         scores = WordSimDataset(tuple((f"r{i}", f"r{j}", 5.0) for i in range(4) for j in range(4)))
         gamma = build_gamma(t.row_labels, scores, alpha=0.06)
         np.testing.assert_allclose(gamma, 1.3)
-        ws = fit_ws_kca(t, gamma, np.full((4, 4), 1.3), 3)
-        base = fit_linear_ca(t, 3)
+        ws = fit_kca(t, method_from_name("ws", gamma_row=gamma, gamma_col=np.full((4, 4), 1.3)), 3)
+        base = fit_kca(t, KcaMethod("linear"), 3)
         np.testing.assert_allclose(cosine_matrix(ws.F), cosine_matrix(base.F), atol=1e-8)
 
     def test_scored_pair_cosine_moves_with_alpha_sign(self):
@@ -1068,24 +1069,24 @@ class TestWsKernelFit:
         labels = tuple(f"w{i}" for i in range(m))
         t = ContingencyTable.from_counts(counts, labels, labels)
         ones = np.ones((m, m))
-        base = fit_ws_kca(t, ones, ones, 3)
+        base = fit_kca(t, method_from_name("ws", gamma_row=ones, gamma_col=ones), 3)
         base_cos = cosine_matrix(base.F)[0, 1]
 
         scores = WordSimDataset((("w0", "w1", 10.0),))
         pulled = build_gamma(labels, scores, alpha=-0.03)
         assert pulled[0, 1] == pytest.approx(0.7)
-        together = fit_ws_kca(t, pulled, ones, 3)
+        together = fit_kca(t, method_from_name("ws", gamma_row=pulled, gamma_col=ones), 3)
         assert cosine_matrix(together.F)[0, 1] > base_cos
 
         pushed = build_gamma(labels, scores, alpha=0.03)
-        apart = fit_ws_kca(t, pushed, ones, 3)
+        apart = fit_kca(t, method_from_name("ws", gamma_row=pushed, gamma_col=ones), 3)
         assert cosine_matrix(apart.F)[0, 1] < base_cos
 
     def test_stopword_kernel_acts_over_the_modified_marginals(self):
         rng = np.random.default_rng(149)
         t = random_table(rng, nr=5, nc=5, square=True)
         gamma = build_gamma(t.row_labels, WordSimDataset((("r0", "r1", 10.0),)), alpha=0.05)
-        plain = fit_ws_kca(t, gamma, gamma, 3)
+        plain = fit_kca(t, method_from_name("ws", gamma_row=gamma, gamma_col=gamma), 3)
         assert plain.method_tag == "ws"
 
         def ws_sw(alpha):
@@ -1110,9 +1111,10 @@ class TestWsKernelFit:
         )
         gamma_r = np.array([[-1.0, -1.0], [-1.0, -1.0]])
         with pytest.raises(ValueError, match="aa"):
-            fit_ws_kca(t, gamma_r, np.ones((2, 2)), 1)
+            fit_kca(t, method_from_name("ws", gamma_row=gamma_r, gamma_col=np.ones((2, 2))), 1)
 
     def test_shape_validation(self):
         t = fisher_table()
         with pytest.raises(ValueError, match="pair-score"):
-            fit_ws_kca(t, np.ones((3, 3)), np.ones((5, 5)), 2)
+            fit_kca(t, method_from_name("ws", gamma_row=np.ones((3, 3)),
+                                        gamma_col=np.ones((5, 5))), 2)

@@ -5,12 +5,15 @@ import re
 import numpy as np
 import pytest
 
+from cakit.cli import main
+from cakit.datasets import fisher_table
 from cakit.linalg import (
     Decomposition,
     _sign_convention,
     nuclear_norm,
     svd,
 )
+from cakit.tables import write_tsv
 
 
 class TestSvd:
@@ -224,3 +227,28 @@ def test_input_rejections(call, message):
 def test_empty_spectrum_flags_nothing():
     dec = Decomposition(U=np.zeros((2, 0)), S=np.zeros(0), V=np.zeros((3, 0)))
     assert dec.flagged_small.dtype == bool and dec.flagged_small.shape == (0,)
+
+
+class TestNonConvergence:
+    @pytest.fixture(autouse=True)
+    def unconverged(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("stub")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "svd", fail)
+
+    @pytest.mark.parametrize("M", [np.eye(3), np.arange(6.0).reshape(2, 3)],
+                             ids=["symmetric", "non-symmetric"])
+    def test_svd_raises_and_names_the_failure(self, M):
+        with pytest.raises(np.linalg.LinAlgError, match="^SVD did not converge: stub$"):
+            svd(M)
+
+    def test_fit_exits_1_with_one_error_line_and_writes_no_file(self, tmp_path, capsys):
+        table, out = tmp_path / "t.tsv", tmp_path / "e.tsv"
+        write_tsv(fisher_table(), table)
+        assert main(["fit", str(table), "--dim", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: SVD did not converge: stub"
+        assert all(line.startswith("config: ") for line in err[:-1]) and len(err) > 1
+        assert not out.exists()

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from cakit import ca, cli, corpus, evaluation, tables
-from cakit.ca import fit_linear_ca
 from cakit.datasets import fisher_table
-from cakit.kca import fit_kca, method_from_name
+from cakit.kca import KcaMethod, fit_kca, method_from_name
 
 # inserted whole at a random offset: the separators and line breaks every
 # reader splits on, a byte-order mark and its first one or two bytes
@@ -34,7 +33,7 @@ def write_forms(tmp_path):
     add("full table", tables.read_tsv, lambda p: tables.write_tsv(fisher_table(), p))
     add("triangle table", tables.read_tsv, lambda p: tables.write_tsv(symmetric_table(), p))
     add("embeddings", ca.read_embeddings,
-        lambda p: ca.write_embeddings(fit_linear_ca(fisher_table(), 2), p))
+        lambda p: ca.write_embeddings(fit_kca(fisher_table(), KcaMethod("linear"), 2), p))
     add("embeddings col=row", ca.read_embeddings,
         lambda p: ca.write_embeddings(fit_kca(symmetric_table(), method_from_name("gini"), 2), p))
     add("pairs", evaluation.load_wordsim,

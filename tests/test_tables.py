@@ -13,9 +13,10 @@ import pytest
 
 import cakit
 from cakit import ca, cli, evaluation, gini, kca, linalg, tables
-from cakit.ca import EmbeddingSet, fit_linear_ca
+from cakit.ca import EmbeddingSet
 from cakit.corpus import CooccurrenceConfig, count_cooccurrences
 from cakit.datasets import FISHER_COL_LABELS, FISHER_COUNTS, FISHER_ROW_LABELS, fisher_table
+from cakit.kca import KcaMethod, fit_kca
 from cakit.tables import (
     ContingencyTable,
     contingency_from_observations,
@@ -1142,6 +1143,88 @@ class TestCodecMatchesPerRowReference:
             assert read_tsv(path).counts.tobytes() == t.counts.tobytes()
 
 
+# what a label or method tag may hold: no tab, LF or CR, but every other
+# separator-like, invisible or non-ASCII character, and nothing at all
+LABEL_CHARS = [" ", "#", ",", "\x0b", "\x1c", "\x85", "\u2028", "\ufeff", "é", "ß", "a", "1", "-"]
+
+
+def odd_labels(rng, n):
+    """``n`` distinct labels of 0-3 characters from ``LABEL_CHARS``, the empty one included."""
+    labels = {""} if rng.random() < 0.5 else set()
+    while len(labels) < n:
+        labels.add("".join(rng.choice(LABEL_CHARS, size=int(rng.integers(0, 4)))))
+    return [str(x) for x in rng.permutation(sorted(labels))[:n]]
+
+
+def odd_counts(rng, shape):
+    """Small integers, integer floats in [2**53, 2**62] and non-integer floats, mixed per cell."""
+    kind = rng.integers(0, 3, size=shape)
+    small = rng.integers(0, 10, size=shape).astype(float)
+    huge = np.ldexp(rng.integers(2**52, 2**53, size=shape).astype(float),
+                    rng.integers(1, 10, size=shape))
+    fraction = (rng.random(shape) + 0.01) * 10.0 ** rng.integers(-300, 15, size=shape)
+    counts = np.where(kind == 0, small, np.where(kind == 1, huge, fraction))
+    counts[np.arange(shape[0]), np.arange(shape[0]) % shape[1]] += 1.0  # no empty row
+    counts[np.arange(shape[1]) % shape[0], np.arange(shape[1])] += 1.0  # nor column
+    return counts
+
+
+def odd_coordinates(rng, shape):
+    """Finite floats of every magnitude, signed zeros and subnormals among them."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    special = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1.5e-315, 1.7e308],
+                         size=shape)
+    return np.where(rng.random(shape) < 0.3, special, values)
+
+
+class TestWriterRoundTrips:
+    """Seeded properties: every writer's file reads back as the record written."""
+
+    def test_a_table_reads_back_equal(self, tmp_path):
+        rng = np.random.default_rng(83)
+        path = tmp_path / "t.tsv"
+        triangles = 0
+        for n in range(300):
+            if n % 2:
+                size = int(rng.integers(1, 6))
+                lower = np.tril(odd_counts(rng, (size, size)))
+                labels = odd_labels(rng, size)
+                t = ContingencyTable(lower + np.tril(lower, -1).T, labels, labels)
+            else:
+                nr, nc = (int(x) for x in rng.integers(1, 6, size=2))
+                t = ContingencyTable(odd_counts(rng, (nr, nc)), odd_labels(rng, nr),
+                                     odd_labels(rng, nc))
+            write_tsv(t, path)
+            triangles += t.symmetric and t.shape[0] > 1
+            assert read_tsv(path) == t, (t.row_labels, t.col_labels, t.counts.tolist())
+        assert triangles > 100
+
+    def test_an_embedding_set_reads_back_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(89)
+        path = tmp_path / "emb.tsv"
+        by_reference = 0
+        for n in range(300):
+            n_rows, k = int(rng.integers(0, 5)), int(rng.integers(0, 4))
+            rows = odd_labels(rng, n_rows)
+            F = odd_coordinates(rng, (n_rows, k))
+            S = np.sort(np.abs(odd_coordinates(rng, k)))[::-1]
+            S[(S == 0) & (rng.random(k) < 0.5)] = -0.0  # nonnegative, and descending still
+            if n % 2:  # G = F s: the file carries G by reference
+                cols, G = rows, F * rng.choice([1.0, -1.0], size=k)
+            else:
+                n_cols = int(rng.integers(0, 5))
+                cols, G = odd_labels(rng, n_cols), odd_coordinates(rng, (n_cols, k))
+            tag = "".join(rng.choice(LABEL_CHARS, size=int(rng.integers(0, 6))))
+            e = EmbeddingSet(F, G, rows, cols, S, tag)
+            ca.write_embeddings(e, path)
+            by_reference += "col=row" in path.read_text(encoding="utf-8")
+            back = ca.read_embeddings(path)
+            assert back == e, (rows, cols, tag)
+            assert [x.tobytes() for x in (back.F, back.G, back.singular_values)] == \
+                [x.tobytes() for x in (e.F, e.G, e.singular_values)], (rows, cols, tag)
+        assert by_reference > 80
+
+
 class TestByteOrderMark:
     @pytest.mark.parametrize("kind", ["table", "embeddings"])
     def test_a_marked_copy_reads_back_like_the_plain_file(self, tmp_path, kind):
@@ -1150,7 +1233,7 @@ class TestByteOrderMark:
             write_tsv(fisher_table(), plain)
             read = read_tsv
         else:
-            ca.write_embeddings(fit_linear_ca(fisher_table(), 3), plain)
+            ca.write_embeddings(fit_kca(fisher_table(), KcaMethod("linear"), 3), plain)
             read = ca.read_embeddings
         marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
         assert outcome(read, marked) == outcome(read, plain)
@@ -1186,7 +1269,7 @@ def _write_failing_embeddings(write, path, monkeypatch):
             raise RuntimeError("formatting failed")
         return repr(x)
 
-    emb = fit_linear_ca(fisher_table(), 2)
+    emb = fit_kca(fisher_table(), KcaMethod("linear"), 2)
     monkeypatch.setattr(ca, "repr", format_float, raising=False)
     write(emb, path)
 
@@ -1200,7 +1283,7 @@ class TestAtomicWriters:
             fail = lambda: _write_failing_table(path, monkeypatch)  # noqa: E731
         else:
             write = getattr(ca, writer)
-            write(fit_linear_ca(fisher_table(), 2), path)
+            write(fit_kca(fisher_table(), KcaMethod("linear"), 2), path)
             fail = lambda: _write_failing_embeddings(write, path, monkeypatch)  # noqa: E731
         before = path.read_bytes()
         with pytest.raises(RuntimeError, match="formatting failed"):
